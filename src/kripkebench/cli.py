@@ -284,14 +284,16 @@ def cmd_check_main_lemma(args, config: RunConfig) -> int:
     completion = construct.complete_to_constant_domain(tree, signature)
     violation = construct.bar_precondition_violation(tree, signature, formula)
     variables = sorted(free_vars(formula))
+    evaluator = semantics.Evaluator(completion.model, signature)
+    tree_evaluator = semantics.Evaluator(tree.model, signature)
     instances = []
     overall = "holds"
     for node in tree.nodes:
         for combo in itertools.product(completion.model.domains[node], repeat=len(variables)):
             lifted = dict(zip(variables, combo))
-            value = semantics.eval_formula(completion.model, signature, node, lifted, formula)
+            value = evaluator.value(node, lifted, formula)
             condition = construct.pointwise_condition(
-                completion, signature, formula, node, lifted
+                completion, signature, formula, node, lifted, tree_evaluator
             )
             if violation is not None:
                 status = "precondition-failed"

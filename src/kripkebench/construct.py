@@ -565,14 +565,19 @@ def pointwise_condition(
     formula: Formula,
     node: str,
     lifted: dict[str, str],
+    evaluator: Optional[Evaluator] = None,
 ) -> bool:
     """Whether the formula holds at every node above the given one where all
-    assigned choice functions are defined, reading the assignment pointwise."""
+    assigned choice functions are defined, reading the assignment pointwise.
+
+    `evaluator`, an evaluator on the tree's model, lets many calls share
+    compiled formulas and labels."""
     tree = completion.tree
     shared = set(tree.nodes)
     for var in free_vars(formula):
         shared &= completion.functions[lifted[var]].domain
-    evaluator = Evaluator(tree.model, signature)
+    if evaluator is None:
+        evaluator = Evaluator(tree.model, signature)
     for v in tree.nodes:
         if (node, v) not in tree.model.order or v not in shared:
             continue

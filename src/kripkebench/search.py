@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Union
 
-from .semantics import KripkeModel, find_refutation
+from .semantics import KripkeModel, compile_sequent, find_refutation
 from .syntax import (
     Atom,
     Conn,
@@ -205,8 +205,8 @@ def _restrict_to_sequent(signature: Signature, sequent: Sequent) -> Signature:
 
 
 def _refutation_task(task) -> Optional[tuple[str, dict[str, str]]]:
-    model, signature, sequent = task
-    return find_refutation(model, signature, sequent)
+    model, signature, sequent, compiled = task
+    return find_refutation(model, signature, sequent, compiled=compiled)
 
 
 def _batched(stream: Iterator, size: int) -> Iterator[list]:
@@ -246,16 +246,17 @@ def decide(
     elif mode == "classical":
         effective = replace(bounds, max_worlds=1)
     search_signature = _restrict_to_sequent(signature, sequent)
+    compiled = compile_sequent(signature, sequent)
     stream = enumerate_models(search_signature, effective)
     if workers == 1:
         for model in stream:
-            witness = find_refutation(model, signature, sequent)
+            witness = find_refutation(model, signature, sequent, compiled=compiled)
             if witness is not None:
                 return Refuted(model, witness[0], witness[1])
         return ValidUpToBounds(effective)
     with multiprocessing.Pool(workers) as pool:
         for batch in _batched(stream, 256):
-            tasks = [(model, signature, sequent) for model in batch]
+            tasks = [(model, signature, sequent, compiled) for model in batch]
             for model, witness in zip(batch, pool.map(_refutation_task, tasks)):
                 if witness is not None:
                     return Refuted(model, witness[0], witness[1])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -20,7 +21,6 @@ from .syntax import (
     InvalidSignatureError,
     Sequent,
     Signature,
-    free_vars,
     sequent_free_vars,
     strip_comment,
     parse_signature_directive,
@@ -133,78 +133,152 @@ def is_constant_domain(model: KripkeModel) -> bool:
     return len(sets) <= 1
 
 
+# --- compiled evaluation ------------------------------------------------------
+#
+# A formula is compiled once into integer nodes, and a model is labelled as in
+# the labelling algorithm of CTL model checking (Clarke, Emerson & Sistla,
+# TOPLAS 1986): the label of a subformula under an assignment of its free
+# variables is the set of worlds where it takes value 1, held as a bitmask
+# over the model's worlds and computed from its children's labels. Labels are
+# computed on demand and memoized per model by (node id, elements at the
+# node's free-variable slots). A label may have any bits at worlds whose
+# domain misses an assigned element; no value at a world where the assignment
+# is defined ever reads them, because domains grow along the order.
+
+ATOM, CONN, FORALL, EXISTS = range(4)
+
+
+class CompiledFormulas:
+    """Formulas over one signature, compiled to integer nodes on demand.
+
+    Each distinct subformula gets an id in post-order, so children come before
+    their parents, and each variable name gets a fixed slot of the
+    environment list the labelling reads. `nodes[id]` is a tuple
+    `(kind, a, b, key)`:
+
+    - `(ATOM, pred, argument slots, key)`
+    - `(CONN, rows where the table is 0 as bit tuples, child ids, key)`
+    - `(FORALL, bound slot, body id, key)` and the same for `EXISTS`
+
+    where `key` is an `itemgetter` of the node's free-variable slots (None for
+    a closed node). Nodes hold only tuples, ints, strings and itemgetters, so
+    a compiled form pickles for worker processes.
+    """
+
+    def __init__(self, signature: Signature):
+        self.signature = signature
+        self.nodes: list[tuple] = []
+        self.free: list[tuple[str, ...]] = []  # sorted free variables per node
+        self.slots: dict[str, int] = {}
+        self._ids: dict[Formula, int] = {}
+
+    def slot(self, var: str) -> int:
+        return self.slots.setdefault(var, len(self.slots))
+
+    def add(self, formula: Formula) -> int:
+        """The id of the formula's node, compiling it and its subformulas if new."""
+        got = self._ids.get(formula)
+        if got is not None:
+            return got
+        if isinstance(formula, Atom):
+            free = frozenset(formula.args)
+            head = (ATOM, formula.pred, tuple(self.slot(x) for x in formula.args))
+        elif isinstance(formula, Conn):
+            children = tuple(self.add(arg) for arg in formula.args)
+            table = self.signature.connectives[formula.conn].table
+            width = len(formula.args)
+            zero_rows = tuple(
+                tuple((row >> (width - 1 - i)) & 1 for i in range(width))
+                for row, bit in enumerate(table)
+                if not bit
+            )
+            free = frozenset(x for child in children for x in self.free[child])
+            head = (CONN, zero_rows, children)
+        elif isinstance(formula, (Forall, Exists)):
+            body = self.add(formula.body)
+            free = frozenset(self.free[body]) - {formula.var}
+            kind = FORALL if isinstance(formula, Forall) else EXISTS
+            head = (kind, self.slot(formula.var), body)
+        else:
+            raise TypeError(f"not a formula: {formula!r}")
+        variables = tuple(sorted(free))
+        key = itemgetter(*(self.slot(x) for x in variables)) if variables else None
+        node = len(self.nodes)
+        self.nodes.append(head + (key,))
+        self.free.append(variables)
+        self._ids[formula] = node
+        return node
+
+
+@dataclass(frozen=True)
+class CompiledSequent:
+    """A sequent's formulas compiled once, for evaluation on many models."""
+
+    formulas: CompiledFormulas
+    antecedent: tuple[int, ...]
+    succedent: tuple[int, ...]
+    variables: tuple[str, ...]  # the sequent's free variables, sorted
+    slots: tuple[int, ...]
+
+
+def compile_sequent(signature: Signature, sequent: Sequent) -> CompiledSequent:
+    formulas = CompiledFormulas(signature)
+    antecedent = tuple(formulas.add(f) for f in sequent.antecedent)
+    succedent = tuple(formulas.add(f) for f in sequent.succedent)
+    variables = tuple(sorted(sequent_free_vars(sequent)))
+    slots = tuple(formulas.slot(x) for x in variables)
+    return CompiledSequent(formulas, antecedent, succedent, variables, slots)
+
+
 class Evaluator:
     """Evaluates formulas on one validated model.
 
-    Results are memoized per (world, formula, bindings restricted to the free
-    variables), so a shared evaluator never changes values, only speed.
+    Formulas are compiled on first use into `compiled`, which may be shared
+    with other evaluators over the same signature. Labels are memoized, so a
+    shared evaluator never changes values, only speed. Construction reads the
+    worlds, order and domains, but not the facts.
     """
 
-    def __init__(self, model: KripkeModel, signature: Signature):
+    def __init__(
+        self,
+        model: KripkeModel,
+        signature: Signature,
+        compiled: Optional[CompiledFormulas] = None,
+    ):
         self.model = model
         self.signature = signature
-        self._succ = {w: model.successors(w) for w in model.worlds}
-        self._domain_sets = {w: frozenset(model.domains[w]) for w in model.worlds}
+        self.compiled = CompiledFormulas(signature) if compiled is None else compiled
+        worlds = model.worlds
+        bits = [1 << i for i in range(len(worlds))]
+        self._full = (1 << len(worlds)) - 1
+        self._bit = dict(zip(worlds, bits))
+        ups = self._bit.copy()
+        for a, b in model.order:
+            ups[a] |= self._bit[b]
+        self._ups = tuple(zip(bits, ups.values()))
+        self._named = tuple(zip(bits, worlds))
+        # element -> the worlds whose domain holds it
+        self._present: dict[str, int] = {}
+        for w, bit in zip(worlds, bits):
+            for e in model.domains[w]:
+                self._present[e] = self._present.get(e, 0) | bit
+        self._nodes = self.compiled.nodes
         self._memo: dict = {}
-        self._fv: dict[Formula, tuple[str, ...]] = {}
-
-    def _sorted_fv(self, formula: Formula) -> tuple[str, ...]:
-        got = self._fv.get(formula)
-        if got is None:
-            got = tuple(sorted(free_vars(formula)))
-            self._fv[formula] = got
-        return got
 
     def value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
-        if world not in self._domain_sets:
+        bit = self._bit.get(world)
+        if bit is None:
             raise ValueError(f"unknown world {world!r}")
-        for x in self._sorted_fv(formula):
+        node = self.compiled.add(formula)
+        for x in self.compiled.free[node]:
             if x not in assignment:
                 raise ValueError(f"unbound free variable {x!r}")
-            if assignment[x] not in self._domain_sets[world]:
+            if not self._present.get(assignment[x], 0) & bit:
                 raise ValueError(
                     f"assignment sends {x!r} to {assignment[x]!r}, not in D({world})"
                 )
-        return self._value(world, assignment, formula)
-
-    def _value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
-        key = (
-            world,
-            formula,
-            tuple(assignment[x] for x in self._sorted_fv(formula)),
-        )
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        result = self._compute(world, assignment, formula)
-        self._memo[key] = result
-        return result
-
-    def _compute(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
-        if isinstance(formula, Atom):
-            args = tuple(assignment[x] for x in formula.args)
-            return 1 if (world, formula.pred, args) in self.model.facts else 0
-        if isinstance(formula, Conn):
-            tf = self.signature.connectives[formula.conn]
-            for v in self._succ[world]:
-                index = 0
-                for arg in formula.args:
-                    index = (index << 1) | self._value(v, assignment, arg)
-                if not tf.table[index]:
-                    return 0
-            return 1
-        if isinstance(formula, Forall):
-            for v in self._succ[world]:
-                for a in self.model.domains[v]:
-                    if not self._value(v, {**assignment, formula.var: a}, formula.body):
-                        return 0
-            return 1
-        if isinstance(formula, Exists):
-            for a in self.model.domains[world]:
-                if self._value(world, {**assignment, formula.var: a}, formula.body):
-                    return 1
-            return 0
-        raise TypeError(f"not a formula: {formula!r}")
+        env = [assignment.get(x) for x in self.compiled.slots]
+        return 1 if self._label(node, env) & bit else 0
 
     def sequent_value(self, world: str, assignment: dict[str, str], sequent: Sequent) -> int:
         for f in sequent.antecedent:
@@ -214,6 +288,88 @@ class Evaluator:
             if self.value(world, assignment, f) != 0:
                 return 1
         return 0
+
+    def refutation(self, sequent: CompiledSequent) -> Optional[tuple[str, dict[str, str]]]:
+        """First point (world, assignment) where the sequent gets value 0,
+        in the scan order of `find_refutation`."""
+        env: list = [None] * len(self.compiled.slots)
+        slots = sequent.slots
+        refuting: dict[tuple[str, ...], int] = {}
+        for bit, w in self._named:
+            for combo in itertools.product(self.model.domains[w], repeat=len(slots)):
+                mask = refuting.get(combo)
+                if mask is None:
+                    for slot, e in zip(slots, combo):
+                        env[slot] = e
+                    mask = refuting[combo] = self._refuting(sequent, env)
+                if mask & bit:
+                    return w, dict(zip(sequent.variables, combo))
+        return None
+
+    def _refuting(self, sequent: CompiledSequent, env: list) -> int:
+        """The worlds where every antecedent formula is 1 and every succedent one 0."""
+        mask = self._full
+        for node in sequent.antecedent:
+            mask &= self._label(node, env)
+            if not mask:
+                return 0
+        for node in sequent.succedent:
+            mask &= ~self._label(node, env)
+            if not mask:
+                return 0
+        return mask
+
+    def _above_none_of(self, bad: int) -> int:
+        """The worlds none of whose successors lies in `bad`."""
+        if not bad:
+            return self._full
+        mask = 0
+        for bit, up in self._ups:
+            if not up & bad:
+                mask |= bit
+        return mask
+
+    def _label(self, node: int, env: list) -> int:
+        kind, a, b, key = self._nodes[node]
+        memo_key = node if key is None else (node, key(env))
+        memo = self._memo
+        got = memo.get(memo_key)
+        if got is not None:
+            return got
+        if kind == ATOM:
+            args = tuple([env[slot] for slot in b])
+            facts = self.model.facts
+            mask = 0
+            for bit, w in self._named:
+                if (w, a, args) in facts:
+                    mask |= bit
+        elif kind == CONN:
+            labels = [self._label(child, env) for child in b]
+            full = self._full
+            bad = 0
+            for row in a:
+                cell = full
+                for label, one in zip(labels, row):
+                    cell &= label if one else ~label
+                bad |= cell
+            mask = self._above_none_of(bad)
+        else:
+            saved = env[a]
+            label = self._label
+            if kind == FORALL:
+                bad = 0
+                for e, present in self._present.items():
+                    env[a] = e
+                    bad |= present & ~label(b, env)
+                mask = self._above_none_of(bad)
+            else:
+                mask = 0
+                for e, present in self._present.items():
+                    env[a] = e
+                    mask |= present & label(b, env)
+            env[a] = saved
+        memo[memo_key] = mask
+        return mask
 
 
 def eval_formula(
@@ -241,26 +397,24 @@ def find_refutation(
     signature: Signature,
     sequent: Sequent,
     single_succedent: bool = False,
+    *,
+    compiled: Optional[CompiledSequent] = None,
 ) -> Optional[tuple[str, dict[str, str]]]:
     """First point (world, assignment) where the sequent gets value 0.
 
     Worlds are scanned in declaration order, assignments with variables in
     sorted order and elements in declaration order; returns None when the
-    model validates the sequent.
+    model validates the sequent. `compiled`, from `compile_sequent(signature,
+    sequent)`, saves compiling the sequent again for every model.
     """
     if single_succedent and len(sequent.succedent) != 1:
         raise ValueError(
             f"single-succedent restriction requires exactly one succedent formula,"
             f" got {len(sequent.succedent)}"
         )
-    variables = sorted(sequent_free_vars(sequent))
-    evaluator = Evaluator(model, signature)
-    for w in model.worlds:
-        for combo in itertools.product(model.domains[w], repeat=len(variables)):
-            assignment = dict(zip(variables, combo))
-            if evaluator.sequent_value(w, assignment, sequent) == 0:
-                return w, assignment
-    return None
+    if compiled is None:
+        compiled = compile_sequent(signature, sequent)
+    return Evaluator(model, signature, compiled.formulas).refutation(compiled)
 
 
 def model_validates(
@@ -366,11 +520,13 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
                 continue
         except InvalidSignatureError as exc:
             raise InvalidModelError(str(exc)) from None
-        head, _, rest = line.partition(":")
+        head, colon, rest = line.partition(":")
         head = head.strip()
         rest = rest.strip()
-        if ":" not in line:
+        if not colon:
             fail(lineno, f"unknown directive {line.split()[0]!r}")
+        parts = head.split()
+        kind = parts[0] if parts else ""
         if head == "worlds":
             for w in rest.split():
                 if w in worlds:
@@ -381,8 +537,7 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
             if len(pair) != 2:
                 fail(lineno, "expected 'order: LOWER UPPER'")
             pairs.append((pair[0], pair[1]))
-        elif head.split()[0] == "domain":
-            parts = head.split()
+        elif kind == "domain":
             if len(parts) != 2:
                 fail(lineno, "expected 'domain WORLD: elements'")
             w = parts[1]
@@ -391,8 +546,7 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
                 if e in bucket:
                     fail(lineno, f"duplicate element {e!r} in domain of {w}")
                 bucket.append(e)
-        elif head.split()[0] == "fact":
-            parts = head.split()
+        elif kind == "fact":
             if len(parts) != 2:
                 fail(lineno, "expected 'fact WORLD: pred(args)'")
             w = parts[1]
@@ -437,7 +591,11 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
     violations = validate_model(model)
     if violations:
         raise InvalidModelError("invalid model:\n" + "\n".join(violations))
-    return model, Signature(predicates, connectives)
+    try:
+        signature = Signature(predicates, connectives)
+    except InvalidSignatureError as exc:
+        raise InvalidModelError(str(exc)) from None
+    return model, signature
 
 
 def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:

@@ -395,7 +395,12 @@ def parse_signature_directive(
             except ValueError:
                 raise InvalidSignatureError(f"line {lineno}: arity must be an integer") from None
             table = parts[3]
-            if any(c not in "01" for c in table) or len(table) != 1 << arity:
+            # the bit-length test comes first, so a huge arity never reaches the shift
+            if (
+                any(c not in "01" for c in table)
+                or len(table).bit_length() != arity + 1
+                or len(table) != 1 << arity
+            ):
                 raise InvalidSignatureError(
                     f"line {lineno}: table must be a bit string of length 2^{arity}"
                 )

@@ -28,7 +28,7 @@ from kripkebench.search import (
     sequent_corpus,
 )
 from kripkebench.semantics import Evaluator, eval_sequent, validate_model
-from kripkebench.syntax import Signature, parse_sequent
+from kripkebench.syntax import Signature, free_vars, parse_sequent
 from kripkebench.truthfun import (
     builtin,
     enumerate_truth_functions,
@@ -157,7 +157,7 @@ def test_06_heredity_on_seeded_models():
             if w != v
         ]
         for formula in formulas:
-            variables = sorted(evaluator._sorted_fv(formula))
+            variables = sorted(free_vars(formula))
             for w, v in pairs:
                 for combo in itertools.product(model.domains[w], repeat=len(variables)):
                     rho = dict(zip(variables, combo))
@@ -185,7 +185,7 @@ def test_07_unraveling_preserves_values_on_seeded_posets():
         lifted = Evaluator(tree.model, signature)
         formulas = [random_formula(rng, signature, 3, ("x", "y")) for _ in range(20)]
         for formula in formulas:
-            variables = sorted(source._sorted_fv(formula))
+            variables = sorted(free_vars(formula))
             for node in tree.nodes:
                 origin = tree.last[node]
                 for combo in itertools.product(

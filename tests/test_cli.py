@@ -208,6 +208,13 @@ class TestCompleteCommand:
         path.write_text("worlds: w0 w1\ndomain w0: a\ndomain w1: a\n")
         assert main(["complete", str(path)]) == 3
 
+    def test_line_with_empty_head_is_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "empty-head.model"
+        path.write_text("worlds: w0\ndomain w0: a\n: oops\n")
+        assert main(["complete", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 3: unknown directive ''"]
+
 
 class TestCheckMainLemmaCommand:
     def test_atomic_report(self, separating_file, capsys):

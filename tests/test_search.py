@@ -15,13 +15,17 @@ from kripkebench.search import (
     sequent_corpus,
 )
 from kripkebench.semantics import (
+    compile_sequent,
     eval_sequent,
+    find_refutation,
     is_constant_domain,
     validate_model,
 )
 from kripkebench.syntax import Signature, parse_sequent
 from kripkebench.truthfun import builtin
 from kripkebench.synthesize import synthesize
+
+from util import naive_decide, naive_refutation
 
 
 @pytest.fixture
@@ -319,3 +323,48 @@ class TestTheoremDirections:
                 assert record.kripke_refuted
                 assert record.classical_refuted
             assert not record.inconclusive
+
+
+class TestDecideAgainstNaiveOracle:
+    """`decide` returns the same verdict, model, world and assignment as a
+    naive decide over the same model stream."""
+
+    # the kripke search takes the first 40 sequents of the corpus only, to
+    # keep the test to a few seconds
+    @pytest.mark.parametrize(
+        "mode, bounds, count",
+        [("cd", SearchBounds(2, 2, "tree"), 100), ("kripke", SearchBounds(2, 2, "poset"), 40)],
+    )
+    def test_seeded_corpus(self, mode, bounds, count):
+        sig = Signature(
+            {"p": 1, "q": 1, "r": 0},
+            {"not": builtin("not"), "and": builtin("and"), "imp": builtin("imp")},
+        )
+        verdicts = []
+        for s in sequent_corpus(sig, 2024, count):
+            verdict = decide(sig, s, mode, bounds)
+            assert verdict == naive_decide(sig, s, mode, bounds)
+            verdicts.append(isinstance(verdict, Refuted))
+        assert 0 < sum(verdicts) < count  # both verdicts occur
+
+    @pytest.mark.parametrize(
+        "predicates, connectives, text",
+        [
+            ({"p": 1, "q": 1}, ("and",),
+             "forall x. and(p(x), q(x)) => and(forall x. p(x), forall x. q(x))"),
+            ({"p": 1, "r": 0}, ("imp",), "imp(exists x. p(x), r) => forall x. imp(p(x), r)"),
+            ({"p": 1, "r": 0}, ("xor",), "forall x. xor(p(x), r) => xor(forall x. p(x), r)"),
+            ({"p": 0, "q": 0}, ("or", "imp"), "=> or(imp(p, q), imp(q, p))"),
+        ],
+    )
+    def test_exhaustive_search_sequents(self, predicates, connectives, text):
+        sig = Signature(predicates, {c: builtin(c) for c in connectives})
+        s = parse_sequent(text, sig)
+        bounds = SearchBounds(2, 2, "poset")
+        assert decide(sig, s, "kripke", bounds) == naive_decide(sig, s, "kripke", bounds)
+        # every model of the stream, not only the first refuted one
+        compiled = compile_sequent(sig, s)
+        for model in enumerate_models(Signature(predicates, {}), bounds):
+            assert find_refutation(model, sig, s, compiled=compiled) == naive_refutation(
+                model, sig, s
+            )

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kripkebench.semantics import (
     Evaluator,
@@ -19,11 +20,11 @@ from kripkebench.semantics import (
     validate_model,
 )
 from kripkebench.search import random_formula
-from kripkebench.syntax import Sequent, Signature, parse_formula, parse_sequent
+from kripkebench.syntax import Sequent, Signature, free_vars, parse_formula, parse_sequent
 from kripkebench.synthesize import separating_countermodel
 from kripkebench.truthfun import BUILTINS, builtin
 
-from util import random_model
+from util import naive_refutation, naive_value, random_model
 
 
 @pytest.fixture
@@ -280,38 +281,6 @@ class TestHeredity:
                             )
 
 
-def naive_value(model, sig, world, assignment, formula):
-    """Direct recursion on the four clauses: no memo, no sharing.
-
-    Test-local oracle kept independent of Evaluator on purpose.
-    """
-    from kripkebench.syntax import Atom as A, Conn as C, Exists as E, Forall as F
-
-    successors = [v for v in model.worlds if (world, v) in model.order]
-    if isinstance(formula, A):
-        args = tuple(assignment[x] for x in formula.args)
-        return 1 if (world, formula.pred, args) in model.facts else 0
-    if isinstance(formula, C):
-        tf = sig.connectives[formula.conn]
-        for v in successors:
-            bits = tuple(naive_value(model, sig, v, assignment, arg) for arg in formula.args)
-            if tf.on_bits(bits) == 0:
-                return 0
-        return 1
-    if isinstance(formula, F):
-        for v in successors:
-            for a in model.domains[v]:
-                if naive_value(model, sig, v, {**assignment, formula.var: a}, formula.body) == 0:
-                    return 0
-        return 1
-    if isinstance(formula, E):
-        for a in model.domains[world]:
-            if naive_value(model, sig, world, {**assignment, formula.var: a}, formula.body) == 1:
-                return 1
-        return 0
-    raise TypeError
-
-
 class TestEvaluatorAgainstNaiveRecursion:
     def test_memoized_evaluator_matches_direct_recursion(self):
         rng = random.Random(23)
@@ -321,7 +290,7 @@ class TestEvaluatorAgainstNaiveRecursion:
             evaluator = Evaluator(model, sig)
             for _ in range(8):
                 formula = random_formula(rng, sig, 3, ("x", "y"))
-                variables = sorted(evaluator._sorted_fv(formula))
+                variables = sorted(free_vars(formula))
                 for w in model.worlds:
                     import itertools as it
 
@@ -330,6 +299,28 @@ class TestEvaluatorAgainstNaiveRecursion:
                         assert evaluator.value(w, rho, formula) == naive_value(
                             model, sig, w, rho, formula
                         )
+
+    def test_refutation_scan_matches_naive_scan(self):
+        # random sequents over x and y are refuted at several worlds and
+        # assignments of one model, so the first point found depends on the
+        # scan order
+        rng = random.Random(29)
+        sig = full_sig()
+
+        def side():
+            return tuple(
+                random_formula(rng, sig, 2, ("x", "y")) for _ in range(rng.randint(0, 2))
+            )
+
+        refuted = 0
+        for _ in range(60):
+            model = random_model(rng, allow_cycles=True)
+            for _ in range(4):
+                s = Sequent(side(), side())
+                witness = find_refutation(model, sig, s)
+                assert witness == naive_refutation(model, sig, s)
+                refuted += witness is not None
+        assert refuted > 0
 
 
 class TestModelFiles:
@@ -384,3 +375,34 @@ class TestModelFiles:
         model, _ = parse_model_text("worlds: w0\ndomain w0: a\nfact w0: T\n")
         model2, _ = parse_model_text("worlds: w0\ndomain w0: a\nfact w0: T()\n")
         assert model.facts == model2.facts == frozenset({("w0", "T", ())})
+
+
+# Lines shaped like model-file directives, so that the fuzzer reaches the
+# parser's branches and not only its "unknown directive" error.
+_MODEL_TOKENS = st.sampled_from(
+    ["worlds:", "order:", "domain", "fact", "pred", "conn", "builtin", ":", "(", ")", ",",
+     "#", "w0", "w1", "a", "b", "p", "T", "or", "p(a)", "T()", "-1", "0", "1", "2"]
+)
+_MODEL_LINE = st.one_of(
+    st.lists(st.one_of(_MODEL_TOKENS, st.text(max_size=3)), max_size=5).map(" ".join),
+    st.tuples(
+        st.sampled_from(["pred", "conn"]),
+        st.sampled_from(["p", "c", "or"]),
+        st.integers(-2, 3).map(str),
+        st.sampled_from(["", "0", "01", "0110", "builtin"]),
+    ).map(" ".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.lists(_MODEL_LINE, max_size=6).map("\n".join)))
+@example("worlds: w0\ndomain w0: a\n: oops")
+@example("conn c -1 0")
+@example("pred p -1")
+def test_model_parser_returns_a_model_or_raises_invalid_model_error(text):
+    try:
+        model, signature = parse_model_text(text)
+    except InvalidModelError:
+        return
+    assert validate_model(model) == []
+    assert isinstance(signature, Signature)

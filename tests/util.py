@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
+from kripkebench.construct import TreeModel
+from kripkebench.search import Refuted, ValidUpToBounds, enumerate_models
 from kripkebench.semantics import (
     KripkeModel,
     reflexive_transitive_closure,
     validate_model,
 )
-from kripkebench.construct import TreeModel
+from kripkebench.syntax import (
+    Atom,
+    Conn,
+    Exists,
+    Forall,
+    Signature,
+    sequent_free_vars,
+    subformulas,
+)
 
 DEFAULT_PREDICATES = {"p": 1, "q": 1, "r": 0}
 
@@ -89,3 +100,73 @@ def all_tree_shapes(max_nodes: int):
     for n in range(1, max_nodes + 1):
         for parents in itertools.product(*(range(i) for i in range(1, n))):
             yield parents
+
+
+# --- reference oracle --------------------------------------------------------
+
+
+def naive_value(model, sig, world, assignment, formula):
+    """Direct recursion on the four clauses: no memo, no sharing.
+
+    Kept independent of the program's evaluator on purpose.
+    """
+    successors = [v for v in model.worlds if (world, v) in model.order]
+    if isinstance(formula, Atom):
+        args = tuple(assignment[x] for x in formula.args)
+        return 1 if (world, formula.pred, args) in model.facts else 0
+    if isinstance(formula, Conn):
+        tf = sig.connectives[formula.conn]
+        for v in successors:
+            index = 0
+            for arg in formula.args:
+                index = 2 * index + naive_value(model, sig, v, assignment, arg)
+            if tf.table[index] == 0:
+                return 0
+        return 1
+    if isinstance(formula, Forall):
+        for v in successors:
+            for a in model.domains[v]:
+                if naive_value(model, sig, v, {**assignment, formula.var: a}, formula.body) == 0:
+                    return 0
+        return 1
+    if isinstance(formula, Exists):
+        for a in model.domains[world]:
+            if naive_value(model, sig, world, {**assignment, formula.var: a}, formula.body) == 1:
+                return 1
+        return 0
+    raise TypeError
+
+
+def naive_refutation(model, sig, sequent):
+    """First (world, assignment) where `naive_value` gives the sequent value 0,
+    scanning worlds in declaration order, variables sorted and elements in
+    declaration order."""
+    variables = sorted(sequent_free_vars(sequent))
+    for w in model.worlds:
+        for combo in itertools.product(model.domains[w], repeat=len(variables)):
+            rho = dict(zip(variables, combo))
+            if all(naive_value(model, sig, w, rho, f) == 1 for f in sequent.antecedent) and all(
+                naive_value(model, sig, w, rho, f) == 0 for f in sequent.succedent
+            ):
+                return w, rho
+    return None
+
+
+def naive_decide(sig, sequent, mode, bounds):
+    """`decide` rebuilt on `naive_refutation`: the first model of the same
+    `enumerate_models` stream that the naive scan refutes."""
+    if mode == "cd":
+        bounds = replace(bounds, constant_domain=True)
+    elif mode == "classical":
+        bounds = replace(bounds, max_worlds=1)
+    used = {
+        f.pred for g in sequent.formulas() for f in subformulas(g) if isinstance(f, Atom)
+    }
+    search_sig = Signature(
+        {p: a for p, a in sig.predicates.items() if p in used}, dict(sig.connectives)
+    )
+    for model in enumerate_models(search_sig, bounds):
+        witness = naive_refutation(model, sig, sequent)
+        if witness is not None:
+            return Refuted(model, *witness)
+    return ValidUpToBounds(bounds)
