@@ -9,6 +9,7 @@ line is off by default.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -183,6 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the seeded corpus consistency sweep of this size",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call rather than at import.
+
+    Parsing leaves the parser unchanged, so one serves every call.
+    """
+    return build_parser()
 
 
 def cmd_analyze(args, config: RunConfig) -> int:
@@ -398,8 +408,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         workers = args.workers if args.workers is not None else _default_workers()

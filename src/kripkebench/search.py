@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Union
 
-from .semantics import KripkeModel, compile_sequent, find_refutation
+from .semantics import Fact, KripkeModel, compile_sequent, find_refutation
 from .syntax import (
     Atom,
     Conn,
@@ -164,27 +164,33 @@ def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[Kri
                         if a != b
                     )
                 )
+            # upward-closed subsets of the worlds where a slot is defined
+            closed: dict[tuple[int, ...], list[frozenset[int]]] = {}
             for combo in domain_choices:
                 domains = {worlds[i]: combo[i] for i in range(n)}
-                slots: list[tuple[str, tuple[str, ...], list[frozenset[int]]]] = []
+                held = [set(domain) for domain in combo]
+                # per fact slot, its options as ready tuples of facts
+                slots: list[tuple[tuple[Fact, ...], ...]] = []
                 for pred, arity in signature.predicates.items():
                     for args in itertools.product(universe, repeat=arity):
-                        valid = tuple(
-                            i for i in range(n) if all(e in set(combo[i]) for e in args)
-                        )
+                        valid = tuple(i for i in range(n) if all(e in held[i] for e in args))
                         if not valid:
                             continue
+                        options = closed.get(valid)
+                        if options is None:
+                            options = closed[valid] = _upward_closed_subsets(valid, index_order)
                         slots.append(
-                            (pred, args, _upward_closed_subsets(valid, index_order))
+                            tuple(
+                                tuple((worlds[i], pred, args) for i in chosen)
+                                for chosen in options
+                            )
                         )
-                for choice in itertools.product(*(options for _, _, options in slots)):
-                    facts = frozenset(
-                        (worlds[i], pred, args)
-                        for (pred, args, _), chosen in zip(slots, choice)
-                        for i in chosen
-                    )
+                for choice in itertools.product(*slots):
                     yield KripkeModel(
-                        worlds=worlds, order=order, domains=domains, facts=facts
+                        worlds=worlds,
+                        order=order,
+                        domains=domains,
+                        facts=frozenset(itertools.chain.from_iterable(choice)),
                     )
 
 

@@ -8,7 +8,7 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -210,15 +210,95 @@ class CompiledFormulas:
         return node
 
 
-@dataclass(frozen=True)
+class Frame:
+    """A model's worlds, order and domains, with what evaluation derives from
+    them alone.
+
+    A sequent's value at a point depends on the frame and the interpretation,
+    and bounded search yields long runs of models over one frame, so an
+    evaluator built with a shared frame skips this set-up. A frame holds the
+    world bits, the up-set of each world, the worlds whose domain holds each
+    element and, filled on demand, each world's assignments of a number of
+    variables and the worlds none of whose successors lies in a given set.
+    It reads no facts and never changes its values, only the tables it fills.
+    """
+
+    def __init__(self, model: KripkeModel):
+        worlds = model.worlds
+        self.worlds = worlds
+        self.order = model.order
+        # a copy, since `matches` must see a later change to the model's dict
+        self.domains = dict(model.domains)
+        bits = [1 << i for i in range(len(worlds))]
+        self.full = (1 << len(worlds)) - 1
+        self.bit = dict(zip(worlds, bits))
+        ups = self.bit.copy()
+        for a, b in model.order:
+            ups[a] |= self.bit[b]
+        self.ups = tuple(zip(bits, ups.values()))
+        self.named = tuple(zip(bits, worlds))
+        # element -> the worlds whose domain holds it
+        self.present: dict[str, int] = {}
+        for w, bit in zip(worlds, bits):
+            for e in self.domains[w]:
+                self.present[e] = self.present.get(e, 0) | bit
+        self.elements = tuple(self.present.items())
+        self._points: dict[int, tuple] = {}
+        self._above: dict[int, int] = {}
+        self._connectives: dict[CompiledFormulas, dict] = {}
+
+    def matches(self, model: KripkeModel) -> bool:
+        """Whether `model` has this frame's worlds, order and domains."""
+        return (
+            model.worlds == self.worlds
+            and model.order == self.order
+            and model.domains == self.domains
+        )
+
+    def points(self, count: int) -> tuple[tuple[int, str, tuple[tuple[str, ...], ...]], ...]:
+        """Per world in declaration order, `(bit, world, assignments)`, where
+        the assignments are the tuples of `count` elements of its domain in
+        the scan order of `find_refutation`."""
+        got = self._points.get(count)
+        if got is None:
+            got = self._points[count] = tuple(
+                (bit, w, tuple(itertools.product(self.domains[w], repeat=count)))
+                for bit, w in self.named
+            )
+        return got
+
+    def above_none_of(self, bad: int) -> int:
+        """The worlds none of whose successors lies in `bad`."""
+        got = self._above.get(bad)
+        if got is None:
+            got = 0
+            for bit, up in self.ups:
+                if not up & bad:
+                    got |= bit
+            self._above[bad] = got
+        return got
+
+    def connectives(self, compiled: CompiledFormulas) -> dict:
+        """The label of each connective node of `compiled` on this frame,
+        keyed by (node id, its children's labels), as far as known."""
+        return self._connectives.setdefault(compiled, {})
+
+
+@dataclass
 class CompiledSequent:
-    """A sequent's formulas compiled once, for evaluation on many models."""
+    """A sequent's formulas compiled once, for evaluation on many models.
+
+    `frame` is the frame of the last model `find_refutation` evaluated with
+    it, reused while the models that follow have equal worlds, order and
+    domains.
+    """
 
     formulas: CompiledFormulas
     antecedent: tuple[int, ...]
     succedent: tuple[int, ...]
     variables: tuple[str, ...]  # the sequent's free variables, sorted
     slots: tuple[int, ...]
+    frame: Optional[Frame] = field(default=None, compare=False, repr=False)
 
 
 def compile_sequent(signature: Signature, sequent: Sequent) -> CompiledSequent:
@@ -234,9 +314,10 @@ class Evaluator:
     """Evaluates formulas on one validated model.
 
     Formulas are compiled on first use into `compiled`, which may be shared
-    with other evaluators over the same signature. Labels are memoized, so a
-    shared evaluator never changes values, only speed. Construction reads the
-    worlds, order and domains, but not the facts.
+    with other evaluators over the same signature. `frame` is `Frame(model)`
+    or a frame whose `matches(model)` holds; it is built when not given.
+    Labels are memoized, so a shared compiled form or frame never changes
+    values, only speed. Construction reads no facts.
     """
 
     def __init__(
@@ -244,36 +325,29 @@ class Evaluator:
         model: KripkeModel,
         signature: Signature,
         compiled: Optional[CompiledFormulas] = None,
+        frame: Optional[Frame] = None,
     ):
         self.model = model
         self.signature = signature
         self.compiled = CompiledFormulas(signature) if compiled is None else compiled
-        worlds = model.worlds
-        bits = [1 << i for i in range(len(worlds))]
-        self._full = (1 << len(worlds)) - 1
-        self._bit = dict(zip(worlds, bits))
-        ups = self._bit.copy()
-        for a, b in model.order:
-            ups[a] |= self._bit[b]
-        self._ups = tuple(zip(bits, ups.values()))
-        self._named = tuple(zip(bits, worlds))
-        # element -> the worlds whose domain holds it
-        self._present: dict[str, int] = {}
-        for w, bit in zip(worlds, bits):
-            for e in model.domains[w]:
-                self._present[e] = self._present.get(e, 0) | bit
+        self.frame = Frame(model) if frame is None else frame
+        self._full = self.frame.full
+        self._named = self.frame.named
+        self._elements = self.frame.elements
+        self._above_none_of = self.frame.above_none_of
+        self._connectives = self.frame.connectives(self.compiled)
         self._nodes = self.compiled.nodes
         self._memo: dict = {}
 
     def value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
-        bit = self._bit.get(world)
+        bit = self.frame.bit.get(world)
         if bit is None:
             raise ValueError(f"unknown world {world!r}")
         node = self.compiled.add(formula)
         for x in self.compiled.free[node]:
             if x not in assignment:
                 raise ValueError(f"unbound free variable {x!r}")
-            if not self._present.get(assignment[x], 0) & bit:
+            if not self.frame.present.get(assignment[x], 0) & bit:
                 raise ValueError(
                     f"assignment sends {x!r} to {assignment[x]!r}, not in D({world})"
                 )
@@ -295,8 +369,8 @@ class Evaluator:
         env: list = [None] * len(self.compiled.slots)
         slots = sequent.slots
         refuting: dict[tuple[str, ...], int] = {}
-        for bit, w in self._named:
-            for combo in itertools.product(self.model.domains[w], repeat=len(slots)):
+        for bit, w, combos in self.frame.points(len(slots)):
+            for combo in combos:
                 mask = refuting.get(combo)
                 if mask is None:
                     for slot, e in zip(slots, combo):
@@ -319,16 +393,6 @@ class Evaluator:
                 return 0
         return mask
 
-    def _above_none_of(self, bad: int) -> int:
-        """The worlds none of whose successors lies in `bad`."""
-        if not bad:
-            return self._full
-        mask = 0
-        for bit, up in self._ups:
-            if not up & bad:
-                mask |= bit
-        return mask
-
     def _label(self, node: int, env: list) -> int:
         kind, a, b, key = self._nodes[node]
         memo_key = node if key is None else (node, key(env))
@@ -344,27 +408,30 @@ class Evaluator:
                 if (w, a, args) in facts:
                     mask |= bit
         elif kind == CONN:
-            labels = [self._label(child, env) for child in b]
-            full = self._full
-            bad = 0
-            for row in a:
-                cell = full
-                for label, one in zip(labels, row):
-                    cell &= label if one else ~label
-                bad |= cell
-            mask = self._above_none_of(bad)
+            labels = tuple([self._label(child, env) for child in b])
+            conn_key = (node, labels)
+            mask = self._connectives.get(conn_key)
+            if mask is None:
+                full = self._full
+                bad = 0
+                for row in a:
+                    cell = full
+                    for label, one in zip(labels, row):
+                        cell &= label if one else ~label
+                    bad |= cell
+                mask = self._connectives[conn_key] = self._above_none_of(bad)
         else:
             saved = env[a]
             label = self._label
             if kind == FORALL:
                 bad = 0
-                for e, present in self._present.items():
+                for e, present in self._elements:
                     env[a] = e
                     bad |= present & ~label(b, env)
                 mask = self._above_none_of(bad)
             else:
                 mask = 0
-                for e, present in self._present.items():
+                for e, present in self._elements:
                     env[a] = e
                     mask |= present & label(b, env)
             env[a] = saved
@@ -405,7 +472,8 @@ def find_refutation(
     Worlds are scanned in declaration order, assignments with variables in
     sorted order and elements in declaration order; returns None when the
     model validates the sequent. `compiled`, from `compile_sequent(signature,
-    sequent)`, saves compiling the sequent again for every model.
+    sequent)`, saves compiling the sequent again for every model, and its
+    `frame` saves building the frame again while consecutive models share one.
     """
     if single_succedent and len(sequent.succedent) != 1:
         raise ValueError(
@@ -414,7 +482,10 @@ def find_refutation(
         )
     if compiled is None:
         compiled = compile_sequent(signature, sequent)
-    return Evaluator(model, signature, compiled.formulas).refutation(compiled)
+    frame = compiled.frame
+    if frame is None or not frame.matches(model):
+        frame = compiled.frame = Frame(model)
+    return Evaluator(model, signature, compiled.formulas, frame).refutation(compiled)
 
 
 def model_validates(

@@ -117,12 +117,6 @@ class TruthFunction:
             raise ValueError(f"arity mismatch: function is {self.arity}-ary, got {len(a)}")
         return self.table[a.index]
 
-    def on_index(self, index: int) -> int:
-        return self.table[index]
-
-    def on_bits(self, bits: tuple[int, ...]) -> int:
-        return self(TruthVector(bits))
-
     def table_string(self) -> str:
         return "".join(str(b) for b in self.table)
 

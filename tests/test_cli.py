@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kripkebench import cli
 from kripkebench.cli import main
 from kripkebench.semantics import parse_model_text
 
@@ -291,6 +292,41 @@ class TestDeterminism:
         assert "# elapsed:" in capsys.readouterr().out
         main(["analyze-connective", "--builtin", "and"])
         assert "# elapsed:" not in capsys.readouterr().out
+
+    def test_reused_parser_matches_a_fresh_one(self, or_seq_file, capsys, monkeypatch):
+        # each option is followed by a call without it, so a value left over
+        # from the previous call would show in the output or the exit code
+        decide = [
+            "decide", "--mode", "kripke", "--seq", or_seq_file,
+            "--max-worlds", "2", "--max-domain", "2", "--shape", "tree",
+        ]
+        relations = ["report-relations", "--builtins", "or", "--corpus", "4"]
+        synthesize = ["synthesize", "--builtin", "xor"]
+        calls = [
+            relations + ["--seed", "3"],
+            relations,
+            decide + ["--workers", "0"],
+            decide,
+            synthesize + ["--no-cd-check"],
+            synthesize + ["--cd-bounds", "2", "1"],
+            ["decide", "--mode", "intuitionistic", "--seq", or_seq_file],
+            ["census", "--arity", "1"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on usage errors
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        reused = [run(argv) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 0, 2, 1, 0, 0, 2, 0]
+        assert reused[0][1] != reused[1][1]
+        assert reused[4][1] != reused[5][1]
 
     def test_seed_and_workers_accepted_after_subcommand(self, capsys):
         code = main(["report-relations", "--builtins", "and", "--corpus", "3", "--seed", "5"])

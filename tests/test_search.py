@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from kripkebench.search import (
+    SHAPES,
     Refuted,
     SearchBounds,
     ValidUpToBounds,
@@ -25,7 +26,7 @@ from kripkebench.syntax import Signature, parse_sequent
 from kripkebench.truthfun import builtin
 from kripkebench.synthesize import synthesize
 
-from util import naive_decide, naive_refutation
+from util import naive_decide, naive_refutation, reference_enumerate_models
 
 
 @pytest.fixture
@@ -100,6 +101,30 @@ class TestEnumeration:
         first = list(enumerate_models(sig, SearchBounds(2, 2, "tree")))
         second = list(enumerate_models(sig, SearchBounds(2, 2, "tree")))
         assert first == second
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("constant_domain", [False, True], ids=["kripke", "cd"])
+    @pytest.mark.parametrize(
+        "predicates, max_worlds, max_domain",
+        [
+            ({}, 3, 1),
+            ({"r": 0, "p": 1}, 3, 2),
+            ({"p": 1, "e": 2, "r": 0}, 2, 2),
+            ({"p": 1}, 2, 3),
+        ],
+    )
+    def test_stream_equals_reference(
+        self, shape, constant_domain, predicates, max_worlds, max_domain
+    ):
+        sig = Signature(predicates, {})
+        bounds = SearchBounds(max_worlds, max_domain, shape, constant_domain=constant_domain)
+        count = 0
+        for got, want in itertools.zip_longest(
+            enumerate_models(sig, bounds), reference_enumerate_models(sig, bounds)
+        ):
+            assert got == want
+            count += 1
+        assert count > 1
 
 
 class TestDecide:

@@ -8,6 +8,7 @@ from kripkebench.semantics import (
     InvalidModelError,
     KripkeModel,
     classical_eval,
+    compile_sequent,
     eval_formula,
     eval_sequent,
     find_refutation,
@@ -321,6 +322,54 @@ class TestEvaluatorAgainstNaiveRecursion:
                 assert witness == naive_refutation(model, sig, s)
                 refuted += witness is not None
         assert refuted > 0
+
+    def test_compiled_sequent_across_frames(self):
+        # one compiled sequent keeps the frame of the last model it was used
+        # on; these models interleave frames, so that frame is reused, built
+        # anew and replaced, and the in-place change to `shared` must show
+        rng = random.Random(37)
+        sig = full_sig()
+        worlds = ("w0", "w1")
+        order = reflexive_transitive_closure(worlds, [("w0", "w1")])
+        growing = {"w0": ("a0",), "w1": ("a0", "a1")}
+        constant = {"w0": ("a0", "a1"), "w1": ("a0", "a1")}
+        facts = frozenset({("w0", "p", ("a0",)), ("w1", "p", ("a0",)), ("w1", "q", ("a1",))})
+        shared = dict(growing)
+        models = [
+            KripkeModel(worlds, order, growing, facts),
+            KripkeModel(worlds, order, constant, facts),  # equal order, other domains
+            KripkeModel(  # equal contents, distinct objects
+                tuple(list(worlds)), frozenset(set(order)), dict(growing), frozenset(facts)
+            ),
+            random_model(rng),
+            KripkeModel(worlds, order, growing, facts | {("w1", "r", ())}),
+            random_model(rng, allow_cycles=True),
+            KripkeModel(worlds, order, shared, facts),
+        ]
+
+        def side():
+            return tuple(
+                random_formula(rng, sig, 2, ("x", "y")) for _ in range(rng.randint(0, 2))
+            )
+
+        refuted = 0
+        for _ in range(30):
+            s = Sequent(side(), side())
+            compiled = compile_sequent(sig, s)
+            shared.update(growing)
+            for model in models:
+                witness = find_refutation(model, sig, s, compiled=compiled)
+                assert witness == naive_refutation(model, sig, s)
+                refuted += witness is not None
+            shared["w0"] = ("a0", "a1")
+            witness = find_refutation(models[-1], sig, s, compiled=compiled)
+            assert witness == naive_refutation(models[-1], sig, s)
+        assert refuted > 0
+        # equal contents in distinct objects reuse the frame
+        find_refutation(models[0], sig, s, compiled=compiled)
+        frame = compiled.frame
+        find_refutation(models[2], sig, s, compiled=compiled)
+        assert compiled.frame is frame
 
 
 class TestModelFiles:

@@ -7,7 +7,14 @@ import random
 from dataclasses import replace
 
 from kripkebench.construct import TreeModel
-from kripkebench.search import Refuted, ValidUpToBounds, enumerate_models
+from kripkebench.search import (
+    _ORDER_GENERATORS,
+    Refuted,
+    ValidUpToBounds,
+    _nonempty_subsets,
+    _upward_closed_subsets,
+    enumerate_models,
+)
 from kripkebench.semantics import (
     KripkeModel,
     reflexive_transitive_closure,
@@ -103,6 +110,53 @@ def all_tree_shapes(max_nodes: int):
 
 
 # --- reference oracle --------------------------------------------------------
+
+
+def reference_enumerate_models(signature, bounds):
+    """`enumerate_models` as it was before it shared work between models of
+    one frame: every model's fact slots and their options are built anew.
+    The program's stream must equal this one, model by model."""
+    universe = tuple(f"a{k}" for k in range(bounds.max_domain))
+    subsets = _nonempty_subsets(universe)
+    for n in range(1, bounds.max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for index_order in _ORDER_GENERATORS[bounds.shape](n):
+            order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
+            if bounds.constant_domain:
+                domain_choices = ((d,) * n for d in subsets)
+            else:
+                domain_choices = (
+                    combo
+                    for combo in itertools.product(subsets, repeat=n)
+                    if all(
+                        set(combo[a]) <= set(combo[b])
+                        for (a, b) in index_order
+                        if a != b
+                    )
+                )
+            for combo in domain_choices:
+                domains = {worlds[i]: combo[i] for i in range(n)}
+                slots = []
+                for pred, arity in signature.predicates.items():
+                    for args in itertools.product(universe, repeat=arity):
+                        valid = tuple(
+                            i for i in range(n) if all(e in set(combo[i]) for e in args)
+                        )
+                        if not valid:
+                            continue
+                        slots.append(
+                            (pred, args, _upward_closed_subsets(valid, index_order))
+                        )
+                for choice in itertools.product(*(options for _, _, options in slots)):
+                    facts = frozenset(
+                        (worlds[i], pred, args)
+                        for (pred, args, _), chosen in zip(slots, choice)
+                        for i in chosen
+                    )
+                    yield KripkeModel(
+                        worlds=worlds, order=order, domains=domains, facts=facts
+                    )
+
 
 
 def naive_value(model, sig, world, assignment, formula):
