@@ -45,7 +45,6 @@ WORKERS_ENV = "KRIPKEBENCH_WORKERS"
 @dataclass
 class RunConfig:
     subcommand: str
-    workers: int
     seed: int
     timing: bool
 
@@ -218,7 +217,6 @@ def cmd_decide(args, config: RunConfig) -> int:
         sequent,
         args.mode,
         bounds,
-        workers=config.workers,
         single_succedent=args.single_succedent,
     )
     if isinstance(verdict, ValidUpToBounds):
@@ -248,7 +246,7 @@ def cmd_synthesize(args, config: RunConfig) -> int:
             shape="tree",
             constant_domain=True,
         )
-    certificate = synthesize.synthesize(name, tf, cd_bounds, workers=config.workers)
+    certificate = synthesize.synthesize(name, tf, cd_bounds)
     text = synthesize.format_certificate(certificate)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -411,12 +409,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
+        # still checked, though search runs in one process whatever its value
         workers = args.workers if args.workers is not None else _default_workers()
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        config = RunConfig(
-            subcommand=args.subcommand, workers=workers, seed=args.seed, timing=args.timing
-        )
+        config = RunConfig(subcommand=args.subcommand, seed=args.seed, timing=args.timing)
         code = _COMMANDS[args.subcommand](args, config)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

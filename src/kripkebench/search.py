@@ -8,7 +8,6 @@ ValidUpToBounds says no countermodel exists within the stated bounds.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Union
@@ -84,19 +83,29 @@ def _tree_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
         yield frozenset((a, i) for i in range(n) for a in ancestors[i])
 
 
-def _poset_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+def _posets(worlds: range) -> Iterator[frozenset[tuple[int, int]]]:
     # strict parts drawn from index-increasing pairs only: every finite
-    # partial order relabels to one whose indexing is a linear extension
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        strict = {pairs[k] for k in range(len(pairs)) if (mask >> k) & 1}
-        if all(
-            (a, d) in strict
-            for (a, b) in strict
-            for (c, d) in strict
-            if b == c
-        ):
-            yield frozenset(strict) | frozenset((i, i) for i in range(n))
+    # partial order relabels to one whose indexing is a linear extension.
+    # Worlds join from the top; each picks its strict up-set among the
+    # up-closed sets of the order above it, in increasing mask order. This
+    # yields exactly the transitive masks over those pairs, in increasing
+    # order, since the pairs of higher worlds are the more significant bits.
+    def extend(i: int, strict: frozenset[tuple[int, int]]):
+        if i < worlds.start:
+            yield strict
+            return
+        for up in _upward_closed_subsets(tuple(range(i + 1, worlds.stop)), strict):
+            yield from extend(i - 1, strict | {(i, j) for j in up})
+
+    yield from extend(worlds.stop - 1, frozenset())
+
+
+def _poset_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+    # rooted at 0: the posets on 1..n-1 in their order, with 0 below them all
+    root = frozenset((0, j) for j in range(n))
+    reflexive = frozenset((i, i) for i in range(1, n))
+    for strict in _posets(range(1, n)):
+        yield strict | root | reflexive
 
 
 def _preorder_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -139,25 +148,48 @@ def _upward_closed_subsets(
 
 
 def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[KripkeModel]:
-    """Deterministic stream of every valid model within the bounds.
+    """Deterministic stream of the valid models within the bounds that can
+    be a first countermodel.
 
     Worlds are w0..w{n-1}, elements a0..a{m-1}; orders, domain assignments,
     and interpretations are enumerated in a fixed construction order, and
     heredity is built in (each fact slot ranges over upward-closed world
-    sets), so every yielded model is valid.
+    sets), so every yielded model is valid. For every shape but
+    `any-preorder`, w0 lies below every world; the domain of w0 is always a
+    prefix a0..a{k-1}.
+
+    The stream is a subsequence of the unreduced one (every order of the
+    shape, every root domain) that keeps its first countermodel M, so
+    `decide` finds the same model, world and assignment. Say M is refuted
+    first at world w:
+
+    - A sequent's value at w depends only on the up-set of w (the
+      generated-submodel lemma; Troelstra & van Dalen, Constructivism in
+      Mathematics, 1988). That up-set relabels into the stream of its shape
+      and mode and, with fewer worlds, would come earlier. So w lies below
+      every world, and where the indexing extends the order (posets, trees,
+      chains), w = w0.
+    - Renaming elements changes no value. Renaming the domain of w0 onto the
+      prefix of its size, the subset of least mask among those of that size,
+      gives a countermodel whose domain tuple, compared at w0 first, comes
+      earlier. So the domain of w0 is a prefix.
+
+    A preorder's least worlds need not include w0, so `any-preorder` keeps
+    all its orders.
     """
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
     subsets = _nonempty_subsets(universe)
+    prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         for index_order in _ORDER_GENERATORS[bounds.shape](n):
             order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
             if bounds.constant_domain:
-                domain_choices: Iterator = ((d,) * n for d in subsets)
+                domain_choices: Iterator = ((d,) * n for d in prefixes)
             else:
                 domain_choices = (
                     combo
-                    for combo in itertools.product(subsets, repeat=n)
+                    for combo in itertools.product(prefixes, *[subsets] * (n - 1))
                     if all(
                         set(combo[a]) <= set(combo[b])
                         for (a, b) in index_order
@@ -210,32 +242,18 @@ def _restrict_to_sequent(signature: Signature, sequent: Sequent) -> Signature:
     )
 
 
-def _refutation_task(task) -> Optional[tuple[str, dict[str, str]]]:
-    model, signature, sequent, compiled = task
-    return find_refutation(model, signature, sequent, compiled=compiled)
-
-
-def _batched(stream: Iterator, size: int) -> Iterator[list]:
-    while True:
-        batch = list(itertools.islice(stream, size))
-        if not batch:
-            return
-        yield batch
-
-
 def decide(
     signature: Signature,
     sequent: Sequent,
     mode: str,
     bounds: SearchBounds,
-    workers: int = 1,
     single_succedent: bool = False,
 ) -> Verdict:
     """Search the bounded model class of the given mode for a countermodel.
 
     kripke: all models within bounds; cd: constant-domain models; classical:
-    one-world models. Returns the first countermodel in construction order
-    (independent of worker count), else ValidUpToBounds.
+    one-world models. Returns the first countermodel in construction order,
+    else ValidUpToBounds.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
@@ -244,8 +262,6 @@ def decide(
             "single-succedent restriction requires exactly one succedent formula,"
             f" got {len(sequent.succedent)}"
         )
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     effective = bounds
     if mode == "cd":
         effective = replace(bounds, constant_domain=True)
@@ -253,19 +269,10 @@ def decide(
         effective = replace(bounds, max_worlds=1)
     search_signature = _restrict_to_sequent(signature, sequent)
     compiled = compile_sequent(signature, sequent)
-    stream = enumerate_models(search_signature, effective)
-    if workers == 1:
-        for model in stream:
-            witness = find_refutation(model, signature, sequent, compiled=compiled)
-            if witness is not None:
-                return Refuted(model, witness[0], witness[1])
-        return ValidUpToBounds(effective)
-    with multiprocessing.Pool(workers) as pool:
-        for batch in _batched(stream, 256):
-            tasks = [(model, signature, sequent, compiled) for model in batch]
-            for model, witness in zip(batch, pool.map(_refutation_task, tasks)):
-                if witness is not None:
-                    return Refuted(model, witness[0], witness[1])
+    for model in enumerate_models(search_signature, effective):
+        witness = find_refutation(model, signature, sequent, compiled=compiled)
+        if witness is not None:
+            return Refuted(model, witness[0], witness[1])
     return ValidUpToBounds(effective)
 
 

@@ -251,7 +251,6 @@ def synthesize(
     conn_name: str,
     tf: TruthFunction,
     cd_bounds: Optional[SearchBounds] = DEFAULT_CD_BOUNDS,
-    workers: int = 1,
 ) -> SeparationCertificate:
     """Full pipeline: witness, stars, case, sequent, refutation, cd verdict.
 
@@ -278,9 +277,7 @@ def synthesize(
             f" {render_sequent(sequent)}"
         )
     verdict = (
-        decide(signature, sequent, "cd", cd_bounds, workers=workers)
-        if cd_bounds is not None
-        else None
+        decide(signature, sequent, "cd", cd_bounds) if cd_bounds is not None else None
     )
     return SeparationCertificate(
         connective=conn_name,

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from kripkebench import search
 from kripkebench.search import (
     SHAPES,
     Refuted,
@@ -26,7 +27,13 @@ from kripkebench.syntax import Signature, parse_sequent
 from kripkebench.truthfun import builtin
 from kripkebench.synthesize import synthesize
 
-from util import naive_decide, naive_refutation, reference_enumerate_models
+from util import (
+    is_canonical,
+    naive_decide,
+    naive_refutation,
+    poset_orders_by_masks,
+    reference_enumerate_models,
+)
 
 
 @pytest.fixture
@@ -116,15 +123,28 @@ class TestEnumeration:
     def test_stream_equals_reference(
         self, shape, constant_domain, predicates, max_worlds, max_domain
     ):
+        # the unreduced stream, less the models that cannot come first
         sig = Signature(predicates, {})
         bounds = SearchBounds(max_worlds, max_domain, shape, constant_domain=constant_domain)
+        reduced = (
+            m for m in reference_enumerate_models(sig, bounds) if is_canonical(m, shape)
+        )
         count = 0
-        for got, want in itertools.zip_longest(
-            enumerate_models(sig, bounds), reference_enumerate_models(sig, bounds)
-        ):
+        for got, want in itertools.zip_longest(enumerate_models(sig, bounds), reduced):
             assert got == want
             count += 1
         assert count > 1
+
+    def test_posets_by_extension_equal_the_mask_scan(self):
+        counts = []
+        for n in range(1, 6):
+            reflexive = frozenset((i, i) for i in range(n))
+            got = [strict | reflexive for strict in search._posets(range(n))]
+            assert got == list(poset_orders_by_masks(n))
+            rooted = [o for o in got if all((0, j) in o for j in range(n))]
+            assert list(search._poset_orders(n)) == rooted
+            counts.append((len(got), len(rooted)))
+        assert counts == [(1, 1), (2, 1), (7, 2), (40, 7), (357, 40)]
 
 
 class TestDecide:
@@ -170,16 +190,6 @@ class TestDecide:
         assert isinstance(cd, Refuted)
         assert isinstance(kripke, Refuted)
 
-    def test_workers_do_not_change_verdicts(self):
-        sig = Signature({"p": 0, "q": 0}, {"imp": builtin("imp")})
-        refutable = parse_sequent("imp(p, q) => q", sig)
-        valid = parse_sequent("p => imp(q, p)", sig)
-        bounds = SearchBounds(2, 2, "tree")
-        for s in (refutable, valid):
-            assert decide(sig, s, "kripke", bounds, workers=1) == decide(
-                sig, s, "kripke", bounds, workers=2
-            )
-
     def test_single_succedent_flag(self):
         sig = Signature({"p": 0, "q": 0}, {})
         two = parse_sequent("=> p, q", sig)
@@ -196,6 +206,27 @@ class TestDecide:
         s = parse_sequent("forall x. xor(p(x), r) => xor(forall x. p(x), r)", sig)
         verdict = decide(sig, s, "kripke", SearchBounds(2, 2, "poset"))
         assert isinstance(verdict, ValidUpToBounds)
+
+    @pytest.mark.parametrize(
+        "max_worlds, max_domain, evaluated", [(3, 2, 576), (4, 2, 8982), (3, 3, 5262)]
+    )
+    def test_models_evaluated_on_xor_sequent(
+        self, monkeypatch, max_worlds, max_domain, evaluated
+    ):
+        # rooted orders and prefix root domains only: 9,833, 369,488 and
+        # 257,289 models in the unreduced stream
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return find_refutation(*args, **kwargs)
+
+        monkeypatch.setattr(search, "find_refutation", counting)
+        sig = Signature({"p": 1, "r": 0}, {"xor": builtin("xor")})
+        s = parse_sequent("forall x. xor(p(x), r) => xor(forall x. p(x), r)", sig)
+        verdict = decide(sig, s, "kripke", SearchBounds(max_worlds, max_domain, "poset"))
+        assert isinstance(verdict, ValidUpToBounds)
+        assert len(calls) == evaluated
 
 
 class TestCensus:
@@ -352,13 +383,19 @@ class TestTheoremDirections:
 
 class TestDecideAgainstNaiveOracle:
     """`decide` returns the same verdict, model, world and assignment as a
-    naive decide over the same model stream."""
+    naive decide over the unreduced model stream."""
 
-    # the kripke search takes the first 40 sequents of the corpus only, to
-    # keep the test to a few seconds
+    # all but the first search take the first 40 sequents of the corpus
+    # only, to keep the test to a few seconds
     @pytest.mark.parametrize(
         "mode, bounds, count",
-        [("cd", SearchBounds(2, 2, "tree"), 100), ("kripke", SearchBounds(2, 2, "poset"), 40)],
+        [
+            ("cd", SearchBounds(2, 2, "tree"), 100),
+            ("kripke", SearchBounds(2, 2, "poset"), 40),
+            ("kripke", SearchBounds(3, 1, "poset"), 40),
+            ("kripke", SearchBounds(2, 2, "any-preorder"), 40),
+            ("cd", SearchBounds(2, 2, "any-preorder"), 40),
+        ],
     )
     def test_seeded_corpus(self, mode, bounds, count):
         sig = Signature(

@@ -8,12 +8,13 @@ from dataclasses import replace
 
 from kripkebench.construct import TreeModel
 from kripkebench.search import (
-    _ORDER_GENERATORS,
     Refuted,
     ValidUpToBounds,
+    _chain_orders,
     _nonempty_subsets,
+    _preorder_orders,
+    _tree_orders,
     _upward_closed_subsets,
-    enumerate_models,
 )
 from kripkebench.semantics import (
     KripkeModel,
@@ -112,15 +113,39 @@ def all_tree_shapes(max_nodes: int):
 # --- reference oracle --------------------------------------------------------
 
 
+def poset_orders_by_masks(n):
+    """Every poset on 0..n-1 whose indexing extends it, by a scan of all
+    masks over the index-increasing pairs, in increasing mask order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        strict = {pairs[k] for k in range(len(pairs)) if (mask >> k) & 1}
+        if all(
+            (a, d) in strict
+            for (a, b) in strict
+            for (c, d) in strict
+            if b == c
+        ):
+            yield frozenset(strict) | frozenset((i, i) for i in range(n))
+
+
+REFERENCE_ORDERS = {
+    "chain": _chain_orders,
+    "tree": _tree_orders,
+    "poset": poset_orders_by_masks,
+    "any-preorder": _preorder_orders,
+}
+
+
 def reference_enumerate_models(signature, bounds):
-    """`enumerate_models` as it was before it shared work between models of
-    one frame: every model's fact slots and their options are built anew.
-    The program's stream must equal this one, model by model."""
+    """The unreduced model stream: every order of the shape, rooted or not,
+    every domain assignment, and every model's fact slots built anew.
+    `enumerate_models` must be its subsequence of the models that
+    `is_canonical` accepts, model by model."""
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
     subsets = _nonempty_subsets(universe)
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        for index_order in _ORDER_GENERATORS[bounds.shape](n):
+        for index_order in REFERENCE_ORDERS[bounds.shape](n):
             order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
             if bounds.constant_domain:
                 domain_choices = ((d,) * n for d in subsets)
@@ -157,6 +182,16 @@ def reference_enumerate_models(signature, bounds):
                         worlds=worlds, order=order, domains=domains, facts=facts
                     )
 
+
+def is_canonical(model, shape):
+    """Whether the reduced search keeps `model`: the domain of w0 is a prefix
+    a0..a{k-1}, and w0 lies below every world unless the shape is
+    `any-preorder`."""
+    root = model.worlds[0]
+    domain = model.domains[root]
+    return domain == tuple(f"a{k}" for k in range(len(domain))) and (
+        shape == "any-preorder" or all((root, w) in model.order for w in model.worlds)
+    )
 
 
 def naive_value(model, sig, world, assignment, formula):
@@ -207,8 +242,9 @@ def naive_refutation(model, sig, sequent):
 
 
 def naive_decide(sig, sequent, mode, bounds):
-    """`decide` rebuilt on `naive_refutation`: the first model of the same
-    `enumerate_models` stream that the naive scan refutes."""
+    """`decide` rebuilt on `naive_refutation`: the first model of the
+    unreduced `reference_enumerate_models` stream that the naive scan
+    refutes."""
     if mode == "cd":
         bounds = replace(bounds, constant_domain=True)
     elif mode == "classical":
@@ -219,7 +255,7 @@ def naive_decide(sig, sequent, mode, bounds):
     search_sig = Signature(
         {p: a for p, a in sig.predicates.items() if p in used}, dict(sig.connectives)
     )
-    for model in enumerate_models(search_sig, bounds):
+    for model in reference_enumerate_models(search_sig, bounds):
         witness = naive_refutation(model, sig, sequent)
         if witness is not None:
             return Refuted(model, *witness)
