@@ -303,12 +303,7 @@ def cmd_check_main_lemma(args, config: RunConfig) -> int:
             condition = construct.pointwise_condition(
                 completion, signature, formula, node, lifted, tree_evaluator
             )
-            if violation is not None:
-                status = "precondition-failed"
-            elif (value == 1) == condition:
-                status = "holds"
-            else:
-                status = "fails"
+            status = construct.instance_status(value, condition, violation)
             if status != "holds" and overall == "holds":
                 overall = status
             instances.append(

@@ -76,20 +76,15 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
     if len(minima) != 1:
         raise InvalidModelError(f"tree needs a unique root, found minima {minima}")
     root = minima[0]
+    covers = _covering_relation(model)
     parent: dict[str, str] = {}
     for w in model.worlds:
         if w == root:
             continue
-        below = [v for v in model.worlds if v != w and (v, w) in model.order]
-        covers = [
-            v
-            for v in below
-            if not any(u != v and u != w and (v, u) in model.order and (u, w) in model.order
-                       for u in below)
-        ]
-        if len(covers) != 1:
-            raise InvalidModelError(f"world {w} has {len(covers)} covering predecessors")
-        parent[w] = covers[0]
+        predecessors = [v for v in model.worlds if w in covers[v]]
+        if len(predecessors) != 1:
+            raise InvalidModelError(f"world {w} has {len(predecessors)} covering predecessors")
+        parent[w] = predecessors[0]
     # the declared order must be exactly the ancestor relation of the tree
     ancestry = set()
     for w in model.worlds:
@@ -108,6 +103,8 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
 
 
 def _covering_relation(model: KripkeModel) -> dict[str, tuple[str, ...]]:
+    """Each world's immediate successors: the worlds strictly above it with
+    none strictly between."""
     covers: dict[str, list[str]] = {w: [] for w in model.worlds}
     for w in model.worlds:
         for v in model.worlds:
@@ -456,7 +453,13 @@ def complete_to_constant_domain(
     """Interpret predicates over choice functions: a tuple satisfies a
     predicate at a node iff the pointwise facts hold at every reachable node
     where all the functions are defined (for 0-ary predicates: at every
-    reachable node)."""
+    reachable node).
+
+    Sets of functions are bitsets over their enumeration index. For each
+    node, predicate and values of the first arity-1 arguments there, the
+    bitset of last arguments that make a non-fact is computed once; a tuple
+    holds at a world iff its last argument is in none of these bitsets over
+    the world's up-set."""
     functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
     names = tuple(functions)
     if signature is not None:
@@ -465,26 +468,57 @@ def complete_to_constant_domain(
         arities = {}
         for _, pred, args in sorted(tree.model.facts):
             arities.setdefault(pred, len(args))
-    upsets = {n: tree.upset(n) for n in tree.nodes}
-    facts = set()
+    nodes = tree.nodes
+    position = {n: i for i, n in enumerate(nodes)}
+    upsets = [[position[v] for v in tree.upset(n)] for n in nodes]
+    # values[i][k]: the value of function k at node i, None where undefined;
+    # by_value[i][e]: the bitset of functions taking value e at node i
+    values = [[None] * len(names) for _ in nodes]
+    by_value: list[dict[str, int]] = [{} for _ in nodes]
+    for k, function in enumerate(functions.values()):
+        for node, element in function.entries:
+            i = position[node]
+            values[i][k] = element
+            by_value[i][element] = by_value[i].get(element, 0) | 1 << k
+    everyone = (1 << len(names)) - 1
+    true_at: dict[str, set[tuple[int, tuple[str, ...]]]] = {}
+    for w, pred, args in tree.model.facts:
+        true_at.setdefault(pred, set()).add((position[w], args))
+    facts = []
     for pred, arity in arities.items():
-        has_any = any(p == pred for _, p, _ in tree.model.facts)
-        if not has_any:
+        true = true_at.get(pred)
+        if true is None:
             continue  # everything stays 0
-        for combo in itertools.product(names, repeat=arity):
-            domains = [functions[name].domain for name in combo]
-            shared = set(tree.nodes)
-            for d in domains:
-                shared &= d
-            bad = {
-                v
-                for v in shared
-                if (v, pred, tuple(functions[name].value(v) for name in combo))
-                not in tree.model.facts
-            }
-            for w in tree.nodes:
-                if not (upsets[w] & bad):
-                    facts.add((w, pred, combo))
+        if arity == 0:
+            bad = {i for i in range(len(nodes)) if (i, ()) not in true}
+            facts.extend((w, pred, ()) for w, up in zip(nodes, upsets) if bad.isdisjoint(up))
+            continue
+        bad_last: dict[tuple[int, tuple[str, ...]], int] = {}
+        for head in itertools.product(range(len(names)), repeat=arity - 1):
+            bad_at = []  # per node: the bitset of last arguments that make a non-fact
+            for i, row in enumerate(values):
+                prefix = tuple(row[k] for k in head)
+                if None in prefix:
+                    bad_at.append(0)  # a head function is undefined at node i
+                    continue
+                key = (i, prefix)
+                if key not in bad_last:
+                    bad_last[key] = 0
+                    for element, bits in by_value[i].items():
+                        if (i, prefix + (element,)) not in true:
+                            bad_last[key] |= bits
+                bad_at.append(bad_last[key])
+            head_names = tuple(names[k] for k in head)
+            # one argument tuple per last argument, shared by every world
+            combos = [head_names + (name,) for name in names]
+            for w, up in zip(nodes, upsets):
+                excluded = 0
+                for i in up:
+                    excluded |= bad_at[i]
+                good = everyone & ~excluded
+                facts.extend(
+                    (w, pred, combo) for combo in itertools.compress(combos, _bits(good))
+                )
     completed = KripkeModel(
         worlds=tree.model.worlds,
         order=tree.model.order,
@@ -492,6 +526,14 @@ def complete_to_constant_domain(
         facts=frozenset(facts),
     )
     return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """Bit k of the mask as byte k, 0 or 1."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def lift_assignment(
@@ -535,6 +577,17 @@ class EquivalenceReport:
     completed_value: int
     pointwise_condition: bool
     bar_violation: Optional[BarViolation] = None
+
+
+def instance_status(
+    completed_value: int, condition: bool, violation: Optional[BarViolation]
+) -> str:
+    """The status of a main-lemma instance, as EquivalenceReport defines it."""
+    if violation is not None:
+        return "precondition-failed"
+    if (completed_value == 1) == condition:
+        return "holds"
+    return "fails"
 
 
 def bar_precondition_violation(
@@ -603,12 +656,7 @@ def check_main_lemma_instance(
     completed_value = eval_formula(completion.model, signature, node, lifted, formula)
     condition = pointwise_condition(completion, signature, formula, node, lifted)
     violation = bar_precondition_violation(tree, signature, formula)
-    if violation is not None:
-        status = "precondition-failed"
-    elif (completed_value == 1) == condition:
-        status = "holds"
-    else:
-        status = "fails"
+    status = instance_status(completed_value, condition, violation)
     return EquivalenceReport(status, completed_value, condition, violation)
 
 

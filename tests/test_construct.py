@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +34,13 @@ from kripkebench.syntax import Atom, Conn, Exists, Forall, Signature, free_vars,
 from kripkebench.synthesize import separating_countermodel
 from kripkebench.truthfun import builtin
 
-from util import all_tree_shapes, make_tree, random_model
+from util import (
+    all_tree_shapes,
+    make_tree,
+    random_model,
+    random_tree_facts,
+    reference_completion,
+)
 
 
 @pytest.fixture
@@ -351,6 +358,31 @@ class TestCompletion:
             tree = unravel_strict(model, model.worlds[0])
             completion = complete_to_constant_domain(tree)
             assert validate_model(completion.model) == []
+
+
+class TestCompletionMatchesReference:
+    PREDICATES = {"r": 0, "p": 1, "e": 2, "t": 3}
+
+    def test_every_tree_shape_up_to_five_nodes(self):
+        # q is declared but has no facts; signature=None reads arities from facts
+        signature = Signature({**self.PREDICATES, "q": 1}, {})
+        rng = random.Random(2031)
+        completed_preds = set()
+        for parents in all_tree_shapes(5):
+            domains = {"n0": rng.choice([("a",), ("a", "b")])}
+            for child, parent in enumerate(parents, start=1):
+                domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b")])
+            tree = make_tree(parents, domains)
+            facts = random_tree_facts(rng, tree, self.PREDICATES, rng.choice([0.15, 0.4]))
+            tree = replace(tree, model=replace(tree.model, facts=facts))
+            for sig in (signature, None):
+                got = complete_to_constant_domain(tree, sig)
+                want = reference_completion(tree, sig)
+                assert got.functions == want.functions
+                assert got.model.facts == want.model.facts
+                assert got.model == want.model
+                completed_preds |= {pred for _, pred, _ in got.model.facts}
+        assert completed_preds == set(self.PREDICATES)
 
 
 class TestLiftAssignment:

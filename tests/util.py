@@ -6,7 +6,11 @@ import itertools
 import random
 from dataclasses import replace
 
-from kripkebench.construct import TreeModel
+from kripkebench.construct import (
+    ConstantDomainCompletion,
+    TreeModel,
+    enumerate_choice_functions,
+)
 from kripkebench.search import (
     Refuted,
     ValidUpToBounds,
@@ -110,7 +114,63 @@ def all_tree_shapes(max_nodes: int):
             yield parents
 
 
+def random_tree_facts(
+    rng: random.Random, tree: TreeModel, predicates: dict[str, int], rate: float
+) -> frozenset:
+    """Facts for each predicate, each argument tuple made true at random nodes
+    where it is defined and closed upward along the tree order."""
+    model = tree.model
+    universe = sorted({e for d in model.domains.values() for e in d})
+    facts = set()
+    for pred, arity in predicates.items():
+        for args in itertools.product(universe, repeat=arity):
+            for node in model.worlds:
+                if set(args) <= set(model.domains[node]) and rng.random() < rate:
+                    facts |= {(v, pred, args) for v in model.successors(node)}
+    return frozenset(facts)
+
+
 # --- reference oracle --------------------------------------------------------
+
+
+def reference_completion(tree, signature=None):
+    """The constant-domain completion by one set scan per argument tuple:
+    `complete_to_constant_domain` must return an equal result."""
+    functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
+    names = tuple(functions)
+    if signature is not None:
+        arities = dict(signature.predicates)
+    else:
+        arities = {}
+        for _, pred, args in sorted(tree.model.facts):
+            arities.setdefault(pred, len(args))
+    upsets = {n: tree.upset(n) for n in tree.nodes}
+    facts = set()
+    for pred, arity in arities.items():
+        has_any = any(p == pred for _, p, _ in tree.model.facts)
+        if not has_any:
+            continue  # everything stays 0
+        for combo in itertools.product(names, repeat=arity):
+            domains = [functions[name].domain for name in combo]
+            shared = set(tree.nodes)
+            for d in domains:
+                shared &= d
+            bad = {
+                v
+                for v in shared
+                if (v, pred, tuple(functions[name].value(v) for name in combo))
+                not in tree.model.facts
+            }
+            for w in tree.nodes:
+                if not (upsets[w] & bad):
+                    facts.add((w, pred, combo))
+    completed = KripkeModel(
+        worlds=tree.model.worlds,
+        order=tree.model.order,
+        domains={w: names for w in tree.model.worlds},
+        facts=frozenset(facts),
+    )
+    return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
 
 
 def poset_orders_by_masks(n):
