@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import construct, search, semantics, synthesize
@@ -25,11 +23,9 @@ from .syntax import (
     InvalidSignatureError,
     ParseError,
     Signature,
-    free_vars,
     parse_formula,
     parse_sequent,
     parse_signature,
-    render_formula,
     strip_comment,
 )
 from .truthfun import (
@@ -38,27 +34,6 @@ from .truthfun import (
     is_monotonic,
     is_supermultiplicative,
 )
-
-WORKERS_ENV = "KRIPKEBENCH_WORKERS"
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int
-    timing: bool
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {value}")
-    return value
-
 
 def _connective_from_args(args) -> tuple[str, TruthFunction]:
     if args.builtin:
@@ -69,12 +44,11 @@ def _connective_from_args(args) -> tuple[str, TruthFunction]:
     return name, tf
 
 
-def _bounds_from_args(args, constant_domain: bool = False) -> SearchBounds:
+def _bounds_from_args(args) -> SearchBounds:
     return SearchBounds(
         max_worlds=args.max_worlds,
         max_domain=args.max_domain,
         shape=args.shape,
-        constant_domain=constant_domain,
         budget=args.budget,
     )
 
@@ -106,6 +80,13 @@ def _add_bounds_arguments(sub) -> None:
     sub.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
 
 
+def _add_connective_arguments(sub) -> None:
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--builtin")
+    group.add_argument("--connective", help="JSON file with arity and table")
+    sub.add_argument("--name", help="connective name when read from a file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kripkebench",
@@ -113,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         " for first-order logic with truth-functional connectives.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=None, help=f"overrides ${WORKERS_ENV}")
+    common.add_argument(
+        "--workers", type=int, default=1, help="must be at least 1; search runs in one process"
+    )
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--timing", action="store_true", help="append an elapsed-time line")
     commands = parser.add_subparsers(dest="subcommand", required=True)
@@ -122,22 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
         return commands.add_parser(name, parents=[common], **kwargs)
 
     analyze = add_parser("analyze-connective", help="property report for one connective")
-    group = analyze.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin")
-    group.add_argument("--connective", help="JSON file with arity and table")
-    analyze.add_argument("--name", help="connective name when read from a file")
+    _add_connective_arguments(analyze)
 
     dec = add_parser("decide", help="bounded countermodel search for a sequent")
     dec.add_argument("--mode", choices=search.MODES, required=True)
     dec.add_argument("--seq", required=True, help="sequent file")
-    dec.add_argument("--single-succedent", action="store_true")
     _add_bounds_arguments(dec)
 
     syn = add_parser("synthesize", help="separating sequent for a connective")
-    group = syn.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin")
-    group.add_argument("--connective", help="JSON file with arity and table")
-    syn.add_argument("--name", help="connective name when read from a file")
+    _add_connective_arguments(syn)
     syn.add_argument(
         "--cd-bounds",
         nargs=2,
@@ -194,7 +170,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def cmd_analyze(args, config: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     name, tf = _connective_from_args(args)
     supermultiplicative, witness = is_supermultiplicative(tf)
     print(f"connective: {name}")
@@ -208,17 +184,10 @@ def cmd_analyze(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_decide(args, config: RunConfig) -> int:
+def cmd_decide(args) -> int:
     signature, sequent_text = _load_problem(args.seq)
     sequent = parse_sequent(sequent_text, signature)
-    bounds = _bounds_from_args(args)
-    verdict = search.decide(
-        signature,
-        sequent,
-        args.mode,
-        bounds,
-        single_succedent=args.single_succedent,
-    )
+    verdict = search.decide(signature, sequent, args.mode, _bounds_from_args(args))
     if isinstance(verdict, ValidUpToBounds):
         b = verdict.bounds
         print(
@@ -235,7 +204,7 @@ def cmd_decide(args, config: RunConfig) -> int:
     return 1
 
 
-def cmd_synthesize(args, config: RunConfig) -> int:
+def cmd_synthesize(args) -> int:
     name, tf = _connective_from_args(args)
     if args.no_cd_check:
         cd_bounds = None
@@ -256,7 +225,7 @@ def cmd_synthesize(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_unravel(args, config: RunConfig) -> int:
+def cmd_unravel(args) -> int:
     model, signature = semantics.load_model(args.model)
     start = args.root or model.worlds[0]
     if args.strict:
@@ -273,7 +242,7 @@ def cmd_unravel(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_complete(args, config: RunConfig) -> int:
+def cmd_complete(args) -> int:
     model, signature = semantics.load_model(args.model)
     tree = construct.tree_from_model(model)
     completion = construct.complete_to_constant_domain(tree, signature)
@@ -285,55 +254,18 @@ def cmd_complete(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_check_main_lemma(args, config: RunConfig) -> int:
+def cmd_check_main_lemma(args) -> int:
     model, signature = semantics.load_model(args.model)
     tree = construct.tree_from_model(model)
     formula = parse_formula(args.formula, signature)
     completion = construct.complete_to_constant_domain(tree, signature)
-    violation = construct.bar_precondition_violation(tree, signature, formula)
-    variables = sorted(free_vars(formula))
-    evaluator = semantics.Evaluator(completion.model, signature)
-    tree_evaluator = semantics.Evaluator(tree.model, signature)
-    instances = []
-    overall = "holds"
-    for node in tree.nodes:
-        for combo in itertools.product(completion.model.domains[node], repeat=len(variables)):
-            lifted = dict(zip(variables, combo))
-            value = evaluator.value(node, lifted, formula)
-            condition = construct.pointwise_condition(
-                completion, signature, formula, node, lifted, tree_evaluator
-            )
-            status = construct.instance_status(value, condition, violation)
-            if status != "holds" and overall == "holds":
-                overall = status
-            instances.append(
-                {
-                    "node": node,
-                    "assignment": lifted,
-                    "completed-value": value,
-                    "pointwise-condition": condition,
-                    "status": status,
-                }
-            )
-    report = {
-        "formula": render_formula(formula),
-        "node-count": len(tree.nodes),
-        "function-count": len(completion.functions),
-        "status": overall,
-        "instances": instances,
-    }
-    if violation is not None:
-        report["bar-violation"] = {
-            "subformula": render_formula(violation.subformula),
-            "node": violation.node,
-            "assignment": dict(violation.assignment),
-            "value": violation.value,
-        }
+    # only the JSON form outlives the checker's report
+    report = construct.check_main_lemma(completion, signature, formula).as_json()
     print(json.dumps(report, indent=2))
-    return 0 if overall == "holds" else 1
+    return 0 if report["status"] == "holds" else 1
 
 
-def cmd_census(args, config: RunConfig) -> int:
+def cmd_census(args) -> int:
     census = search.classify_connectives(args.arity)
     print(f"arity: {census.arity}")
     print(f"functions: {1 << (1 << census.arity)}")
@@ -352,7 +284,7 @@ def cmd_census(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_report_relations(args, config: RunConfig) -> int:
+def cmd_report_relations(args) -> int:
     if args.sig:
         with open(args.sig, encoding="utf-8") as handle:
             signature = parse_signature(handle.read())
@@ -375,7 +307,7 @@ def cmd_report_relations(args, config: RunConfig) -> int:
     if args.corpus:
         if not signature.predicates:
             raise InvalidSignatureError("corpus sweep needs predicates in the signature")
-        corpus = search.sequent_corpus(signature, config.seed, args.corpus)
+        corpus = search.sequent_corpus(signature, args.seed, args.corpus)
         records = search.check_relations_on_corpus(
             signature,
             corpus,
@@ -404,12 +336,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
-        # still checked, though search runs in one process whatever its value
-        workers = args.workers if args.workers is not None else _default_workers()
-        if workers < 1:
+        if args.workers < 1:
             raise ValueError("workers must be at least 1")
-        config = RunConfig(subcommand=args.subcommand, seed=args.seed, timing=args.timing)
-        code = _COMMANDS[args.subcommand](args, config)
+        code = _COMMANDS[args.subcommand](args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,7 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.timing:
+    if args.timing:
         print(f"# elapsed: {time.monotonic() - started:.3f}s")
     return code
 

@@ -6,22 +6,16 @@ on tree nodes (upward-closed, root-barring domains, constant along branches)
 and reinterprets predicates pointwise wherever all argument functions are
 defined. On finite trees the completion is exact as a construction; the
 bar-determinacy property that the infinite construction enjoys must be
-checked explicitly, which is what the main-lemma instance checker does.
+checked explicitly, which is what the main-lemma checker does.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .semantics import (
-    Evaluator,
-    InvalidModelError,
-    KripkeModel,
-    eval_formula,
-    validate_model,
-)
+from .semantics import Evaluator, InvalidModelError, KripkeModel, require_valid_model
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
 
@@ -62,9 +56,7 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
     Requires an antisymmetric order with a unique minimum in which every
     non-root world has exactly one covering predecessor.
     """
-    violations = validate_model(model)
-    if violations:
-        raise InvalidModelError("invalid model:\n" + "\n".join(violations))
+    require_valid_model(model)
     for a, b in sorted(model.order):
         if a != b and (b, a) in model.order:
             raise InvalidModelError(f"order has a cycle through {a} and {b}")
@@ -163,9 +155,7 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     upset). Preorders with genuine cycles are rejected; use unravel_stuttered
     for those.
     """
-    violations = validate_model(model)
-    if violations:
-        raise InvalidModelError("invalid model:\n" + "\n".join(violations))
+    require_valid_model(model)
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
     for a, b in sorted(model.order):
@@ -191,9 +181,7 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
     value and bar preservation hold only in the limit of growing bounds."""
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
-    violations = validate_model(model)
-    if violations:
-        raise InvalidModelError("invalid model:\n" + "\n".join(violations))
+    require_valid_model(model)
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
     chains: list[tuple[str, ...]] = []
@@ -448,7 +436,7 @@ class ConstantDomainCompletion:
 
 
 def complete_to_constant_domain(
-    tree: TreeModel, signature: Optional[Signature] = None
+    tree: TreeModel, signature: Signature
 ) -> ConstantDomainCompletion:
     """Interpret predicates over choice functions: a tuple satisfies a
     predicate at a node iff the pointwise facts hold at every reachable node
@@ -462,12 +450,6 @@ def complete_to_constant_domain(
     the world's up-set."""
     functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
     names = tuple(functions)
-    if signature is not None:
-        arities = dict(signature.predicates)
-    else:
-        arities = {}
-        for _, pred, args in sorted(tree.model.facts):
-            arities.setdefault(pred, len(args))
     nodes = tree.nodes
     position = {n: i for i, n in enumerate(nodes)}
     upsets = [[position[v] for v in tree.upset(n)] for n in nodes]
@@ -485,7 +467,7 @@ def complete_to_constant_domain(
     for w, pred, args in tree.model.facts:
         true_at.setdefault(pred, set()).add((position[w], args))
     facts = []
-    for pred, arity in arities.items():
+    for pred, arity in signature.predicates.items():
         true = true_at.get(pred)
         if true is None:
             continue  # everything stays 0
@@ -562,9 +544,10 @@ class BarViolation:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a whole-tree check keeps one per instance
 class EquivalenceReport:
-    """Outcome of one main-lemma instance.
+    """Outcome of one main-lemma instance: a node and an assignment of
+    choice-function names to the formula's free variables.
 
     status is 'holds' when truth in the completed model at the node matches
     the pointwise condition over reachable nodes where the assignment is
@@ -573,10 +556,55 @@ class EquivalenceReport:
     equivalence regardless of the two values.
     """
 
+    node: str
+    assignment: dict[str, str]
     status: str
     completed_value: int
     pointwise_condition: bool
     bar_violation: Optional[BarViolation] = None
+
+
+@dataclass(frozen=True)
+class MainLemmaReport:
+    """Outcome of the main lemma for one formula at a list of instances.
+
+    status is 'holds' when every instance holds, else the status of the
+    first instance that does not.
+    """
+
+    formula: Formula
+    completion: ConstantDomainCompletion
+    status: str
+    instances: tuple[EquivalenceReport, ...]
+    bar_violation: Optional[BarViolation]
+
+    def as_json(self) -> dict:
+        """The report as the `check-main-lemma` command prints it."""
+        report = {
+            "formula": render_formula(self.formula),
+            "node-count": len(self.completion.tree.nodes),
+            "function-count": len(self.completion.functions),
+            "status": self.status,
+            "instances": [
+                {
+                    "node": instance.node,
+                    "assignment": instance.assignment,
+                    "completed-value": instance.completed_value,
+                    "pointwise-condition": instance.pointwise_condition,
+                    "status": instance.status,
+                }
+                for instance in self.instances
+            ],
+        }
+        violation = self.bar_violation
+        if violation is not None:
+            report["bar-violation"] = {
+                "subformula": render_formula(violation.subformula),
+                "node": violation.node,
+                "assignment": dict(violation.assignment),
+                "value": violation.value,
+            }
+        return report
 
 
 def instance_status(
@@ -642,6 +670,47 @@ def pointwise_condition(
     return True
 
 
+def check_main_lemma(
+    completion: ConstantDomainCompletion,
+    signature: Signature,
+    formula: Formula,
+    instances: Optional[Iterable[tuple[str, dict[str, str]]]] = None,
+) -> MainLemmaReport:
+    """Evaluate both sides of the completion equivalence literally at each
+    (node, assignment of choice-function names) instance and report.
+
+    By default the instances are every node with every assignment of the
+    formula's free variables, in node order and then in product order of the
+    completed domain. The tree is checked for bar-determinacy once, and one
+    evaluator per model serves every instance.
+    """
+    tree = completion.tree
+    violation = bar_precondition_violation(tree, signature, formula)
+    if instances is None:
+        variables = sorted(free_vars(formula))
+        instances = (
+            (node, dict(zip(variables, combo)))
+            for node in tree.nodes
+            for combo in itertools.product(
+                completion.model.domains[node], repeat=len(variables)
+            )
+        )
+    completed = Evaluator(completion.model, signature)
+    pointwise = Evaluator(tree.model, signature)
+    reports = []
+    overall = "holds"
+    for node, lifted in instances:
+        value = completed.value(node, lifted, formula)
+        condition = pointwise_condition(
+            completion, signature, formula, node, lifted, pointwise
+        )
+        status = instance_status(value, condition, violation)
+        if overall == "holds":
+            overall = status
+        reports.append(EquivalenceReport(node, lifted, status, value, condition, violation))
+    return MainLemmaReport(formula, completion, overall, tuple(reports), violation)
+
+
 def check_main_lemma_instance(
     tree: TreeModel,
     signature: Signature,
@@ -650,14 +719,10 @@ def check_main_lemma_instance(
     lifted: dict[str, str],
     completion: Optional[ConstantDomainCompletion] = None,
 ) -> EquivalenceReport:
-    """Evaluate both sides of the completion equivalence literally and report."""
+    """The main-lemma check at one instance."""
     if completion is None:
         completion = complete_to_constant_domain(tree, signature)
-    completed_value = eval_formula(completion.model, signature, node, lifted, formula)
-    condition = pointwise_condition(completion, signature, formula, node, lifted)
-    violation = bar_precondition_violation(tree, signature, formula)
-    status = instance_status(completed_value, condition, violation)
-    return EquivalenceReport(status, completed_value, condition, violation)
+    return check_main_lemma(completion, signature, formula, [(node, lifted)]).instances[0]
 
 
 # --- end-to-end pipeline --------------------------------------------------------
@@ -704,9 +769,7 @@ def constant_domain_pipeline(
     all_hold = True
     for formula in sequent.formulas():
         relevant = {x: lifted[x] for x in free_vars(formula)}
-        report = check_main_lemma_instance(
-            tree, signature, formula, tree.root, relevant, completion
-        )
+        report = check_main_lemma(completion, signature, formula, [(tree.root, relevant)])
         statuses[render_formula(formula)] = report.status
         all_hold = all_hold and report.status == "holds"
     if not all_hold:

@@ -247,7 +247,6 @@ def decide(
     sequent: Sequent,
     mode: str,
     bounds: SearchBounds,
-    single_succedent: bool = False,
 ) -> Verdict:
     """Search the bounded model class of the given mode for a countermodel.
 
@@ -257,11 +256,6 @@ def decide(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
-    if single_succedent and len(sequent.succedent) != 1:
-        raise ValueError(
-            "single-succedent restriction requires exactly one succedent formula,"
-            f" got {len(sequent.succedent)}"
-        )
     effective = bounds
     if mode == "cd":
         effective = replace(bounds, constant_domain=True)

@@ -21,9 +21,10 @@ from .syntax import (
     InvalidSignatureError,
     Sequent,
     Signature,
-    sequent_free_vars,
-    strip_comment,
     parse_signature_directive,
+    sequent_free_vars,
+    signature_to_text,
+    strip_comment,
 )
 
 Fact = tuple[str, str, tuple[str, ...]]
@@ -125,6 +126,13 @@ def validate_model(model: KripkeModel) -> list[str]:
                     f"heredity violated: {pred}{args} is 1 at {w} but 0 at {v} >= {w}"
                 )
     return violations
+
+
+def require_valid_model(model: KripkeModel) -> None:
+    """Raise InvalidModelError listing every violation of `validate_model`."""
+    violations = validate_model(model)
+    if violations:
+        raise InvalidModelError("invalid model:\n" + "\n".join(violations))
 
 
 def is_constant_domain(model: KripkeModel) -> bool:
@@ -463,7 +471,6 @@ def find_refutation(
     model: KripkeModel,
     signature: Signature,
     sequent: Sequent,
-    single_succedent: bool = False,
     *,
     compiled: Optional[CompiledSequent] = None,
 ) -> Optional[tuple[str, dict[str, str]]]:
@@ -475,11 +482,6 @@ def find_refutation(
     sequent)`, saves compiling the sequent again for every model, and its
     `frame` saves building the frame again while consecutive models share one.
     """
-    if single_succedent and len(sequent.succedent) != 1:
-        raise ValueError(
-            f"single-succedent restriction requires exactly one succedent formula,"
-            f" got {len(sequent.succedent)}"
-        )
     if compiled is None:
         compiled = compile_sequent(signature, sequent)
     frame = compiled.frame
@@ -488,13 +490,8 @@ def find_refutation(
     return Evaluator(model, signature, compiled.formulas, frame).refutation(compiled)
 
 
-def model_validates(
-    model: KripkeModel,
-    signature: Signature,
-    sequent: Sequent,
-    single_succedent: bool = False,
-) -> bool:
-    return find_refutation(model, signature, sequent, single_succedent) is None
+def model_validates(model: KripkeModel, signature: Signature, sequent: Sequent) -> bool:
+    return find_refutation(model, signature, sequent) is None
 
 
 def classical_eval(
@@ -659,9 +656,7 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
         domains={w: tuple(domains.get(w, ())) for w in worlds},
         facts=frozenset(facts),
     )
-    violations = validate_model(model)
-    if violations:
-        raise InvalidModelError("invalid model:\n" + "\n".join(violations))
+    require_valid_model(model)
     try:
         signature = Signature(predicates, connectives)
     except InvalidSignatureError as exc:
@@ -670,12 +665,7 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
 
 
 def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:
-    lines = []
-    if signature is not None:
-        for name, arity in signature.predicates.items():
-            lines.append(f"pred {name} {arity}")
-        for name, tf in signature.connectives.items():
-            lines.append(f"conn {name} {tf.arity} {tf.table_string()}")
+    lines = [] if signature is None else signature_to_text(signature).splitlines()
     lines.append("worlds: " + " ".join(model.worlds))
     index = {w: i for i, w in enumerate(model.worlds)}
     for a, b in sorted(model.order, key=lambda p: (index[p[0]], index[p[1]])):

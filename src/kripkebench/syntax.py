@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .truthfun import TruthFunction, builtin
+from .truthfun import TruthFunction, builtin, table_bits
 
 RESERVED = ("forall", "exists")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -394,17 +394,10 @@ def parse_signature_directive(
                 arity = int(parts[2])
             except ValueError:
                 raise InvalidSignatureError(f"line {lineno}: arity must be an integer") from None
-            table = parts[3]
-            # the bit-length test comes first, so a huge arity never reaches the shift
-            if (
-                any(c not in "01" for c in table)
-                or len(table).bit_length() != arity + 1
-                or len(table) != 1 << arity
-            ):
-                raise InvalidSignatureError(
-                    f"line {lineno}: table must be a bit string of length 2^{arity}"
-                )
-            tf = TruthFunction(arity, tuple(int(c) for c in table))
+            try:
+                tf = TruthFunction(arity, table_bits(arity, parts[3]))
+            except ValueError as exc:
+                raise InvalidSignatureError(f"line {lineno}: {exc}") from None
         else:
             raise InvalidSignatureError(
                 f"line {lineno}: expected 'conn NAME ARITY TABLE' or 'conn NAME builtin'"

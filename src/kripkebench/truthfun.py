@@ -131,11 +131,22 @@ class TruthFunction:
         arity, table = data["arity"], data["table"]
         if not isinstance(arity, int) or not isinstance(table, str):
             raise ValueError("'arity' must be an integer and 'table' a bit string")
-        if any(c not in "01" for c in table):
-            raise ValueError("'table' must contain only 0 and 1")
-        if len(table) != 1 << arity:
-            raise ValueError(f"table length {len(table)} does not match arity {arity}")
-        return cls(arity, tuple(int(c) for c in table))
+        return cls(arity, table_bits(arity, table))
+
+
+def table_bits(arity: int, table: str) -> tuple[int, ...]:
+    """The table of an `arity`-ary function from its bit string, or ValueError."""
+    # bool is an int subclass, but `true` is not an arity
+    if isinstance(arity, bool) or arity < 0:
+        raise ValueError(f"arity must be a nonnegative integer, got {arity!r}")
+    # the bit-length test comes first, so a huge arity never reaches the shift
+    if (
+        any(c not in "01" for c in table)
+        or len(table).bit_length() != arity + 1
+        or len(table) != 1 << arity
+    ):
+        raise ValueError(f"table must be a bit string of length 2^{arity}")
+    return tuple(int(c) for c in table)
 
 
 def is_supermultiplicative(

@@ -52,6 +52,17 @@ class TestAnalyze:
     def test_unknown_builtin_is_usage_error(self, capsys):
         assert main(["analyze-connective", "--builtin", "nand"]) == 2
 
+    @pytest.mark.parametrize("arity", ["-1", "true"])
+    def test_bad_arity_in_file_is_usage_error(self, arity, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"arity": %s, "table": "01"}' % arity)
+        assert main(["analyze-connective", "--connective", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: arity must be a nonnegative integer, got {arity.capitalize()}\n"
+        )
+
     def test_connective_file(self, tmp_path, capsys):
         path = tmp_path / "maj.json"
         path.write_text('{"arity": 3, "table": "00010111"}')
@@ -92,14 +103,6 @@ class TestDecide:
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["decide", "--mode", "kripke", "--seq", "/nonexistent"]) == 2
 
-    def test_single_succedent_violation(self, tmp_path, capsys):
-        path = tmp_path / "two.seq"
-        path.write_text("pred p 0\npred q 0\nsequent: => p, q\n")
-        code = main(
-            ["decide", "--mode", "kripke", "--seq", str(path), "--single-succedent"]
-        )
-        assert code == 2
-
     def test_budget_violation_is_usage_error(self, or_seq_file):
         code = main(
             [
@@ -109,19 +112,6 @@ class TestDecide:
         )
         assert code == 2
 
-    def test_workers_env_override(self, or_seq_file, capsys, monkeypatch):
-        monkeypatch.setenv("KRIPKEBENCH_WORKERS", "2")
-        code = main(
-            [
-                "decide", "--mode", "kripke", "--seq", or_seq_file,
-                "--max-worlds", "2", "--max-domain", "2", "--shape", "tree",
-            ]
-        )
-        assert code == 1
-
-    def test_bad_workers_env(self, or_seq_file, monkeypatch, capsys):
-        monkeypatch.setenv("KRIPKEBENCH_WORKERS", "zero")
-        assert main(["decide", "--mode", "kripke", "--seq", or_seq_file]) == 2
 
 
 class TestSynthesizeCommand:

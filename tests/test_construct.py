@@ -1,3 +1,4 @@
+import itertools as it
 import random
 from dataclasses import replace
 
@@ -8,12 +9,14 @@ from kripkebench.construct import (
     bar_precondition_violation,
     bars,
     check_choice_function,
+    check_main_lemma,
     check_main_lemma_instance,
     complete_to_constant_domain,
     constant_domain_pipeline,
     deepest_common_ancestor,
     enumerate_choice_functions,
     extend_choice,
+    instance_status,
     is_upward_closed,
     lift_assignment,
     partition_upward_closed,
@@ -35,8 +38,10 @@ from kripkebench.synthesize import separating_countermodel
 from kripkebench.truthfun import builtin
 
 from util import (
+    DEFAULT_PREDICATES,
     all_tree_shapes,
     make_tree,
+    naive_value,
     random_model,
     random_tree_facts,
     reference_completion,
@@ -338,7 +343,7 @@ class TestCompletion:
     def test_zero_ary_clause(self):
         # r true only at the leaf: at the root the universal sweep fails
         tree = make_tree((0,), facts=frozenset({("n1", "r", ())}))
-        completion = complete_to_constant_domain(tree)
+        completion = complete_to_constant_domain(tree, Signature({"r": 0}, {}))
         assert ("n1", "r", ()) in completion.model.facts
         assert ("n0", "r", ()) not in completion.model.facts
 
@@ -356,7 +361,7 @@ class TestCompletion:
         for _ in range(15):
             model = random_model(rng, max_worlds=3)
             tree = unravel_strict(model, model.worlds[0])
-            completion = complete_to_constant_domain(tree)
+            completion = complete_to_constant_domain(tree, Signature(DEFAULT_PREDICATES, {}))
             assert validate_model(completion.model) == []
 
 
@@ -364,8 +369,8 @@ class TestCompletionMatchesReference:
     PREDICATES = {"r": 0, "p": 1, "e": 2, "t": 3}
 
     def test_every_tree_shape_up_to_five_nodes(self):
-        # q is declared but has no facts; signature=None reads arities from facts
-        signature = Signature({**self.PREDICATES, "q": 1}, {})
+        # q is declared in one signature but has no facts
+        signatures = (Signature({**self.PREDICATES, "q": 1}, {}), Signature(self.PREDICATES, {}))
         rng = random.Random(2031)
         completed_preds = set()
         for parents in all_tree_shapes(5):
@@ -375,7 +380,7 @@ class TestCompletionMatchesReference:
             tree = make_tree(parents, domains)
             facts = random_tree_facts(rng, tree, self.PREDICATES, rng.choice([0.15, 0.4]))
             tree = replace(tree, model=replace(tree.model, facts=facts))
-            for sig in (signature, None):
+            for sig in signatures:
                 got = complete_to_constant_domain(tree, sig)
                 want = reference_completion(tree, sig)
                 assert got.functions == want.functions
@@ -539,6 +544,113 @@ class TestMainLemmaInstances:
                             instances += 1
                             holds += 1
         assert instances > 500
+
+
+class TestMainLemmaChecker:
+    SIG = Signature({"p": 1, "q": 1, "r": 0}, {"or": builtin("or"), "imp": builtin("imp")})
+    FORMULAS = (
+        "r",
+        "p(x)",
+        "or(p(x), q(x))",
+        "or(p(x), q(y))",
+        "imp(q(x), p(x))",
+        "forall x. or(p(x), r)",
+        "exists y. imp(p(y), q(x))",
+    )
+
+    def naive_instance(self, completion, formula, node, lifted):
+        """Both sides of the equivalence by the naive evaluator of tests/util."""
+        tree = completion.tree
+        value = naive_value(completion.model, self.SIG, node, lifted, formula)
+        functions = {x: completion.functions[name] for x, name in lifted.items()}
+        condition = all(
+            naive_value(
+                tree.model, self.SIG, v, {x: f.value(v) for x, f in functions.items()}, formula
+            )
+            == 1
+            for v in tree.upset(node)
+            if all(v in f.domain for f in functions.values())
+        )
+        return value, condition
+
+    def test_matches_naive_evaluation_at_every_instance(self):
+        rng = random.Random(41)
+        # a fork where or(p(x), q(x)) fails: p(b) holds only on one branch, q(a) on the other
+        fork = make_tree(
+            (0, 0),
+            domains={"n0": ("a",), "n1": ("a", "b"), "n2": ("a", "b")},
+            facts=frozenset({("n1", "p", ("b",)), ("n2", "q", ("a",))}),
+        )
+        trees = [fork]
+        for _ in range(10):
+            model = random_model(rng, max_worlds=3, predicates=self.SIG.predicates)
+            trees.append(unravel_strict(model, model.worlds[0]))
+        statuses = set()
+        for tree in trees:
+            completion = complete_to_constant_domain(tree, self.SIG)
+            for text in self.FORMULAS:
+                formula = parse_formula(text, self.SIG)
+                report = check_main_lemma(completion, self.SIG, formula)
+                violation = bar_precondition_violation(tree, self.SIG, formula)
+                assert report.bar_violation == violation
+                variables = sorted(free_vars(formula))
+                want_points = [
+                    (node, dict(zip(variables, combo)))
+                    for node in tree.nodes
+                    for combo in it.product(completion.model.domains[node], repeat=len(variables))
+                ]
+                assert [(i.node, i.assignment) for i in report.instances] == want_points
+                for instance in report.instances:
+                    value, condition = self.naive_instance(
+                        completion, formula, instance.node, instance.assignment
+                    )
+                    assert instance.completed_value == value
+                    assert instance.pointwise_condition == condition
+                    assert instance.status == instance_status(value, condition, violation)
+                    assert instance.bar_violation == violation
+                first_other = [i.status for i in report.instances if i.status != "holds"]
+                assert report.status == (first_other[0] if first_other else "holds")
+                statuses.add(report.status)
+        assert statuses == {"holds", "fails", "precondition-failed"}
+
+    def test_instance_check_is_the_checker_at_one_point(self, separating, separating_sig):
+        tree = unravel_strict(separating, "w1")
+        sig = Signature(separating_sig.predicates, {"or": builtin("or")})
+        completion = complete_to_constant_domain(tree, sig)
+        formula = parse_formula("or(p(x), q(x))", sig)
+        for instance in check_main_lemma(completion, sig, formula).instances:
+            single = check_main_lemma_instance(
+                tree, sig, formula, instance.node, instance.assignment, completion
+            )
+            assert single == instance
+            assert check_main_lemma_instance(
+                tree, sig, formula, instance.node, instance.assignment
+            ) == instance
+
+    def test_one_bar_pass_and_module_level_seams(self, monkeypatch, separating, separating_sig):
+        # benchmark tracing wraps these two functions at their module attributes
+        import kripkebench.construct as construct_module
+
+        calls = {"bar": 0, "pointwise": 0}
+        bar, pointwise = construct_module.bar_precondition_violation, construct_module.pointwise_condition
+
+        def counted_bar(*args, **kwargs):
+            calls["bar"] += 1
+            return bar(*args, **kwargs)
+
+        def counted_pointwise(*args, **kwargs):
+            calls["pointwise"] += 1
+            return pointwise(*args, **kwargs)
+
+        monkeypatch.setattr(construct_module, "bar_precondition_violation", counted_bar)
+        monkeypatch.setattr(construct_module, "pointwise_condition", counted_pointwise)
+        tree = unravel_strict(separating, "w1")
+        completion = complete_to_constant_domain(tree, separating_sig)
+        report = check_main_lemma(
+            completion, separating_sig, parse_formula("p(x)", separating_sig)
+        )
+        assert calls == {"bar": 1, "pointwise": len(report.instances)}
+        assert len(report.instances) == len(tree.nodes) * len(completion.functions)
 
 
 class TestPipeline:

@@ -190,12 +190,6 @@ class TestDecide:
         assert isinstance(cd, Refuted)
         assert isinstance(kripke, Refuted)
 
-    def test_single_succedent_flag(self):
-        sig = Signature({"p": 0, "q": 0}, {})
-        two = parse_sequent("=> p, q", sig)
-        with pytest.raises(ValueError):
-            decide(sig, two, "kripke", SearchBounds(1, 1), single_succedent=True)
-
     def test_unknown_mode(self):
         sig = Signature({"p": 0}, {})
         with pytest.raises(ValueError):

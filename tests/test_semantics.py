@@ -217,13 +217,6 @@ class TestModelValidates:
         sig = Signature({"p": 0}, {})
         assert model_validates(model, sig, parse_sequent("=> p", sig))
 
-    def test_single_succedent_flag(self, separating, sig):
-        two = parse_sequent("=> p(x), q(x)", sig)
-        with pytest.raises(ValueError):
-            find_refutation(separating, sig, two, single_succedent=True)
-        one = parse_sequent("p(x) => p(x)", sig)
-        assert model_validates(separating, sig, one, single_succedent=True)
-
     def test_witness_enumeration_order(self):
         # two worlds both refute: the first declared world wins
         model = chain((), ())

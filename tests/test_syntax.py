@@ -201,3 +201,12 @@ class TestSignature:
             parse_signature("frobnicate\n")
         with pytest.raises(InvalidSignatureError):
             parse_signature("pred p 1\npred p 2\n")
+
+    def test_conn_table_check_is_the_json_one(self):
+        # `conn NAME ARITY TABLE` lines and connective JSON files share one check
+        for arity, table in (("2", "011"), ("-1", "0"), ("1", "0x"), (str(10**30), "01")):
+            with pytest.raises(InvalidSignatureError) as raised:
+                parse_signature(f"conn f {arity} {table}\n")
+            with pytest.raises(ValueError) as direct:
+                TruthFunction.from_json(f'{{"arity": {arity}, "table": "{table}"}}')
+            assert str(raised.value) == f"line 1: {direct.value}"

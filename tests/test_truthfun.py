@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -185,6 +187,39 @@ class TestSerialization:
             TruthFunction.from_json('{"arity": 1, "table": "0x"}')
         with pytest.raises(ValueError):
             TruthFunction.from_json('{"table": "01"}')
+
+    def test_rejects_boolean_and_negative_arities(self):
+        with pytest.raises(ValueError, match="got True"):
+            TruthFunction.from_json('{"arity": true, "table": "01"}')
+        with pytest.raises(ValueError, match="got -1"):
+            TruthFunction.from_json('{"arity": -1, "table": "0"}')
+
+    def test_huge_arity_is_rejected_before_any_shift(self):
+        with pytest.raises(ValueError, match="length 2\\^"):
+            TruthFunction.from_json('{"arity": %d, "table": "01"}' % 10**30)
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.fixed_dictionaries(
+                {
+                    "arity": st.one_of(
+                        st.integers(), st.booleans(), st.none(), st.floats(), st.text(max_size=3)
+                    ),
+                    "table": st.one_of(
+                        st.text(alphabet="01x", max_size=20), st.integers(), st.none()
+                    ),
+                },
+                optional={"extra": st.integers()},
+            ).map(json.dumps),
+        )
+    )
+    def test_from_json_returns_or_raises_value_error(self, text):
+        try:
+            tf = TruthFunction.from_json(text)
+        except ValueError:
+            return
+        assert type(tf.arity) is int and len(tf.table) == 1 << tf.arity
 
     def test_from_bits(self):
         assert TruthFunction.from_bits("0110") == builtin("xor")

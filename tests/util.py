@@ -133,20 +133,14 @@ def random_tree_facts(
 # --- reference oracle --------------------------------------------------------
 
 
-def reference_completion(tree, signature=None):
+def reference_completion(tree, signature):
     """The constant-domain completion by one set scan per argument tuple:
     `complete_to_constant_domain` must return an equal result."""
     functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
     names = tuple(functions)
-    if signature is not None:
-        arities = dict(signature.predicates)
-    else:
-        arities = {}
-        for _, pred, args in sorted(tree.model.facts):
-            arities.setdefault(pred, len(args))
     upsets = {n: tree.upset(n) for n in tree.nodes}
     facts = set()
-    for pred, arity in arities.items():
+    for pred, arity in signature.predicates.items():
         has_any = any(p == pred for _, p, _ in tree.model.facts)
         if not has_any:
             continue  # everything stays 0
