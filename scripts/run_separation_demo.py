@@ -6,7 +6,7 @@ verification for a few highlighted connectives."""
 import argparse
 
 from kripkebench.search import SearchBounds
-from kripkebench.semantics import eval_sequent
+from kripkebench.semantics import Evaluator
 from kripkebench.synthesize import format_certificate, synthesize
 from kripkebench.truthfun import builtin, enumerate_truth_functions, is_supermultiplicative
 
@@ -32,8 +32,8 @@ def main() -> int:
         if supermultiplicative:
             continue
         certificate = synthesize("c", tf, cd_bounds=None)
-        value = eval_sequent(
-            certificate.model, certificate.signature, "w1", {}, certificate.sequent
+        value = Evaluator(certificate.model, certificate.signature).sequent_value(
+            "w1", {}, certificate.sequent
         )
         assert value == 0
         cases[certificate.case] = cases.get(certificate.case, 0) + 1

@@ -18,6 +18,9 @@ from typing import Iterable, Iterator, Optional
 from .semantics import Evaluator, InvalidModelError, KripkeModel, require_valid_model
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
+# the most nodes an unraveled tree, or choice functions an enumeration, may have
+MAX_COUNT = 50_000
+
 
 @dataclass(frozen=True)
 class TreeModel:
@@ -39,9 +42,6 @@ class TreeModel:
     def nodes(self) -> tuple[str, ...]:
         return self.model.worlds
 
-    def children(self, node: str) -> tuple[str, ...]:
-        return tuple(c for c in self.nodes if self.parent.get(c) == node)
-
     def leaves(self) -> tuple[str, ...]:
         withchild = set(self.parent.values())
         return tuple(n for n in self.nodes if n not in withchild)
@@ -54,7 +54,9 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
     """View a validated model as a tree, or raise InvalidModelError.
 
     Requires an antisymmetric order with a unique minimum in which every
-    non-root world has exactly one covering predecessor.
+    non-root world has exactly one covering predecessor. Then the order is
+    the parent relation's ancestry: in a finite poset every v < w is a chain
+    of covers, and each cover is a parent step.
     """
     require_valid_model(model)
     for a, b in sorted(model.order):
@@ -77,17 +79,6 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
         if len(predecessors) != 1:
             raise InvalidModelError(f"world {w} has {len(predecessors)} covering predecessors")
         parent[w] = predecessors[0]
-    # the declared order must be exactly the ancestor relation of the tree
-    ancestry = set()
-    for w in model.worlds:
-        node = w
-        while True:
-            ancestry.add((node, w))
-            if node == root:
-                break
-            node = parent[node]
-    if ancestry != set(model.order):
-        raise InvalidModelError("order is not generated by the parent relation")
     return TreeModel(model=model, root=root, parent=parent, last=last)
 
 
@@ -165,33 +156,31 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
                 " partial order, use unravel_stuttered instead"
             )
     covers = _covering_relation(model)
-    chains: list[tuple[str, ...]] = []
-    frontier: list[tuple[str, ...]] = [(start,)]
-    while frontier:
-        chain = frontier.pop(0)
-        chains.append(chain)
-        for v in covers[chain[-1]]:
-            frontier.append(chain + (v,))
+    chains = [(start,)]
+    for chain in chains:  # breadth-first: the list grows while it is read
+        chains.extend(chain + (v,) for v in covers[chain[-1]])
     return _assemble_tree(model, chains, truncated=False)
 
 
 def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> TreeModel:
     """Unravel into the tree of non-decreasing world sequences from start,
     truncated at the given total length. The result is marked truncated:
-    value and bar preservation hold only in the limit of growing bounds."""
+    value and bar preservation hold only in the limit of growing bounds.
+    On a cycle the tree grows exponentially with the length bound, so more
+    than MAX_COUNT nodes raise ValueError."""
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
     require_valid_model(model)
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
-    chains: list[tuple[str, ...]] = []
-    frontier: list[tuple[str, ...]] = [(start,)]
-    while frontier:
-        chain = frontier.pop(0)
-        chains.append(chain)
+    chains = [(start,)]
+    for chain in chains:  # breadth-first: the list grows while it is read
         if len(chain) < length_bound:
-            for v in model.successors(chain[-1]):
-                frontier.append(chain + (v,))
+            chains.extend(chain + (v,) for v in model.successors(chain[-1]))
+        if len(chains) > MAX_COUNT:
+            raise ValueError(
+                f"the unraveled tree has more than {MAX_COUNT} nodes; lower the length bound"
+            )
     return _assemble_tree(model, chains, truncated=True)
 
 
@@ -199,7 +188,7 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
 
 
 def is_upward_closed(tree: TreeModel, nodes: frozenset[str]) -> bool:
-    return all(child in nodes for node in nodes for child in tree.children(node))
+    return all(child in nodes for child, p in tree.parent.items() if p in nodes)
 
 
 def bars(tree: TreeModel, node: str, barrier: frozenset[str]) -> bool:
@@ -228,40 +217,19 @@ def partition_upward_closed(
 ) -> list[tuple[str, frozenset[str]]]:
     """Split an upward-closed set into its parent-child connected blocks.
 
-    Each block is upward-closed with a unique minimum; returned as
-    (minimum, block) pairs sorted by node position. The upset of a single
+    Each block is the up-set of a member whose parent lies outside the set;
+    returned as (minimum, block) pairs in node order. The upset of a single
     node comes back as one block.
     """
     if not nodes <= set(tree.nodes):
         raise ValueError("input set mentions unknown nodes")
     if not is_upward_closed(tree, nodes):
         raise ValueError("input set is not upward-closed")
-    position = {n: i for i, n in enumerate(tree.nodes)}
-    remaining = set(nodes)
-    blocks: list[tuple[str, frozenset[str]]] = []
-    while remaining:
-        seed_node = min(remaining, key=position.__getitem__)
-        block = {seed_node}
-        frontier = [seed_node]
-        while frontier:
-            node = frontier.pop()
-            neighbours = [
-                c for c in tree.children(node) if c in remaining and c not in block
-            ]
-            p = tree.parent.get(node)
-            if p is not None and p in remaining and p not in block:
-                neighbours.append(p)
-            block.update(neighbours)
-            frontier.extend(neighbours)
-        minima = [
-            n for n in block if tree.parent.get(n) not in block
-        ]
-        if len(minima) != 1:
-            raise AssertionError(f"block {sorted(block)} has minima {sorted(minima)}")
-        blocks.append((minima[0], frozenset(block)))
-        remaining -= block
-    blocks.sort(key=lambda pair: position[pair[0]])
-    return blocks
+    return [
+        (n, tree.upset(n))
+        for n in tree.nodes
+        if n in nodes and tree.parent.get(n) not in nodes
+    ]
 
 
 def deepest_common_ancestor(tree: TreeModel, a: str, b: str) -> str:
@@ -385,7 +353,7 @@ def extend_choice(
 
 
 def enumerate_choice_functions(
-    tree: TreeModel, max_count: int = 50000
+    tree: TreeModel, max_count: int = MAX_COUNT
 ) -> Iterator[ChoiceFunction]:
     """All choice functions on the tree, in a fixed construction order.
 
@@ -393,7 +361,6 @@ def enumerate_choice_functions(
     every leaf; values are constant per parent-child block and drawn from the
     block minimum's domain.
     """
-    position = {n: i for i, n in enumerate(tree.nodes)}
     leaves = set(tree.leaves())
     internal = [n for n in tree.nodes if n not in leaves]
     produced = 0
@@ -624,18 +591,24 @@ def bar_precondition_violation(
     """First subformula instance whose value is not bar-determined: value 1 at
     a node iff its value-1 successor set bars the node."""
     evaluator = Evaluator(tree.model, signature)
+    leaves = tree.leaves()
+    leaves_above = {
+        node: [leaf for leaf in leaves if (node, leaf) in tree.model.order]
+        for node in tree.nodes
+    }
     for sub in subformulas(formula):
         variables = sorted(free_vars(sub))
         for node in tree.nodes:
             for combo in itertools.product(tree.model.domains[node], repeat=len(variables)):
                 assignment = dict(zip(variables, combo))
                 value = evaluator.value(node, assignment, sub)
-                one_set = frozenset(
-                    v
-                    for v in tree.upset(node)
-                    if evaluator.value(v, assignment, sub) == 1
+                # values persist upward (facts are hereditary), so the value-1
+                # set bars the node exactly when it holds every leaf above it
+                barred = all(
+                    evaluator.value(leaf, assignment, sub) == 1
+                    for leaf in leaves_above[node]
                 )
-                if (value == 1) != bars(tree, node, one_set):
+                if (value == 1) != barred:
                     return BarViolation(sub, node, tuple(sorted(assignment.items())), value)
     return None
 
@@ -654,19 +627,16 @@ def pointwise_condition(
     `evaluator`, an evaluator on the tree's model, lets many calls share
     compiled formulas and labels."""
     tree = completion.tree
-    shared = set(tree.nodes)
-    for var in free_vars(formula):
-        shared &= completion.functions[lifted[var]].domain
     if evaluator is None:
         evaluator = Evaluator(tree.model, signature)
-    for v in tree.nodes:
-        if (node, v) not in tree.model.order or v not in shared:
-            continue
-        pointwise = {
-            var: completion.functions[lifted[var]].value(v) for var in free_vars(formula)
-        }
-        if evaluator.value(v, pointwise, formula) != 1:
-            return False
+    functions = {
+        var: completion.functions[lifted[var]].as_dict() for var in free_vars(formula)
+    }
+    for v in tree.upset(node):
+        if all(v in f for f in functions.values()):
+            pointwise = {var: f[v] for var, f in functions.items()}
+            if evaluator.value(v, pointwise, formula) != 1:
+                return False
     return True
 
 

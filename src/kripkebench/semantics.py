@@ -457,16 +457,6 @@ def eval_formula(
     return Evaluator(model, signature).value(world, assignment, formula)
 
 
-def eval_sequent(
-    model: KripkeModel,
-    signature: Signature,
-    world: str,
-    assignment: dict[str, str],
-    sequent: Sequent,
-) -> int:
-    return Evaluator(model, signature).sequent_value(world, assignment, sequent)
-
-
 def find_refutation(
     model: KripkeModel,
     signature: Signature,
@@ -488,10 +478,6 @@ def find_refutation(
     if frame is None or not frame.matches(model):
         frame = compiled.frame = Frame(model)
     return Evaluator(model, signature, compiled.formulas, frame).refutation(compiled)
-
-
-def model_validates(model: KripkeModel, signature: Signature, sequent: Sequent) -> bool:
-    return find_refutation(model, signature, sequent) is None
 
 
 def classical_eval(

@@ -27,7 +27,7 @@ from kripkebench.search import (
     random_formula,
     sequent_corpus,
 )
-from kripkebench.semantics import Evaluator, eval_sequent, validate_model
+from kripkebench.semantics import Evaluator, validate_model
 from kripkebench.syntax import Signature, free_vars, parse_sequent
 from kripkebench.truthfun import (
     builtin,
@@ -87,12 +87,8 @@ def test_03_synthesizer_soundness_for_all_small_arities():
             if supermultiplicative:
                 continue
             certificate = synthesize("c", tf, cd_bounds=None)
-            value = eval_sequent(
-                certificate.model,
-                certificate.signature,
-                "w1",
-                {},
-                certificate.sequent,
+            value = Evaluator(certificate.model, certificate.signature).sequent_value(
+                "w1", {}, certificate.sequent
             )
             assert value == 0, tf.table_string()
             total += 1
@@ -135,7 +131,10 @@ def test_05_fixed_sequent_verdicts():
     assert isinstance(refuted, Refuted)
     assert len(refuted.model.worlds) == 2
     assert ("w0", "w1") in refuted.model.order
-    assert eval_sequent(refuted.model, neg_sig, refuted.world, refuted.assignment, ddneg) == 0
+    value = Evaluator(refuted.model, neg_sig).sequent_value(
+        refuted.world, refuted.assignment, ddneg
+    )
+    assert value == 0
     passed(5, "propositional-mix sequent kripke-valid at bounds; double negation refuted on a chain")
 
 

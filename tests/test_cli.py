@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +186,15 @@ class TestUnravelCommand:
         assert main(["unravel", "--strict", str(path)]) == 2
         assert main(["unravel", "--stutter", "2", str(path)]) == 0
 
+    def test_stutter_past_the_node_cap_is_usage_error(self, tmp_path, capsys):
+        # on a 2-cycle the tree doubles per unit of length: 2^30 - 1 nodes at 30
+        path = tmp_path / "cyc.model"
+        path.write_text(
+            "worlds: w0 w1\norder: w0 w1\norder: w1 w0\ndomain w0: a\ndomain w1: a\n"
+        )
+        assert main(["unravel", "--stutter", "30", str(path)]) == 2
+        assert "more than 50000 nodes" in capsys.readouterr().err
+
 
 class TestCompleteCommand:
     def test_completion_output_parses(self, separating_file, capsys):
@@ -322,3 +334,20 @@ class TestDeterminism:
         code = main(["report-relations", "--builtins", "and", "--corpus", "3", "--seed", "5"])
         assert code == 0
         assert "corpus: 3 sequents" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_heavy_or_test_modules():
+    # the package has no runtime dependencies, and setup_s times this import
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    probe = (
+        "import sys, kripkebench.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " {'numpy', 'networkx', 'hypothesis', 'pytest', 'multiprocessing'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -41,6 +41,7 @@ from util import (
     DEFAULT_PREDICATES,
     all_tree_shapes,
     make_tree,
+    naive_bar_violation,
     naive_value,
     random_model,
     random_tree_facts,
@@ -592,6 +593,7 @@ class TestMainLemmaChecker:
                 formula = parse_formula(text, self.SIG)
                 report = check_main_lemma(completion, self.SIG, formula)
                 violation = bar_precondition_violation(tree, self.SIG, formula)
+                assert violation == naive_bar_violation(tree, self.SIG, formula)
                 assert report.bar_violation == violation
                 variables = sorted(free_vars(formula))
                 want_points = [
@@ -711,3 +713,29 @@ class TestTreeFromModel:
         )
         with pytest.raises(InvalidModelError):
             tree_from_model(model)
+
+    def test_parent_ancestry_is_the_order_of_every_small_relation(self):
+        # every set of strict pairs on up to 4 worlds, plus the diagonal: 4,165
+        # relations, of which exactly the n^(n-1) labelled rooted trees pass
+        trees = 0
+        for n in range(1, 5):
+            worlds = tuple(f"w{i}" for i in range(n))
+            pairs = [(a, b) for a in worlds for b in worlds if a != b]
+            for mask in range(1 << len(pairs)):
+                strict = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+                order = frozenset([(w, w) for w in worlds] + strict)
+                model = KripkeModel(worlds, order, {w: ("a",) for w in worlds}, frozenset())
+                try:
+                    tree = tree_from_model(model)
+                except InvalidModelError:
+                    continue
+                ancestry = set()
+                for w in worlds:
+                    node = w
+                    ancestry.add((node, w))
+                    while node in tree.parent:
+                        node = tree.parent[node]
+                        ancestry.add((node, w))
+                assert ancestry == order
+                trees += 1
+        assert trees == 1 + 2 + 9 + 64

@@ -17,8 +17,8 @@ from kripkebench.search import (
     sequent_corpus,
 )
 from kripkebench.semantics import (
+    Evaluator,
     compile_sequent,
-    eval_sequent,
     find_refutation,
     is_constant_domain,
     validate_model,
@@ -162,7 +162,8 @@ class TestDecide:
         s = parse_sequent("not(not(p)) => p", sig)
         verdict = decide(sig, s, "kripke", SearchBounds(2, 1, "chain"))
         assert validate_model(verdict.model) == []
-        assert eval_sequent(verdict.model, sig, verdict.world, verdict.assignment, s) == 0
+        value = Evaluator(verdict.model, sig).sequent_value(verdict.world, verdict.assignment, s)
+        assert value == 0
 
     def test_separating_sequent_kripke_vs_cd(self, or_certificate):
         sig, s = or_certificate.signature, or_certificate.sequent

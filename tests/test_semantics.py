@@ -10,11 +10,9 @@ from kripkebench.semantics import (
     classical_eval,
     compile_sequent,
     eval_formula,
-    eval_sequent,
     find_refutation,
     is_constant_domain,
     model_to_text,
-    model_validates,
     one_world_model,
     parse_model_text,
     reflexive_transitive_closure,
@@ -176,14 +174,15 @@ def full_sig():
 
 class TestSequentValue:
     def test_both_sides_empty(self, separating, sig):
-        assert eval_sequent(separating, sig, "w1", {}, Sequent((), ())) == 0
+        assert Evaluator(separating, sig).sequent_value("w1", {}, Sequent((), ())) == 0
 
     def test_separating_sequent_refuted_at_root(self, separating, sig):
         s = parse_sequent(
             "T, forall x. or(p(x), q(x)) => or(forall x. p(x), exists x. q(x))", sig
         )
-        assert eval_sequent(separating, sig, "w1", {}, s) == 0
-        assert eval_sequent(separating, sig, "w2", {}, s) == 1
+        evaluator = Evaluator(separating, sig)
+        assert evaluator.sequent_value("w1", {}, s) == 0
+        assert evaluator.sequent_value("w2", {}, s) == 1
 
     def test_shared_formula_never_zero(self):
         rng = random.Random(3)
@@ -192,9 +191,10 @@ class TestSequentValue:
             model = random_model(rng)
             formula = random_formula(rng, sig, 2, ("x",))
             s = Sequent((formula,), (formula,))
+            evaluator = Evaluator(model, sig)
             for w in model.worlds:
                 for a in model.domains[w]:
-                    assert eval_sequent(model, sig, w, {"x": a}, s) == 1
+                    assert evaluator.sequent_value(w, {"x": a}, s) == 1
 
 
 class TestModelValidates:
@@ -203,19 +203,19 @@ class TestModelValidates:
             "T, forall x. or(p(x), q(x)) => or(forall x. p(x), exists x. q(x))", sig
         )
         assert find_refutation(separating, sig, s) == ("w1", {})
-        assert not model_validates(separating, sig, s)
+        assert find_refutation(separating, sig, s) is not None
 
     def test_identity_sequent_everywhere(self):
         rng = random.Random(5)
         sig = full_sig()
         s = parse_sequent("p(x) => p(x)", sig)
         for _ in range(25):
-            assert model_validates(random_model(rng), sig, s)
+            assert find_refutation(random_model(rng), sig, s) is None
 
     def test_one_world_classical_fact(self):
         model = one_world_model(("a",), [("p", ())])
         sig = Signature({"p": 0}, {})
-        assert model_validates(model, sig, parse_sequent("=> p", sig))
+        assert find_refutation(model, sig, parse_sequent("=> p", sig)) is None
 
     def test_witness_enumeration_order(self):
         # two worlds both refute: the first declared world wins

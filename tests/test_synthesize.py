@@ -5,7 +5,6 @@ from kripkebench.search import SearchBounds, ValidUpToBounds, enumerate_models
 from kripkebench.semantics import (
     Evaluator,
     eval_formula,
-    eval_sequent,
     reflexive_transitive_closure,
     validate_model,
 )
@@ -263,12 +262,8 @@ class TestSynthesize:
         for name, tf in (("or", builtin("or")), ("xor", builtin("xor")), ("c3", CASE_E_TABLE)):
             certificate = synthesize(name, tf, cd_bounds=None)
             assert (
-                eval_sequent(
-                    certificate.model,
-                    certificate.signature,
-                    "w1",
-                    {},
-                    certificate.sequent,
+                Evaluator(certificate.model, certificate.signature).sequent_value(
+                    "w1", {}, certificate.sequent
                 )
                 == 0
             )
@@ -289,8 +284,8 @@ class TestSynthesize:
         assert "T1" in certificate.signature.predicates
         assert "T" not in certificate.signature.predicates
         assert (
-            eval_sequent(
-                certificate.model, certificate.signature, "w1", {}, certificate.sequent
+            Evaluator(certificate.model, certificate.signature).sequent_value(
+                "w1", {}, certificate.sequent
             )
             == 0
         )

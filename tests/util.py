@@ -7,8 +7,10 @@ import random
 from dataclasses import replace
 
 from kripkebench.construct import (
+    BarViolation,
     ConstantDomainCompletion,
     TreeModel,
+    bars,
     enumerate_choice_functions,
 )
 from kripkebench.search import (
@@ -31,6 +33,7 @@ from kripkebench.syntax import (
     Exists,
     Forall,
     Signature,
+    free_vars,
     sequent_free_vars,
     subformulas,
 )
@@ -278,6 +281,25 @@ def naive_value(model, sig, world, assignment, formula):
                 return 1
         return 0
     raise TypeError
+
+
+def naive_bar_violation(tree, sig, formula):
+    """`construct.bar_precondition_violation` by its definition: at each
+    instance, value 1 iff the value-1 part of the node's up-set, computed by
+    `naive_value`, bars the node."""
+    model = tree.model
+    for sub in subformulas(formula):
+        variables = sorted(free_vars(sub))
+        for node in tree.nodes:
+            for combo in itertools.product(model.domains[node], repeat=len(variables)):
+                rho = dict(zip(variables, combo))
+                value = naive_value(model, sig, node, rho, sub)
+                one_set = frozenset(
+                    v for v in tree.upset(node) if naive_value(model, sig, v, rho, sub) == 1
+                )
+                if (value == 1) != bars(tree, node, one_set):
+                    return BarViolation(sub, node, tuple(sorted(rho.items())), value)
+    return None
 
 
 def naive_refutation(model, sig, sequent):
