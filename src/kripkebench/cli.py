@@ -339,7 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.workers < 1:
             raise ValueError("workers must be at least 1")
         code = _COMMANDS[args.subcommand](args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, search.InconsistentVerdictError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidModelError, InvalidSignatureError) as exc:

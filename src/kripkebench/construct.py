@@ -144,7 +144,8 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     Every node evaluates exactly like its last world in the source model (the
     successor cones of a node and of its last world project onto the same
     upset). Preorders with genuine cycles are rejected; use unravel_stuttered
-    for those.
+    for those. A ladder of diamonds doubles the paths per rung, so more than
+    MAX_COUNT nodes raise ValueError.
     """
     require_valid_model(model)
     if start not in model.domains:
@@ -159,6 +160,8 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     chains = [(start,)]
     for chain in chains:  # breadth-first: the list grows while it is read
         chains.extend(chain + (v,) for v in covers[chain[-1]])
+        if len(chains) > MAX_COUNT:
+            raise ValueError(f"the unraveled tree has more than {MAX_COUNT} nodes")
     return _assemble_tree(model, chains, truncated=False)
 
 

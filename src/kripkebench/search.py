@@ -10,9 +10,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
-from .semantics import Fact, KripkeModel, compile_sequent, find_refutation
+from .semantics import (
+    ATOM,
+    CompiledSequent,
+    Frame,
+    KripkeModel,
+    SlicedEvaluator,
+    compile_sequent,
+    find_refutation,
+    validate_model,
+)
 from .syntax import (
     Atom,
     Conn,
@@ -21,7 +30,6 @@ from .syntax import (
     Formula,
     Sequent,
     Signature,
-    subformulas,
 )
 from .truthfun import (
     enumerate_truth_functions,
@@ -33,6 +41,16 @@ SHAPES = ("any-preorder", "poset", "tree", "chain")
 DEFAULT_BUDGET = 16
 
 MODES = ("kripke", "cd", "classical")
+
+# the most models labelled at once, as bits of one int per world and label
+CHUNK_BITS = 1 << 16
+# the most frames and models one `decide` may search
+MAX_FRAMES = 10_000
+MAX_MODELS = 1_000_000
+
+
+class InconsistentVerdictError(RuntimeError):
+    """The search and the re-check of its countermodel disagree."""
 
 
 @dataclass(frozen=True)
@@ -139,12 +157,93 @@ def _nonempty_subsets(universe: tuple[str, ...]) -> list[tuple[str, ...]]:
 def _upward_closed_subsets(
     candidates: tuple[int, ...], order: frozenset[tuple[int, int]]
 ) -> list[frozenset[int]]:
-    out = []
-    for mask in range(1 << len(candidates)):
-        chosen = {candidates[k] for k in range(len(candidates)) if (mask >> k) & 1}
-        if all((w, v) not in order or v in chosen for w in chosen for v in candidates):
-            out.append(frozenset(chosen))
-    return out
+    """The subsets of `candidates` closed upward under `order` within them,
+    in increasing order of their masks over candidate positions.
+
+    Positions are placed from the highest down, each left out before it is
+    put in, which keeps mask order. Position k may be left out when no
+    chosen position lies below it in the order, and put in when every
+    placed position above it in the order is chosen; in a transitive order
+    one of the two always holds, so no partial set is dropped.
+    """
+    masks = [0]
+    for k in range(len(candidates) - 1, -1, -1):
+        w = candidates[k]
+        above = below = 0
+        for j, v in enumerate(candidates):
+            if j != k:
+                above |= ((w, v) in order) << j
+                below |= ((v, w) in order) << j
+        grown = []
+        for chosen in masks:
+            if not below & chosen:
+                grown.append(chosen)
+            if not (above & ~chosen) >> (k + 1):
+                grown.append(chosen | 1 << k)
+        masks = grown
+    return [
+        frozenset(v for j, v in enumerate(candidates) if mask >> j & 1) for mask in masks
+    ]
+
+
+class SlottedFrame(NamedTuple):
+    """One frame of the search stream and the fact slots over it.
+
+    Each slot is `(pred, args, options)`, where the options are the
+    upward-closed sets of world indices at which the fact may hold, in
+    enumeration order. The frame's models are the `itertools.product` of the
+    slots' options, `size` of them, and model m of that product is the m-th
+    model of the frame in `enumerate_models`.
+    """
+
+    worlds: tuple[str, ...]
+    order: frozenset[tuple[str, str]]
+    domains: dict[str, tuple[str, ...]]
+    slots: tuple[tuple[str, tuple[str, ...], tuple[frozenset[int], ...]], ...]
+    size: int
+
+
+def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[SlottedFrame]:
+    """The frames of `enumerate_models`, in its order, with their fact slots."""
+    universe = tuple(f"a{k}" for k in range(bounds.max_domain))
+    prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
+    subsets = [] if bounds.constant_domain else _nonempty_subsets(universe)
+    for n in range(1, bounds.max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for index_order in _ORDER_GENERATORS[bounds.shape](n):
+            order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
+            if bounds.constant_domain:
+                domain_choices: Iterator = ((d,) * n for d in prefixes)
+            else:
+                domain_choices = (
+                    combo
+                    for combo in itertools.product(prefixes, *[subsets] * (n - 1))
+                    if all(
+                        set(combo[a]) <= set(combo[b])
+                        for (a, b) in index_order
+                        if a != b
+                    )
+                )
+            # upward-closed subsets of the worlds where a slot is defined
+            closed: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
+            for combo in domain_choices:
+                held = [set(domain) for domain in combo]
+                slots = []
+                size = 1
+                for pred, arity in signature.predicates.items():
+                    for args in itertools.product(universe, repeat=arity):
+                        valid = tuple(i for i in range(n) if held[i].issuperset(args))
+                        if not valid:
+                            continue
+                        options = closed.get(valid)
+                        if options is None:
+                            options = closed[valid] = tuple(
+                                _upward_closed_subsets(valid, index_order)
+                            )
+                        slots.append((pred, args, options))
+                        size *= len(options)
+                domains = {worlds[i]: combo[i] for i in range(n)}
+                yield SlottedFrame(worlds, order, domains, tuple(slots), size)
 
 
 def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[KripkeModel]:
@@ -156,7 +255,8 @@ def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[Kri
     heredity is built in (each fact slot ranges over upward-closed world
     sets), so every yielded model is valid. For every shape but
     `any-preorder`, w0 lies below every world; the domain of w0 is always a
-    prefix a0..a{k-1}.
+    prefix a0..a{k-1}. The models of each frame of `enumerate_frames` come
+    in the order of its slots' product.
 
     The stream is a subsequence of the unreduced one (every order of the
     shape, every root domain) that keeps its first countermodel M, so
@@ -177,69 +277,71 @@ def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[Kri
     A preorder's least worlds need not include w0, so `any-preorder` keeps
     all its orders.
     """
-    universe = tuple(f"a{k}" for k in range(bounds.max_domain))
-    subsets = _nonempty_subsets(universe)
-    prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
-    for n in range(1, bounds.max_worlds + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
-        for index_order in _ORDER_GENERATORS[bounds.shape](n):
-            order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
-            if bounds.constant_domain:
-                domain_choices: Iterator = ((d,) * n for d in prefixes)
-            else:
-                domain_choices = (
-                    combo
-                    for combo in itertools.product(prefixes, *[subsets] * (n - 1))
-                    if all(
-                        set(combo[a]) <= set(combo[b])
-                        for (a, b) in index_order
-                        if a != b
-                    )
-                )
-            # upward-closed subsets of the worlds where a slot is defined
-            closed: dict[tuple[int, ...], list[frozenset[int]]] = {}
-            for combo in domain_choices:
-                domains = {worlds[i]: combo[i] for i in range(n)}
-                held = [set(domain) for domain in combo]
-                # per fact slot, its options as ready tuples of facts
-                slots: list[tuple[tuple[Fact, ...], ...]] = []
-                for pred, arity in signature.predicates.items():
-                    for args in itertools.product(universe, repeat=arity):
-                        valid = tuple(i for i in range(n) if all(e in held[i] for e in args))
-                        if not valid:
-                            continue
-                        options = closed.get(valid)
-                        if options is None:
-                            options = closed[valid] = _upward_closed_subsets(valid, index_order)
-                        slots.append(
-                            tuple(
-                                tuple((worlds[i], pred, args) for i in chosen)
-                                for chosen in options
-                            )
-                        )
-                for choice in itertools.product(*slots):
-                    yield KripkeModel(
-                        worlds=worlds,
-                        order=order,
-                        domains=domains,
-                        facts=frozenset(itertools.chain.from_iterable(choice)),
-                    )
+    for frame in enumerate_frames(signature, bounds):
+        for index in range(frame.size):
+            yield decode_model(frame, index)
 
 
-def _formula_predicates(formula: Formula) -> set[str]:
-    return {f.pred for f in subformulas(formula) if isinstance(f, Atom)}
+def decode_model(frame: SlottedFrame, index: int) -> KripkeModel:
+    """Model `index` of the frame's slot product, whose last slot varies
+    fastest."""
+    facts = []
+    for pred, args, options in reversed(frame.slots):
+        index, choice = divmod(index, len(options))
+        facts.extend((frame.worlds[i], pred, args) for i in options[choice])
+    return KripkeModel(frame.worlds, frame.order, frame.domains, frozenset(facts))
 
 
-def _restrict_to_sequent(signature: Signature, sequent: Sequent) -> Signature:
+def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[int]:
+    """The index in the frame's slot product of the first model that refutes
+    the sequent, or None.
+
+    Bit m of a chunk is model m of the chunk's part of the product, so the
+    lowest set bit of the refuted models is the first countermodel. A chunk
+    holds at most CHUNK_BITS models: the leading slots are fixed per chunk,
+    in product order, and the trailing ones vary within it. An atom's planes
+    on a varying slot are periodic: with `stride` the product of the sizes
+    of the slots after it, option o fills bits [o * stride, (o + 1) * stride)
+    of each period, and one multiplication repeats that block.
+    """
+    split, inner = 0, frame.size
+    while inner > CHUNK_BITS:
+        inner //= len(frame.slots[split][2])
+        split += 1
+    count = len(frame.worlds)
+    full = (1 << inner) - 1
+    varying: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
+    stride = 1
+    for pred, args, options in reversed(frame.slots[split:]):
+        period = stride * len(options)
+        repeat = full // ((1 << period) - 1)
+        ones = (1 << stride) - 1
+        blocks = [0] * count
+        for o, chosen in enumerate(options):
+            for i in chosen:
+                blocks[i] |= ones << (o * stride)
+        varying[pred, args] = tuple([repeat * block for block in blocks])
+        stride = period
+    kripke_frame = Frame(frame.worlds, frame.order, frame.domains)
+    leading = frame.slots[:split]
+    for chunk, choice in enumerate(itertools.product(*(options for _, _, options in leading))):
+        atoms = varying
+        if choice:
+            atoms = dict(varying)
+            for (pred, args, _), chosen in zip(leading, choice):
+                atoms[pred, args] = tuple(full if i in chosen else 0 for i in range(count))
+        evaluator = SlicedEvaluator(compiled.formulas, kripke_frame, atoms, full)
+        hits = evaluator.refuting_models(compiled)
+        if hits:
+            return chunk * inner + (hits & -hits).bit_length() - 1
+    return None
+
+
+def _restrict_to_sequent(signature: Signature, compiled: CompiledSequent) -> Signature:
     # predicates absent from the sequent cannot affect its value; dropping
     # them keeps the enumeration small without changing any verdict
-    used: set[str] = set()
-    for f in sequent.formulas():
-        used |= _formula_predicates(f)
-    return Signature(
-        {p: a for p, a in signature.predicates.items() if p in used},
-        dict(signature.connectives),
-    )
+    used = {node[1] for node in compiled.formulas.nodes if node[0] == ATOM}
+    return Signature({p: a for p, a in signature.predicates.items() if p in used}, {})
 
 
 def decide(
@@ -252,7 +354,11 @@ def decide(
 
     kripke: all models within bounds; cd: constant-domain models; classical:
     one-world models. Returns the first countermodel in construction order,
-    else ValidUpToBounds.
+    else ValidUpToBounds. Each frame's models are labelled at once by
+    `first_refuted`; only the first countermodel is decoded, and it is
+    re-checked by `validate_model` and the scalar `find_refutation`, which
+    also gives its world and assignment. A search that would pass MAX_FRAMES
+    frames or MAX_MODELS models raises ValueError before it does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
@@ -261,13 +367,37 @@ def decide(
         effective = replace(bounds, constant_domain=True)
     elif mode == "classical":
         effective = replace(bounds, max_worlds=1)
-    search_signature = _restrict_to_sequent(signature, sequent)
     compiled = compile_sequent(signature, sequent)
-    for model in enumerate_models(search_signature, effective):
-        witness = find_refutation(model, signature, sequent, compiled=compiled)
-        if witness is not None:
-            return Refuted(model, witness[0], witness[1])
+    search_signature = _restrict_to_sequent(signature, compiled)
+    frames = models = 0
+    for frame in enumerate_frames(search_signature, effective):
+        frames += 1
+        models += frame.size
+        if frames > MAX_FRAMES:
+            raise ValueError(f"the search has more than {MAX_FRAMES} frames; lower the bounds")
+        if models > MAX_MODELS:
+            raise ValueError(f"the search has more than {MAX_MODELS} models; lower the bounds")
+        index = first_refuted(frame, compiled)
+        if index is not None:
+            return _rechecked(decode_model(frame, index), signature, sequent, compiled)
     return ValidUpToBounds(effective)
+
+
+def _rechecked(
+    model: KripkeModel, signature: Signature, sequent: Sequent, compiled: CompiledSequent
+) -> Refuted:
+    violations = validate_model(model)
+    if violations:
+        raise InconsistentVerdictError(
+            "inconsistent search: the decoded countermodel is invalid: " + "; ".join(violations)
+        )
+    witness = find_refutation(model, signature, sequent, compiled=compiled)
+    if witness is None:
+        raise InconsistentVerdictError(
+            "inconsistent search: the bit-sliced search refuted a model"
+            " that the scalar evaluator validates"
+        )
+    return Refuted(model, *witness)
 
 
 # --- connective census and logic relations ----------------------------------

@@ -8,7 +8,7 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -22,7 +22,6 @@ from .syntax import (
     Sequent,
     Signature,
     parse_signature_directive,
-    sequent_free_vars,
     signature_to_text,
     strip_comment,
 )
@@ -179,6 +178,7 @@ class CompiledFormulas:
         self.free: list[tuple[str, ...]] = []  # sorted free variables per node
         self.slots: dict[str, int] = {}
         self._ids: dict[Formula, int] = {}
+        self._zero_rows: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def slot(self, var: str) -> int:
         return self.slots.setdefault(var, len(self.slots))
@@ -193,13 +193,15 @@ class CompiledFormulas:
             head = (ATOM, formula.pred, tuple(self.slot(x) for x in formula.args))
         elif isinstance(formula, Conn):
             children = tuple(self.add(arg) for arg in formula.args)
-            table = self.signature.connectives[formula.conn].table
-            width = len(formula.args)
-            zero_rows = tuple(
-                tuple((row >> (width - 1 - i)) & 1 for i in range(width))
-                for row, bit in enumerate(table)
-                if not bit
-            )
+            zero_rows = self._zero_rows.get(formula.conn)
+            if zero_rows is None:
+                table = self.signature.connectives[formula.conn].table
+                width = len(formula.args)
+                zero_rows = self._zero_rows[formula.conn] = tuple(
+                    tuple((row >> (width - 1 - i)) & 1 for i in range(width))
+                    for row, bit in enumerate(table)
+                    if not bit
+                )
             free = frozenset(x for child in children for x in self.free[child])
             head = (CONN, zero_rows, children)
         elif isinstance(formula, (Forall, Exists)):
@@ -222,46 +224,38 @@ class Frame:
     """A model's worlds, order and domains, with what evaluation derives from
     them alone.
 
-    A sequent's value at a point depends on the frame and the interpretation,
-    and bounded search yields long runs of models over one frame, so an
-    evaluator built with a shared frame skips this set-up. A frame holds the
-    world bits, the up-set of each world, the worlds whose domain holds each
-    element and, filled on demand, each world's assignments of a number of
-    variables and the worlds none of whose successors lies in a given set.
-    It reads no facts and never changes its values, only the tables it fills.
+    A frame holds the world bits, the up-set of each world, the worlds whose
+    domain holds each element and, filled on demand, each world's
+    assignments of a number of variables and the worlds none of whose
+    successors lies in a given set. It reads no facts, so the scalar
+    `Evaluator` of one model and the `SlicedEvaluator` of every
+    interpretation of a frame build it alike.
     """
 
-    def __init__(self, model: KripkeModel):
-        worlds = model.worlds
+    def __init__(
+        self,
+        worlds: tuple[str, ...],
+        order: frozenset[tuple[str, str]],
+        domains: dict[str, tuple[str, ...]],
+    ):
         self.worlds = worlds
-        self.order = model.order
-        # a copy, since `matches` must see a later change to the model's dict
-        self.domains = dict(model.domains)
+        self.domains = domains
         bits = [1 << i for i in range(len(worlds))]
         self.full = (1 << len(worlds)) - 1
         self.bit = dict(zip(worlds, bits))
         ups = self.bit.copy()
-        for a, b in model.order:
+        for a, b in order:
             ups[a] |= self.bit[b]
         self.ups = tuple(zip(bits, ups.values()))
         self.named = tuple(zip(bits, worlds))
         # element -> the worlds whose domain holds it
         self.present: dict[str, int] = {}
         for w, bit in zip(worlds, bits):
-            for e in self.domains[w]:
+            for e in domains[w]:
                 self.present[e] = self.present.get(e, 0) | bit
         self.elements = tuple(self.present.items())
         self._points: dict[int, tuple] = {}
         self._above: dict[int, int] = {}
-        self._connectives: dict[CompiledFormulas, dict] = {}
-
-    def matches(self, model: KripkeModel) -> bool:
-        """Whether `model` has this frame's worlds, order and domains."""
-        return (
-            model.worlds == self.worlds
-            and model.order == self.order
-            and model.domains == self.domains
-        )
 
     def points(self, count: int) -> tuple[tuple[int, str, tuple[tuple[str, ...], ...]], ...]:
         """Per world in declaration order, `(bit, world, assignments)`, where
@@ -286,34 +280,23 @@ class Frame:
             self._above[bad] = got
         return got
 
-    def connectives(self, compiled: CompiledFormulas) -> dict:
-        """The label of each connective node of `compiled` on this frame,
-        keyed by (node id, its children's labels), as far as known."""
-        return self._connectives.setdefault(compiled, {})
-
 
 @dataclass
 class CompiledSequent:
-    """A sequent's formulas compiled once, for evaluation on many models.
-
-    `frame` is the frame of the last model `find_refutation` evaluated with
-    it, reused while the models that follow have equal worlds, order and
-    domains.
-    """
+    """A sequent's formulas compiled once, for evaluation on many models."""
 
     formulas: CompiledFormulas
     antecedent: tuple[int, ...]
     succedent: tuple[int, ...]
     variables: tuple[str, ...]  # the sequent's free variables, sorted
     slots: tuple[int, ...]
-    frame: Optional[Frame] = field(default=None, compare=False, repr=False)
 
 
 def compile_sequent(signature: Signature, sequent: Sequent) -> CompiledSequent:
     formulas = CompiledFormulas(signature)
     antecedent = tuple(formulas.add(f) for f in sequent.antecedent)
     succedent = tuple(formulas.add(f) for f in sequent.succedent)
-    variables = tuple(sorted(sequent_free_vars(sequent)))
+    variables = tuple(sorted({x for node in antecedent + succedent for x in formulas.free[node]}))
     slots = tuple(formulas.slot(x) for x in variables)
     return CompiledSequent(formulas, antecedent, succedent, variables, slots)
 
@@ -322,10 +305,10 @@ class Evaluator:
     """Evaluates formulas on one validated model.
 
     Formulas are compiled on first use into `compiled`, which may be shared
-    with other evaluators over the same signature. `frame` is `Frame(model)`
-    or a frame whose `matches(model)` holds; it is built when not given.
-    Labels are memoized, so a shared compiled form or frame never changes
-    values, only speed. Construction reads no facts.
+    with other evaluators over the same signature. Labels are memoized, and
+    so are connective labels by their children's labels, so a shared
+    compiled form never changes values, only speed. Construction reads no
+    facts.
     """
 
     def __init__(
@@ -333,17 +316,16 @@ class Evaluator:
         model: KripkeModel,
         signature: Signature,
         compiled: Optional[CompiledFormulas] = None,
-        frame: Optional[Frame] = None,
     ):
         self.model = model
         self.signature = signature
         self.compiled = CompiledFormulas(signature) if compiled is None else compiled
-        self.frame = Frame(model) if frame is None else frame
+        self.frame = Frame(model.worlds, model.order, model.domains)
         self._full = self.frame.full
         self._named = self.frame.named
         self._elements = self.frame.elements
         self._above_none_of = self.frame.above_none_of
-        self._connectives = self.frame.connectives(self.compiled)
+        self._connectives: dict = {}
         self._nodes = self.compiled.nodes
         self._memo: dict = {}
 
@@ -447,6 +429,116 @@ class Evaluator:
         return mask
 
 
+class SlicedEvaluator:
+    """Labels every interpretation of one frame at once, by bit-slicing
+    (Biham, "A fast new DES implementation in software", FSE 1997).
+
+    The models of a batch share the frame and differ only in their facts.
+    Model m owns bit m of a Python int, and a label is a tuple of such ints,
+    one plane per world: bit m of plane i is the value at world i in model
+    m. `atoms` maps `(pred, args)` to the planes of that atom (all 0 when
+    absent), and `full` has one bit per model. Connectives and quantifiers
+    take the steps of `Evaluator` plane by plane, with complement taken
+    within `full`, and labels are memoized by (node id, assigned elements)
+    as there, so a label that depends on few atoms is shared by every model
+    that agrees on them at no extra cost.
+    """
+
+    def __init__(self, compiled: CompiledFormulas, frame: Frame, atoms: dict, full: int):
+        count = len(frame.worlds)
+        self._nodes = compiled.nodes
+        self._slot_count = len(compiled.slots)
+        self._frame = frame
+        self._atoms = atoms
+        self._full = full
+        self._worlds = range(count)
+        self._zero = (0,) * count
+        # per world, the indices of its up-set; per element, of its holders
+        self._ups = tuple(tuple(j for j in range(count) if up >> j & 1) for _, up in frame.ups)
+        self._holders = tuple(
+            (e, tuple(j for j in range(count) if present >> j & 1))
+            for e, present in frame.elements
+        )
+        self._memo: dict = {}
+
+    def refuting_models(self, sequent: CompiledSequent) -> int:
+        """The models, as bits, that some point refutes: a world and an
+        assignment from its domain where every antecedent formula is 1 and
+        every succedent one 0."""
+        env: list = [None] * self._slot_count
+        slots = sequent.slots
+        refuting: dict[tuple[str, ...], tuple[int, ...]] = {}
+        hits = 0
+        for i, (_, _, combos) in enumerate(self._frame.points(len(slots))):
+            for combo in combos:
+                planes = refuting.get(combo)
+                if planes is None:
+                    for slot, e in zip(slots, combo):
+                        env[slot] = e
+                    planes = refuting[combo] = self._refuting(sequent, env)
+                hits |= planes[i]
+        return hits
+
+    def _refuting(self, sequent: CompiledSequent, env: list) -> tuple[int, ...]:
+        full = self._full
+        planes = (full,) * len(self._zero)
+        for nodes, flip in ((sequent.antecedent, 0), (sequent.succedent, full)):
+            for node in nodes:
+                planes = tuple([p & (flip ^ q) for p, q in zip(planes, self._label(node, env))])
+                if not any(planes):
+                    return planes
+        return planes
+
+    def _above_none_of(self, bad: list[int]) -> tuple[int, ...]:
+        """Per world, the models where no successor lies in `bad`."""
+        full = self._full
+        out = []
+        for up in self._ups:
+            hit = 0
+            for j in up:
+                hit |= bad[j]
+            out.append(full ^ hit)
+        return tuple(out)
+
+    def _label(self, node: int, env: list) -> tuple[int, ...]:
+        kind, a, b, key = self._nodes[node]
+        memo_key = node if key is None else (node, key(env))
+        memo = self._memo
+        got = memo.get(memo_key)
+        if got is not None:
+            return got
+        full = self._full
+        if kind == ATOM:
+            planes = self._atoms.get((a, tuple([env[slot] for slot in b])), self._zero)
+        elif kind == CONN:
+            labels = [self._label(child, env) for child in b]
+            bad = []
+            for i in self._worlds:
+                acc = 0
+                for row in a:
+                    cell = full
+                    for label, one in zip(labels, row):
+                        cell &= label[i] if one else full ^ label[i]
+                    acc |= cell
+                bad.append(acc)
+            planes = self._above_none_of(bad)
+        else:
+            # forall collects the models where the body is 0, exists those
+            # where it is 1
+            flip = full if kind == FORALL else 0
+            saved = env[a]
+            acc = [0] * len(self._zero)
+            for e, holders in self._holders:
+                env[a] = e
+                body = self._label(b, env)
+                for j in holders:
+                    acc[j] |= flip ^ body[j]
+            env[a] = saved
+            planes = self._above_none_of(acc) if kind == FORALL else tuple(acc)
+        memo[memo_key] = planes
+        return planes
+
+
 def eval_formula(
     model: KripkeModel,
     signature: Signature,
@@ -469,15 +561,11 @@ def find_refutation(
     Worlds are scanned in declaration order, assignments with variables in
     sorted order and elements in declaration order; returns None when the
     model validates the sequent. `compiled`, from `compile_sequent(signature,
-    sequent)`, saves compiling the sequent again for every model, and its
-    `frame` saves building the frame again while consecutive models share one.
+    sequent)`, saves compiling the sequent again.
     """
     if compiled is None:
         compiled = compile_sequent(signature, sequent)
-    frame = compiled.frame
-    if frame is None or not frame.matches(model):
-        frame = compiled.frame = Frame(model)
-    return Evaluator(model, signature, compiled.formulas, frame).refutation(compiled)
+    return Evaluator(model, signature, compiled.formulas).refutation(compiled)
 
 
 def classical_eval(

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from kripkebench import cli
+from kripkebench import cli, search
 from kripkebench.cli import main
-from kripkebench.semantics import parse_model_text
+from kripkebench.semantics import KripkeModel, parse_model_text
 
 
 OR_SEQUENT = (
@@ -115,6 +116,55 @@ class TestDecide:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "max_worlds, max_domain, cap",
+        [
+            ("16", "1", f"{search.MAX_FRAMES} frames"),
+            ("8", "2", f"{search.MAX_MODELS} models"),
+        ],
+    )
+    def test_search_past_its_caps_is_usage_error(
+        self, tmp_path, capsys, max_worlds, max_domain, cap
+    ):
+        # within the budget of 16, but a valid sequent is searched to the
+        # end: far more frames or models than any test or workload searches
+        path = tmp_path / "valid.seq"
+        path.write_text("pred p 1\nsequent: forall x. p(x) => exists x. p(x)\n")
+        started = time.monotonic()
+        code = main(
+            [
+                "decide", "--mode", "kripke", "--seq", str(path),
+                "--max-worlds", max_worlds, "--max-domain", max_domain,
+            ]
+        )
+        assert time.monotonic() - started < 10
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the search has more than {cap}; lower the bounds\n"
+
+    def test_inconsistent_countermodel_is_never_printed(
+        self, or_seq_file, capsys, monkeypatch
+    ):
+        # a planted wrong decode: the model without facts validates the sequent
+        monkeypatch.setattr(
+            search,
+            "decode_model",
+            lambda frame, index: KripkeModel(
+                frame.worlds, frame.order, frame.domains, frozenset()
+            ),
+        )
+        code = main(
+            [
+                "decide", "--mode", "kripke", "--seq", or_seq_file,
+                "--max-worlds", "2", "--max-domain", "2", "--shape", "tree",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: inconsistent search: ")
+
 
 
 class TestSynthesizeCommand:
@@ -194,6 +244,25 @@ class TestUnravelCommand:
         )
         assert main(["unravel", "--stutter", "30", str(path)]) == 2
         assert "more than 50000 nodes" in capsys.readouterr().err
+
+    def test_strict_past_the_node_cap_is_usage_error(self, tmp_path, capsys):
+        # a ladder of 14 diamonds b_i < l_i, r_i < b_{i+1} has 2^16 - 3
+        # covering paths from b0
+        rungs = 14
+        worlds = [f"b{i}" for i in range(rungs + 1)]
+        worlds += [f"{side}{i}" for i in range(rungs) for side in "lr"]
+        lines = ["worlds: " + " ".join(worlds)]
+        for i in range(rungs):
+            for side in "lr":
+                lines.append(f"order: b{i} {side}{i}")
+                lines.append(f"order: {side}{i} b{i + 1}")
+        lines += [f"domain {w}: a" for w in worlds]
+        path = tmp_path / "ladder.model"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["unravel", "--strict", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the unraveled tree has more than 50000 nodes\n"
 
 
 class TestCompleteCommand:

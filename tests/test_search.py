@@ -1,23 +1,29 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from kripkebench import search
 from kripkebench.search import (
     SHAPES,
+    InconsistentVerdictError,
     Refuted,
     SearchBounds,
     ValidUpToBounds,
     check_relations_on_corpus,
     classify_connectives,
     decide,
+    decode_model,
+    enumerate_frames,
     enumerate_models,
+    first_refuted,
     random_formula,
     report_relations,
     sequent_corpus,
 )
 from kripkebench.semantics import (
     Evaluator,
+    KripkeModel,
     compile_sequent,
     find_refutation,
     is_constant_domain,
@@ -33,6 +39,7 @@ from util import (
     naive_refutation,
     poset_orders_by_masks,
     reference_enumerate_models,
+    upward_closed_subsets_by_masks,
 )
 
 
@@ -146,6 +153,17 @@ class TestEnumeration:
             counts.append((len(got), len(rooted)))
         assert counts == [(1, 1), (2, 1), (7, 2), (40, 7), (357, 40)]
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_upward_closed_subsets_equal_the_mask_scan(self, shape):
+        # every order of the shape up to 4 worlds, every set of candidates
+        for n in range(1, 5):
+            for order in search._ORDER_GENERATORS[shape](n):
+                for size in range(n + 1):
+                    for candidates in itertools.combinations(range(n), size):
+                        assert search._upward_closed_subsets(
+                            candidates, order
+                        ) == upward_closed_subsets_by_masks(candidates, order)
+
 
 class TestDecide:
     def test_double_negation_refuted_on_chain(self):
@@ -209,19 +227,22 @@ class TestDecide:
         self, monkeypatch, max_worlds, max_domain, evaluated
     ):
         # rooted orders and prefix root domains only: 9,833, 369,488 and
-        # 257,289 models in the unreduced stream
-        calls = []
+        # 257,289 models in the unreduced stream; a valid verdict labels
+        # every model of the rooted stream, frame by frame
+        labelled = []
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return find_refutation(*args, **kwargs)
+        def counting(frame, compiled):
+            labelled.append(frame.size)
+            return first_refuted(frame, compiled)
 
-        monkeypatch.setattr(search, "find_refutation", counting)
+        monkeypatch.setattr(search, "first_refuted", counting)
         sig = Signature({"p": 1, "r": 0}, {"xor": builtin("xor")})
         s = parse_sequent("forall x. xor(p(x), r) => xor(forall x. p(x), r)", sig)
-        verdict = decide(sig, s, "kripke", SearchBounds(max_worlds, max_domain, "poset"))
+        bounds = SearchBounds(max_worlds, max_domain, "poset")
+        verdict = decide(sig, s, "kripke", bounds)
         assert isinstance(verdict, ValidUpToBounds)
-        assert len(calls) == evaluated
+        assert sum(1 for _ in enumerate_models(sig, bounds)) == evaluated
+        assert sum(labelled) == evaluated
 
 
 class TestCensus:
@@ -425,3 +446,147 @@ class TestDecideAgainstNaiveOracle:
             assert find_refutation(model, sig, s, compiled=compiled) == naive_refutation(
                 model, sig, s
             )
+
+
+def _corpus_signature():
+    return Signature(
+        {"p": 1, "q": 1, "r": 0},
+        {"not": builtin("not"), "and": builtin("and"), "imp": builtin("imp")},
+    )
+
+
+class TestBitSlicedSearch:
+    """`decide` labels every model of a frame at once; model m of a frame's
+    slot product is bit m of each plane."""
+
+    @pytest.mark.parametrize(
+        "mode, bounds",
+        [
+            ("kripke", SearchBounds(2, 2, "poset")),
+            ("cd", SearchBounds(3, 1, "tree")),
+            ("kripke", SearchBounds(2, 2, "any-preorder")),
+        ],
+    )
+    def test_each_frame_against_its_decoded_models(self, mode, bounds):
+        # per frame, not only the first refuted one: the frame's models in
+        # the stream are its decoded models in index order, and the index
+        # `first_refuted` gives is the first one the scalar evaluator refutes
+        sig = _corpus_signature()
+        bounds = replace(bounds, constant_domain=mode == "cd")
+        frames = refuted = 0
+        for s in sequent_corpus(sig, 2024, 12):
+            compiled = compile_sequent(sig, s)
+            models = enumerate_models(sig, bounds)
+            for frame in enumerate_frames(sig, bounds):
+                decoded = [decode_model(frame, m) for m in range(frame.size)]
+                assert decoded == list(itertools.islice(models, frame.size))
+                want = next(
+                    (
+                        m
+                        for m, model in enumerate(decoded)
+                        if find_refutation(model, sig, s, compiled=compiled) is not None
+                    ),
+                    None,
+                )
+                assert first_refuted(frame, compiled) == want
+                frames += 1
+                refuted += want is not None
+            assert next(models, None) is None
+        assert 0 < refuted < frames
+
+    @pytest.mark.parametrize(
+        "text, mode, bounds, position",
+        [
+            ("not(not(p)) => p", "kripke", SearchBounds(2, 1, "chain"), 3),
+            ("=> or(p, not(p))", "kripke", SearchBounds(3, 1, "poset"), 3),
+            ("exists x. p(x) => forall x. p(x)", "cd", SearchBounds(2, 2, "tree"), 3),
+            ("forall x. or(p(x), q) => or(forall x. p(x), q)", "kripke",
+             SearchBounds(2, 2, "tree"), 34),
+        ],
+    )
+    def test_stream_position_of_the_first_countermodel(self, text, mode, bounds, position):
+        # the decoded countermodel sits where a model-by-model scan of
+        # `enumerate_models` first finds one
+        sig = Signature(
+            {"p": 1 if "p(x)" in text else 0, "q": 0},
+            {"not": builtin("not"), "or": builtin("or")},
+        )
+        s = parse_sequent(text, sig)
+        verdict = decide(sig, s, mode, bounds)
+        assert isinstance(verdict, Refuted)
+        effective = replace(bounds, constant_domain=mode == "cd")
+        stream = enumerate_models(search._restrict_to_sequent(sig, compile_sequent(sig, s)), effective)
+        scan = next(
+            m
+            for m, model in enumerate(stream)
+            if find_refutation(model, sig, s) is not None
+        )
+        models = enumerate_models(search._restrict_to_sequent(sig, compile_sequent(sig, s)), effective)
+        assert next(itertools.islice(models, scan, None)) == verdict.model
+        assert scan == position
+
+    @pytest.mark.parametrize("cap", [1, 3, 4])
+    def test_tiny_chunk_cap_against_naive_decide(self, monkeypatch, cap):
+        # most frames span several chunks, so countermodels straddle chunk
+        # boundaries and sit in chunks past the first
+        monkeypatch.setattr(search, "CHUNK_BITS", cap)
+        found = []
+
+        def recording(frame, compiled):
+            index = first_refuted(frame, compiled)
+            if index is not None:
+                found.append(index)
+            return index
+
+        monkeypatch.setattr(search, "first_refuted", recording)
+        sig = _corpus_signature()
+        bounds = SearchBounds(2, 2, "tree")
+        for s in sequent_corpus(sig, 2024, 40):
+            for mode in ("cd", "kripke"):
+                assert decide(sig, s, mode, bounds) == naive_decide(sig, s, mode, bounds)
+        assert any(index >= cap for index in found)
+
+    def test_wrong_decode_raises(self, monkeypatch):
+        sig = Signature({"p": 0}, {"not": builtin("not")})
+        s = parse_sequent("not(not(p)) => p", sig)
+        bounds = SearchBounds(2, 1, "chain")
+        # a valid model that validates the sequent
+        monkeypatch.setattr(
+            search,
+            "decode_model",
+            lambda frame, index: KripkeModel(
+                frame.worlds, frame.order, frame.domains, frozenset()
+            ),
+        )
+        with pytest.raises(InconsistentVerdictError, match="scalar evaluator validates"):
+            decide(sig, s, "kripke", bounds)
+        # an invalid model: p holds at w0 but not at w1 above it
+        monkeypatch.setattr(
+            search,
+            "decode_model",
+            lambda frame, index: KripkeModel(
+                frame.worlds, frame.order, frame.domains, frozenset({("w0", "p", ())})
+            ),
+        )
+        with pytest.raises(InconsistentVerdictError, match="heredity violated"):
+            decide(sig, s, "kripke", bounds)
+
+    def test_caps_on_frames_and_models(self, monkeypatch):
+        sig = Signature({"p": 1}, {})
+        s = parse_sequent("forall x. p(x) => exists x. p(x)", sig)
+        bounds = SearchBounds(3, 1, "poset")
+        assert isinstance(decide(sig, s, "kripke", bounds), ValidUpToBounds)
+        # frames of 2, 3, 5 and 4 models: one world, a chain of two, and the
+        # two rooted orders on three; a cap is the most a search may pass
+        sizes = [frame.size for frame in enumerate_frames(sig, bounds)]
+        assert sizes == [2, 3, 5, 4]
+        monkeypatch.setattr(search, "MAX_FRAMES", len(sizes))
+        monkeypatch.setattr(search, "MAX_MODELS", sum(sizes))
+        assert isinstance(decide(sig, s, "kripke", bounds), ValidUpToBounds)
+        monkeypatch.setattr(search, "MAX_FRAMES", len(sizes) - 1)
+        with pytest.raises(ValueError, match=f"more than {len(sizes) - 1} frames"):
+            decide(sig, s, "kripke", bounds)
+        monkeypatch.setattr(search, "MAX_FRAMES", len(sizes))
+        monkeypatch.setattr(search, "MAX_MODELS", sum(sizes) - 1)
+        with pytest.raises(ValueError, match=f"more than {sum(sizes) - 1} models"):
+            decide(sig, s, "kripke", bounds)

@@ -20,7 +20,6 @@ from kripkebench.search import (
     _nonempty_subsets,
     _preorder_orders,
     _tree_orders,
-    _upward_closed_subsets,
 )
 from kripkebench.semantics import (
     KripkeModel,
@@ -185,6 +184,18 @@ def poset_orders_by_masks(n):
             yield frozenset(strict) | frozenset((i, i) for i in range(n))
 
 
+def upward_closed_subsets_by_masks(candidates, order):
+    """The subsets of `candidates` closed upward under `order` within them,
+    by a scan of all masks over candidate positions, in increasing mask
+    order."""
+    out = []
+    for mask in range(1 << len(candidates)):
+        chosen = {candidates[k] for k in range(len(candidates)) if (mask >> k) & 1}
+        if all((w, v) not in order or v in chosen for w in chosen for v in candidates):
+            out.append(frozenset(chosen))
+    return out
+
+
 REFERENCE_ORDERS = {
     "chain": _chain_orders,
     "tree": _tree_orders,
@@ -227,7 +238,7 @@ def reference_enumerate_models(signature, bounds):
                         if not valid:
                             continue
                         slots.append(
-                            (pred, args, _upward_closed_subsets(valid, index_order))
+                            (pred, args, upward_closed_subsets_by_masks(valid, index_order))
                         )
                 for choice in itertools.product(*(options for _, _, options in slots)):
                     facts = frozenset(
