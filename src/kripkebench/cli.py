@@ -285,6 +285,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_report_relations(args) -> int:
+    if args.corpus < 0:
+        raise ValueError(f"--corpus must be at least 0, not {args.corpus}")
     if args.sig:
         with open(args.sig, encoding="utf-8") as handle:
             signature = parse_signature(handle.read())

@@ -14,10 +14,11 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .semantics import (
     ATOM,
+    CompiledFormulas,
     CompiledSequent,
+    Evaluator,
     Frame,
     KripkeModel,
-    SlicedEvaluator,
     compile_sequent,
     find_refutation,
     validate_model,
@@ -127,16 +128,31 @@ def _poset_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 
 def _preorder_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+    # the transitive sets of strict pairs, in increasing mask order over the
+    # pairs (i, j), i != j, in lexicographic order. Pairs are decided from
+    # the most significant bit down, each left out before it is put in. A
+    # branch lives while the transitive closure of its chosen pairs holds no
+    # left-out pair; then that closure completes it, so no branch dies late.
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(1 << len(pairs)):
-        strict = {pairs[k] for k in range(len(pairs)) if (mask >> k) & 1}
-        if all(
-            (a, d) in strict or a == d
-            for (a, b) in strict
-            for (c, d) in strict
-            if b == c
-        ):
-            yield frozenset(strict) | frozenset((i, i) for i in range(n))
+    reflexive = frozenset((i, i) for i in range(n))
+
+    # reach[i]: the worlds the chosen pairs lead to from i, as a bitmask;
+    # out[i]: the same for the left-out pairs
+    def extend(k: int, reach: tuple[int, ...], out: tuple[int, ...]):
+        if k < 0:
+            yield frozenset((i, j) for i, j in pairs if reach[i] >> j & 1) | reflexive
+            return
+        a, b = pairs[k]
+        if not reach[a] >> b & 1:
+            yield from extend(k - 1, reach, out[:a] + (out[a] | 1 << b,) + out[a + 1 :])
+        gained = 1 << b | reach[b]
+        grown = tuple(
+            r | gained if i == a or r >> a & 1 else r for i, r in enumerate(reach)
+        )
+        if not any(r & o for r, o in zip(grown, out)):
+            yield from extend(k - 1, grown, out)
+
+    yield from extend(len(pairs) - 1, (0,) * n, (0,) * n)
 
 
 _ORDER_GENERATORS = {
@@ -204,10 +220,16 @@ class SlottedFrame(NamedTuple):
 
 
 def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[SlottedFrame]:
-    """The frames of `enumerate_models`, in its order, with their fact slots."""
+    """The frames of `enumerate_models`, in its order, with their fact slots.
+
+    Raises ValueError before the stream passes MAX_FRAMES frames or
+    MAX_MODELS models. Models are counted slot by slot, so a frame past the
+    cap is never built to the end.
+    """
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
     prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
     subsets = [] if bounds.constant_domain else _nonempty_subsets(universe)
+    frames = models = 0
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         for index_order in _ORDER_GENERATORS[bounds.shape](n):
@@ -227,11 +249,18 @@ def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[Slo
             # upward-closed subsets of the worlds where a slot is defined
             closed: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
             for combo in domain_choices:
+                frames += 1
+                if frames > MAX_FRAMES:
+                    raise ValueError(
+                        f"the search has more than {MAX_FRAMES} frames; lower the bounds"
+                    )
                 held = [set(domain) for domain in combo]
+                # a slot's arguments lie in some domain, so in their union
+                elements = tuple(e for e in universe if any(e in h for h in held))
                 slots = []
                 size = 1
                 for pred, arity in signature.predicates.items():
-                    for args in itertools.product(universe, repeat=arity):
+                    for args in itertools.product(elements, repeat=arity):
                         valid = tuple(i for i in range(n) if held[i].issuperset(args))
                         if not valid:
                             continue
@@ -242,6 +271,11 @@ def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[Slo
                             )
                         slots.append((pred, args, options))
                         size *= len(options)
+                        if models + size > MAX_MODELS:
+                            raise ValueError(
+                                f"the search has more than {MAX_MODELS} models; lower the bounds"
+                            )
+                models += size
                 domains = {worlds[i]: combo[i] for i in range(n)}
                 yield SlottedFrame(worlds, order, domains, tuple(slots), size)
 
@@ -296,45 +330,56 @@ def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[in
     """The index in the frame's slot product of the first model that refutes
     the sequent, or None.
 
-    Bit m of a chunk is model m of the chunk's part of the product, so the
-    lowest set bit of the refuted models is the first countermodel. A chunk
-    holds at most CHUNK_BITS models: the leading slots are fixed per chunk,
-    in product order, and the trailing ones vary within it. An atom's planes
-    on a varying slot are periodic: with `stride` the product of the sizes
-    of the slots after it, option o fills bits [o * stride, (o + 1) * stride)
-    of each period, and one multiplication repeats that block.
+    Bit m of a chunk's blocks is model m of the chunk's part of the product,
+    so the lowest set bit of the refuted models is the first countermodel.
+    """
+    for start, evaluator in _chunks(frame, compiled.formulas):
+        hits = evaluator.refuted_models(compiled)
+        if hits:
+            return start + (hits & -hits).bit_length() - 1
+    return None
+
+
+def _chunks(frame: SlottedFrame, compiled: CompiledFormulas) -> Iterator[tuple[int, Evaluator]]:
+    """The frame's models in chunks of at most CHUNK_BITS, in product order,
+    each as the index of its first model and an evaluator of the chunk.
+
+    The leading slots are fixed per chunk, and the trailing ones vary within
+    it. An atom's block on a varying slot is periodic: with `stride` the
+    product of the sizes of the slots after it, option o fills bits
+    [o * stride, (o + 1) * stride) of each period, and one multiplication
+    repeats that period across the block.
     """
     split, inner = 0, frame.size
     while inner > CHUNK_BITS:
         inner //= len(frame.slots[split][2])
         split += 1
-    count = len(frame.worlds)
-    full = (1 << inner) - 1
-    varying: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
+    labelled = Frame(frame.worlds, frame.order, frame.domains, inner)
+    ones = labelled.ones
+    offsets = [offset for offset, _ in labelled.named]
+    varying: dict[tuple[str, tuple[str, ...]], int] = {}
     stride = 1
     for pred, args, options in reversed(frame.slots[split:]):
         period = stride * len(options)
-        repeat = full // ((1 << period) - 1)
-        ones = (1 << stride) - 1
-        blocks = [0] * count
+        repeat = ones // ((1 << period) - 1)
+        unit = (1 << stride) - 1
+        periods = [0] * len(offsets)
         for o, chosen in enumerate(options):
             for i in chosen:
-                blocks[i] |= ones << (o * stride)
-        varying[pred, args] = tuple([repeat * block for block in blocks])
+                periods[i] |= unit << (o * stride)
+        label = 0
+        for offset, bits in zip(offsets, periods):
+            label |= repeat * bits << offset
+        varying[pred, args] = label
         stride = period
-    kripke_frame = Frame(frame.worlds, frame.order, frame.domains)
     leading = frame.slots[:split]
     for chunk, choice in enumerate(itertools.product(*(options for _, _, options in leading))):
         atoms = varying
         if choice:
             atoms = dict(varying)
             for (pred, args, _), chosen in zip(leading, choice):
-                atoms[pred, args] = tuple(full if i in chosen else 0 for i in range(count))
-        evaluator = SlicedEvaluator(compiled.formulas, kripke_frame, atoms, full)
-        hits = evaluator.refuting_models(compiled)
-        if hits:
-            return chunk * inner + (hits & -hits).bit_length() - 1
-    return None
+                atoms[pred, args] = sum(ones << offsets[i] for i in chosen)
+        yield chunk * inner, Evaluator.of_frame(compiled, labelled, atoms)
 
 
 def _restrict_to_sequent(signature: Signature, compiled: CompiledSequent) -> Signature:
@@ -356,7 +401,7 @@ def decide(
     one-world models. Returns the first countermodel in construction order,
     else ValidUpToBounds. Each frame's models are labelled at once by
     `first_refuted`; only the first countermodel is decoded, and it is
-    re-checked by `validate_model` and the scalar `find_refutation`, which
+    re-checked by `validate_model` and `find_refutation` at width 1, which
     also gives its world and assignment. A search that would pass MAX_FRAMES
     frames or MAX_MODELS models raises ValueError before it does.
     """
@@ -369,14 +414,7 @@ def decide(
         effective = replace(bounds, max_worlds=1)
     compiled = compile_sequent(signature, sequent)
     search_signature = _restrict_to_sequent(signature, compiled)
-    frames = models = 0
     for frame in enumerate_frames(search_signature, effective):
-        frames += 1
-        models += frame.size
-        if frames > MAX_FRAMES:
-            raise ValueError(f"the search has more than {MAX_FRAMES} frames; lower the bounds")
-        if models > MAX_MODELS:
-            raise ValueError(f"the search has more than {MAX_MODELS} models; lower the bounds")
         index = first_refuted(frame, compiled)
         if index is not None:
             return _rechecked(decode_model(frame, index), signature, sequent, compiled)

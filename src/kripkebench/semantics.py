@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .syntax import (
     Atom,
@@ -142,15 +142,19 @@ def is_constant_domain(model: KripkeModel) -> bool:
 
 # --- compiled evaluation ------------------------------------------------------
 #
-# A formula is compiled once into integer nodes, and a model is labelled as in
+# A formula is compiled once into integer nodes, and models are labelled as in
 # the labelling algorithm of CTL model checking (Clarke, Emerson & Sistla,
 # TOPLAS 1986): the label of a subformula under an assignment of its free
-# variables is the set of worlds where it takes value 1, held as a bitmask
-# over the model's worlds and computed from its children's labels. Labels are
-# computed on demand and memoized per model by (node id, elements at the
-# node's free-variable slots). A label may have any bits at worlds whose
-# domain misses an assigned element; no value at a world where the assignment
-# is defined ever reads them, because domains grow along the order.
+# variables is where it takes value 1, computed from its children's labels.
+# One label covers `width` models of one frame at once, by bit-slicing (Biham,
+# "A fast new DES implementation in software", FSE 1997): it is one int in
+# world-major blocks of `width` bits, and bit `i * width + m` is the value at
+# world i in model m. With width 1 it is the bitmask of the worlds of one
+# model. Labels are computed on demand and memoized per evaluator by (node id,
+# elements at the node's free-variable slots). A label may have any bits at
+# worlds whose domain misses an assigned element; no value at a world where
+# the assignment is defined ever reads them, because domains grow along the
+# order.
 
 ATOM, CONN, FORALL, EXISTS = range(4)
 
@@ -168,8 +172,7 @@ class CompiledFormulas:
     - `(FORALL, bound slot, body id, key)` and the same for `EXISTS`
 
     where `key` is an `itemgetter` of the node's free-variable slots (None for
-    a closed node). Nodes hold only tuples, ints, strings and itemgetters, so
-    a compiled form pickles for worker processes.
+    a closed node).
     """
 
     def __init__(self, signature: Signature):
@@ -221,15 +224,14 @@ class CompiledFormulas:
 
 
 class Frame:
-    """A model's worlds, order and domains, with what evaluation derives from
-    them alone.
+    """A frame's worlds, order and domains, with what labelling `width`
+    models of it at once derives from them alone.
 
-    A frame holds the world bits, the up-set of each world, the worlds whose
-    domain holds each element and, filled on demand, each world's
-    assignments of a number of variables and the worlds none of whose
-    successors lies in a given set. It reads no facts, so the scalar
-    `Evaluator` of one model and the `SlicedEvaluator` of every
-    interpretation of a frame build it alike.
+    A frame holds, per world, the offset of its block and the offsets of the
+    worlds below it; per element, the blocks of the worlds whose domain
+    holds it; and, filled on demand, each world's assignments. It reads no
+    facts, so the evaluators of every chunk of a frame's interpretations
+    share it.
     """
 
     def __init__(
@@ -237,47 +239,39 @@ class Frame:
         worlds: tuple[str, ...],
         order: frozenset[tuple[str, str]],
         domains: dict[str, tuple[str, ...]],
+        width: int = 1,
     ):
-        self.worlds = worlds
         self.domains = domains
-        bits = [1 << i for i in range(len(worlds))]
-        self.full = (1 << len(worlds)) - 1
-        self.bit = dict(zip(worlds, bits))
-        ups = self.bit.copy()
+        self.width = width
+        self.ones = (1 << width) - 1
+        self.full = (1 << len(worlds) * width) - 1
+        offsets = [i * width for i in range(len(worlds))]
+        self.offset = dict(zip(worlds, offsets))
+        # per world, its offset and the offsets of the worlds below it, which
+        # the up-set step shifts the world's block to
+        below = {w: {offset} for w, offset in self.offset.items()}
         for a, b in order:
-            ups[a] |= self.bit[b]
-        self.ups = tuple(zip(bits, ups.values()))
-        self.named = tuple(zip(bits, worlds))
-        # element -> the worlds whose domain holds it
+            below[b].add(self.offset[a])
+        self.below = tuple((self.offset[w], tuple(below[w])) for w in worlds)
+        self.named = tuple(zip(offsets, worlds))
+        # element -> the blocks of the worlds whose domain holds it
         self.present: dict[str, int] = {}
-        for w, bit in zip(worlds, bits):
+        for offset, w in self.named:
             for e in domains[w]:
-                self.present[e] = self.present.get(e, 0) | bit
+                self.present[e] = self.present.get(e, 0) | self.ones << offset
         self.elements = tuple(self.present.items())
         self._points: dict[int, tuple] = {}
-        self._above: dict[int, int] = {}
 
     def points(self, count: int) -> tuple[tuple[int, str, tuple[tuple[str, ...], ...]], ...]:
-        """Per world in declaration order, `(bit, world, assignments)`, where
-        the assignments are the tuples of `count` elements of its domain in
-        the scan order of `find_refutation`."""
+        """Per world in declaration order, `(offset, world, assignments)`,
+        where the assignments are the tuples of `count` elements of its
+        domain in the scan order of `find_refutation`."""
         got = self._points.get(count)
         if got is None:
             got = self._points[count] = tuple(
-                (bit, w, tuple(itertools.product(self.domains[w], repeat=count)))
-                for bit, w in self.named
+                (offset, w, tuple(itertools.product(self.domains[w], repeat=count)))
+                for offset, w in self.named
             )
-        return got
-
-    def above_none_of(self, bad: int) -> int:
-        """The worlds none of whose successors lies in `bad`."""
-        got = self._above.get(bad)
-        if got is None:
-            got = 0
-            for bit, up in self.ups:
-                if not up & bad:
-                    got |= bit
-            self._above[bad] = got
         return got
 
 
@@ -302,13 +296,13 @@ def compile_sequent(signature: Signature, sequent: Sequent) -> CompiledSequent:
 
 
 class Evaluator:
-    """Evaluates formulas on one validated model.
+    """Labels `frame.width` interpretations of one frame at once.
 
+    `Evaluator(model, signature)` labels one validated model, a batch of
+    width 1, and `Evaluator.of_frame` a batch whose atom labels are given.
     Formulas are compiled on first use into `compiled`, which may be shared
-    with other evaluators over the same signature. Labels are memoized, and
-    so are connective labels by their children's labels, so a shared
-    compiled form never changes values, only speed. Construction reads no
-    facts.
+    with other evaluators over the same signature; a shared compiled form
+    never changes values, only speed.
     """
 
     def __init__(
@@ -317,32 +311,44 @@ class Evaluator:
         signature: Signature,
         compiled: Optional[CompiledFormulas] = None,
     ):
-        self.model = model
-        self.signature = signature
-        self.compiled = CompiledFormulas(signature) if compiled is None else compiled
-        self.frame = Frame(model.worlds, model.order, model.domains)
-        self._full = self.frame.full
-        self._named = self.frame.named
-        self._elements = self.frame.elements
-        self._above_none_of = self.frame.above_none_of
-        self._connectives: dict = {}
-        self._nodes = self.compiled.nodes
+        frame = Frame(model.worlds, model.order, model.domains)
+        atoms: dict[tuple[str, tuple[str, ...]], int] = {}
+        for w, pred, args in model.facts:
+            atoms[pred, args] = atoms.get((pred, args), 0) | 1 << frame.offset[w]
+        self._start(CompiledFormulas(signature) if compiled is None else compiled, frame, atoms)
+
+    @classmethod
+    def of_frame(
+        cls, compiled: CompiledFormulas, frame: Frame, atoms: dict[tuple[str, tuple[str, ...]], int]
+    ) -> Evaluator:
+        """An evaluator of `frame.width` models of the frame, where `atoms`
+        maps `(pred, args)` to the label of that atom (0 when absent)."""
+        evaluator = cls.__new__(cls)
+        evaluator._start(compiled, frame, atoms)
+        return evaluator
+
+    def _start(self, compiled: CompiledFormulas, frame: Frame, atoms: dict) -> None:
+        self.compiled = compiled
+        self.frame = frame
+        self._atoms = atoms
+        self._nodes = compiled.nodes
         self._memo: dict = {}
 
     def value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
-        bit = self.frame.bit.get(world)
-        if bit is None:
+        """The formula's value at the world in model 0 of the batch."""
+        offset = self.frame.offset.get(world)
+        if offset is None:
             raise ValueError(f"unknown world {world!r}")
         node = self.compiled.add(formula)
         for x in self.compiled.free[node]:
             if x not in assignment:
                 raise ValueError(f"unbound free variable {x!r}")
-            if not self.frame.present.get(assignment[x], 0) & bit:
+            if not self.frame.present.get(assignment[x], 0) >> offset & 1:
                 raise ValueError(
                     f"assignment sends {x!r} to {assignment[x]!r}, not in D({world})"
                 )
         env = [assignment.get(x) for x in self.compiled.slots]
-        return 1 if self._label(node, env) & bit else 0
+        return self._label(node, env) >> offset & 1
 
     def sequent_value(self, world: str, assignment: dict[str, str], sequent: Sequent) -> int:
         for f in sequent.antecedent:
@@ -354,25 +360,42 @@ class Evaluator:
         return 0
 
     def refutation(self, sequent: CompiledSequent) -> Optional[tuple[str, dict[str, str]]]:
-        """First point (world, assignment) where the sequent gets value 0,
-        in the scan order of `find_refutation`."""
+        """First point (world, assignment) where the sequent gets value 0 in
+        some model of the batch, in the scan order of `find_refutation`."""
+        for w, combo, _ in self._refuting_points(sequent):
+            return w, dict(zip(sequent.variables, combo))
+        return None
+
+    def refuted_models(self, sequent: CompiledSequent) -> int:
+        """The models, as the bits of one block, that some point refutes."""
+        hits = 0
+        for _, _, block in self._refuting_points(sequent):
+            hits |= block
+        return hits
+
+    def _refuting_points(
+        self, sequent: CompiledSequent
+    ) -> Iterator[tuple[str, tuple[str, ...], int]]:
+        """Each point (world, assignment) that refutes the sequent in some
+        model, in scan order, with the block of the models it refutes."""
         env: list = [None] * len(self.compiled.slots)
         slots = sequent.slots
+        ones = self.frame.ones
         refuting: dict[tuple[str, ...], int] = {}
-        for bit, w, combos in self.frame.points(len(slots)):
+        for offset, w, combos in self.frame.points(len(slots)):
             for combo in combos:
                 mask = refuting.get(combo)
                 if mask is None:
                     for slot, e in zip(slots, combo):
                         env[slot] = e
                     mask = refuting[combo] = self._refuting(sequent, env)
-                if mask & bit:
-                    return w, dict(zip(sequent.variables, combo))
-        return None
+                block = mask >> offset & ones
+                if block:
+                    yield w, combo, block
 
     def _refuting(self, sequent: CompiledSequent, env: list) -> int:
-        """The worlds where every antecedent formula is 1 and every succedent one 0."""
-        mask = self._full
+        """Where every antecedent formula is 1 and every succedent one 0."""
+        mask = self.frame.full
         for node in sequent.antecedent:
             mask &= self._label(node, env)
             if not mask:
@@ -383,6 +406,18 @@ class Evaluator:
                 return 0
         return mask
 
+    def _above_none_of(self, bad: int) -> int:
+        """Where no successor lies in `bad`: each world's block of `bad` is
+        shifted to the offset of every world below it."""
+        ones = self.frame.ones
+        hit = 0
+        for offset, below in self.frame.below:
+            block = bad >> offset & ones
+            if block:
+                for shift in below:
+                    hit |= block << shift
+        return self.frame.full ^ hit
+
     def _label(self, node: int, env: list) -> int:
         kind, a, b, key = self._nodes[node]
         memo_key = node if key is None else (node, key(env))
@@ -391,152 +426,33 @@ class Evaluator:
         if got is not None:
             return got
         if kind == ATOM:
-            args = tuple([env[slot] for slot in b])
-            facts = self.model.facts
-            mask = 0
-            for bit, w in self._named:
-                if (w, a, args) in facts:
-                    mask |= bit
+            mask = self._atoms.get((a, tuple([env[slot] for slot in b])), 0)
         elif kind == CONN:
-            labels = tuple([self._label(child, env) for child in b])
-            conn_key = (node, labels)
-            mask = self._connectives.get(conn_key)
-            if mask is None:
-                full = self._full
-                bad = 0
-                for row in a:
-                    cell = full
-                    for label, one in zip(labels, row):
-                        cell &= label if one else ~label
-                    bad |= cell
-                mask = self._connectives[conn_key] = self._above_none_of(bad)
+            labels = [self._label(child, env) for child in b]
+            bad = 0
+            for row in a:
+                cell = self.frame.full
+                for label, one in zip(labels, row):
+                    cell &= label if one else ~label
+                bad |= cell
+            mask = self._above_none_of(bad)
         else:
             saved = env[a]
             label = self._label
             if kind == FORALL:
                 bad = 0
-                for e, present in self._elements:
+                for e, present in self.frame.elements:
                     env[a] = e
                     bad |= present & ~label(b, env)
                 mask = self._above_none_of(bad)
             else:
                 mask = 0
-                for e, present in self._elements:
+                for e, present in self.frame.elements:
                     env[a] = e
                     mask |= present & label(b, env)
             env[a] = saved
         memo[memo_key] = mask
         return mask
-
-
-class SlicedEvaluator:
-    """Labels every interpretation of one frame at once, by bit-slicing
-    (Biham, "A fast new DES implementation in software", FSE 1997).
-
-    The models of a batch share the frame and differ only in their facts.
-    Model m owns bit m of a Python int, and a label is a tuple of such ints,
-    one plane per world: bit m of plane i is the value at world i in model
-    m. `atoms` maps `(pred, args)` to the planes of that atom (all 0 when
-    absent), and `full` has one bit per model. Connectives and quantifiers
-    take the steps of `Evaluator` plane by plane, with complement taken
-    within `full`, and labels are memoized by (node id, assigned elements)
-    as there, so a label that depends on few atoms is shared by every model
-    that agrees on them at no extra cost.
-    """
-
-    def __init__(self, compiled: CompiledFormulas, frame: Frame, atoms: dict, full: int):
-        count = len(frame.worlds)
-        self._nodes = compiled.nodes
-        self._slot_count = len(compiled.slots)
-        self._frame = frame
-        self._atoms = atoms
-        self._full = full
-        self._worlds = range(count)
-        self._zero = (0,) * count
-        # per world, the indices of its up-set; per element, of its holders
-        self._ups = tuple(tuple(j for j in range(count) if up >> j & 1) for _, up in frame.ups)
-        self._holders = tuple(
-            (e, tuple(j for j in range(count) if present >> j & 1))
-            for e, present in frame.elements
-        )
-        self._memo: dict = {}
-
-    def refuting_models(self, sequent: CompiledSequent) -> int:
-        """The models, as bits, that some point refutes: a world and an
-        assignment from its domain where every antecedent formula is 1 and
-        every succedent one 0."""
-        env: list = [None] * self._slot_count
-        slots = sequent.slots
-        refuting: dict[tuple[str, ...], tuple[int, ...]] = {}
-        hits = 0
-        for i, (_, _, combos) in enumerate(self._frame.points(len(slots))):
-            for combo in combos:
-                planes = refuting.get(combo)
-                if planes is None:
-                    for slot, e in zip(slots, combo):
-                        env[slot] = e
-                    planes = refuting[combo] = self._refuting(sequent, env)
-                hits |= planes[i]
-        return hits
-
-    def _refuting(self, sequent: CompiledSequent, env: list) -> tuple[int, ...]:
-        full = self._full
-        planes = (full,) * len(self._zero)
-        for nodes, flip in ((sequent.antecedent, 0), (sequent.succedent, full)):
-            for node in nodes:
-                planes = tuple([p & (flip ^ q) for p, q in zip(planes, self._label(node, env))])
-                if not any(planes):
-                    return planes
-        return planes
-
-    def _above_none_of(self, bad: list[int]) -> tuple[int, ...]:
-        """Per world, the models where no successor lies in `bad`."""
-        full = self._full
-        out = []
-        for up in self._ups:
-            hit = 0
-            for j in up:
-                hit |= bad[j]
-            out.append(full ^ hit)
-        return tuple(out)
-
-    def _label(self, node: int, env: list) -> tuple[int, ...]:
-        kind, a, b, key = self._nodes[node]
-        memo_key = node if key is None else (node, key(env))
-        memo = self._memo
-        got = memo.get(memo_key)
-        if got is not None:
-            return got
-        full = self._full
-        if kind == ATOM:
-            planes = self._atoms.get((a, tuple([env[slot] for slot in b])), self._zero)
-        elif kind == CONN:
-            labels = [self._label(child, env) for child in b]
-            bad = []
-            for i in self._worlds:
-                acc = 0
-                for row in a:
-                    cell = full
-                    for label, one in zip(labels, row):
-                        cell &= label[i] if one else full ^ label[i]
-                    acc |= cell
-                bad.append(acc)
-            planes = self._above_none_of(bad)
-        else:
-            # forall collects the models where the body is 0, exists those
-            # where it is 1
-            flip = full if kind == FORALL else 0
-            saved = env[a]
-            acc = [0] * len(self._zero)
-            for e, holders in self._holders:
-                env[a] = e
-                body = self._label(b, env)
-                for j in holders:
-                    acc[j] |= flip ^ body[j]
-            env[a] = saved
-            planes = self._above_none_of(acc) if kind == FORALL else tuple(acc)
-        memo[memo_key] = planes
-        return planes
 
 
 def eval_formula(

@@ -107,6 +107,34 @@ class TestDecide:
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["decide", "--mode", "kripke", "--seq", "/nonexistent"]) == 2
 
+    @pytest.mark.parametrize(
+        "arity, succedent, code, message",
+        [
+            # refuted by the first model of the first frame, whose one
+            # element gives one fact slot
+            (12, "", 1, "verdict: refuted"),
+            # the second frame alone has 2^16 fact slots
+            (16, "p(ARGS)", 2, f"error: the search has more than {search.MAX_MODELS} models"),
+        ],
+    )
+    def test_wide_predicate_builds_only_the_slots_it_searches(
+        self, tmp_path, capsys, arity, succedent, code, message
+    ):
+        args = ", ".join(["x"] * arity)
+        path = tmp_path / "wide.seq"
+        path.write_text(f"pred p {arity}\nsequent: p({args}) => {succedent.replace('ARGS', args)}\n")
+        started = time.monotonic()
+        got = main(
+            [
+                "decide", "--mode", "kripke", "--seq", str(path),
+                "--max-worlds", "1", "--max-domain", "4",
+            ]
+        )
+        assert time.monotonic() - started < 10
+        assert got == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code == 1 else captured.err)
+
     def test_budget_violation_is_usage_error(self, or_seq_file):
         code = main(
             [
@@ -344,6 +372,12 @@ class TestReportRelationsCommand:
         assert main(["report-relations", "--builtins", "and", "--corpus", "4"]) == 0
         out = capsys.readouterr().out
         assert "corpus: 4 sequents" in out
+
+    def test_negative_corpus_is_usage_error(self, capsys):
+        assert main(["report-relations", "--builtins", "and", "--corpus", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --corpus must be at least 0, not -5\n"
 
 
 class TestDeterminism:

@@ -38,6 +38,7 @@ from util import (
     naive_decide,
     naive_refutation,
     poset_orders_by_masks,
+    preorder_orders_by_masks,
     reference_enumerate_models,
     upward_closed_subsets_by_masks,
 )
@@ -152,6 +153,14 @@ class TestEnumeration:
             assert list(search._poset_orders(n)) == rooted
             counts.append((len(got), len(rooted)))
         assert counts == [(1, 1), (2, 1), (7, 2), (40, 7), (357, 40)]
+
+    def test_preorders_by_extension_equal_the_mask_scan(self):
+        counts = []
+        for n in range(1, 5):
+            got = list(search._preorder_orders(n))
+            assert got == list(preorder_orders_by_masks(n))
+            counts.append(len(got))
+        assert counts == [1, 4, 29, 355]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_upward_closed_subsets_equal_the_mask_scan(self, shape):
@@ -457,7 +466,7 @@ def _corpus_signature():
 
 class TestBitSlicedSearch:
     """`decide` labels every model of a frame at once; model m of a frame's
-    slot product is bit m of each plane."""
+    slot product is bit m of each world's block of a label."""
 
     @pytest.mark.parametrize(
         "mode, bounds",
@@ -469,13 +478,16 @@ class TestBitSlicedSearch:
     )
     def test_each_frame_against_its_decoded_models(self, mode, bounds):
         # per frame, not only the first refuted one: the frame's models in
-        # the stream are its decoded models in index order, and the index
-        # `first_refuted` gives is the first one the scalar evaluator refutes
+        # the stream are its decoded models in index order, the index
+        # `first_refuted` gives is the first one `find_refutation` refutes,
+        # and every label of a chunk holds, at block i bit m, bit i of the
+        # width-1 label on the chunk's model m
         sig = _corpus_signature()
         bounds = replace(bounds, constant_domain=mode == "cd")
-        frames = refuted = 0
+        frames = refuted = labels = 0
         for s in sequent_corpus(sig, 2024, 12):
             compiled = compile_sequent(sig, s)
+            formulas = compiled.formulas
             models = enumerate_models(sig, bounds)
             for frame in enumerate_frames(sig, bounds):
                 decoded = [decode_model(frame, m) for m in range(frame.size)]
@@ -491,8 +503,29 @@ class TestBitSlicedSearch:
                 assert first_refuted(frame, compiled) == want
                 frames += 1
                 refuted += want is not None
+                singles = [Evaluator(model, sig, formulas) for model in decoded]
+                elements = sorted({e for domain in frame.domains.values() for e in domain})
+                for start, batch in search._chunks(frame, formulas):
+                    width = batch.frame.width
+                    for node, variables in enumerate(formulas.free):
+                        for combo in itertools.product(elements, repeat=len(variables)):
+                            env = [None] * len(formulas.slots)
+                            for x, e in zip(variables, combo):
+                                env[formulas.slots[x]] = e
+                            label = batch._label(node, env)
+                            defined = [
+                                i
+                                for i, w in enumerate(frame.worlds)
+                                if set(combo) <= set(frame.domains[w])
+                            ]
+                            for m in range(width):
+                                one = singles[start + m]._label(node, env)
+                                for i in defined:
+                                    assert label >> (i * width + m) & 1 == one >> i & 1
+                            labels += 1
             assert next(models, None) is None
         assert 0 < refuted < frames
+        assert labels > frames
 
     @pytest.mark.parametrize(
         "text, mode, bounds, position",

@@ -18,7 +18,6 @@ from kripkebench.search import (
     ValidUpToBounds,
     _chain_orders,
     _nonempty_subsets,
-    _preorder_orders,
     _tree_orders,
 )
 from kripkebench.semantics import (
@@ -184,6 +183,21 @@ def poset_orders_by_masks(n):
             yield frozenset(strict) | frozenset((i, i) for i in range(n))
 
 
+def preorder_orders_by_masks(n):
+    """Every preorder on 0..n-1, by a scan of all masks over the pairs
+    (i, j), i != j, in increasing mask order."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for mask in range(1 << len(pairs)):
+        strict = {pairs[k] for k in range(len(pairs)) if (mask >> k) & 1}
+        if all(
+            (a, d) in strict or a == d
+            for (a, b) in strict
+            for (c, d) in strict
+            if b == c
+        ):
+            yield frozenset(strict) | frozenset((i, i) for i in range(n))
+
+
 def upward_closed_subsets_by_masks(candidates, order):
     """The subsets of `candidates` closed upward under `order` within them,
     by a scan of all masks over candidate positions, in increasing mask
@@ -200,7 +214,7 @@ REFERENCE_ORDERS = {
     "chain": _chain_orders,
     "tree": _tree_orders,
     "poset": poset_orders_by_masks,
-    "any-preorder": _preorder_orders,
+    "any-preorder": preorder_orders_by_masks,
 }
 
 
