@@ -35,6 +35,11 @@ from .truthfun import (
     is_supermultiplicative,
 )
 
+# the most sequents `report-relations --corpus` may sweep (about 5 s); the
+# corpus is built whole before the sweep starts
+MAX_CORPUS = 10_000
+
+
 def _connective_from_args(args) -> tuple[str, TruthFunction]:
     if args.builtin:
         return args.builtin, builtin(args.builtin)
@@ -156,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus",
         type=int,
         default=0,
-        help="also run the seeded corpus consistency sweep of this size",
+        help=f"also run the seeded corpus consistency sweep of this size, at most {MAX_CORPUS}",
     )
     return parser
 
@@ -247,8 +252,7 @@ def cmd_complete(args) -> int:
     tree = construct.tree_from_model(model)
     completion = construct.complete_to_constant_domain(tree, signature)
     for name in completion.model.domains[tree.root]:
-        mapping = completion.functions[name].as_dict()
-        rendered = ", ".join(f"{n}: {e}" for n, e in sorted(mapping.items()))
+        rendered = ", ".join(f"{n}: {e}" for n, e in completion.functions[name].items())
         print(f"# {name} = {{{rendered}}}")
     print(model_to_text(completion.model, signature), end="")
     return 0
@@ -287,6 +291,8 @@ def cmd_census(args) -> int:
 def cmd_report_relations(args) -> int:
     if args.corpus < 0:
         raise ValueError(f"--corpus must be at least 0, not {args.corpus}")
+    if args.corpus > MAX_CORPUS:
+        raise ValueError(f"--corpus must be at most {MAX_CORPUS}, not {args.corpus}")
     if args.sig:
         with open(args.sig, encoding="utf-8") as handle:
             signature = parse_signature(handle.read())

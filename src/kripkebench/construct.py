@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .semantics import Evaluator, InvalidModelError, KripkeModel, require_valid_model
+from .semantics import upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
 # the most nodes an unraveled tree, or choice functions an enumeration, may have
 MAX_COUNT = 50_000
+# the most (node, argument tuple) pairs a completion may scan: nodes times
+# functions to the arity, summed over the predicates that have facts
+MAX_COMPLETION_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -62,20 +66,20 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
     for a, b in sorted(model.order):
         if a != b and (b, a) in model.order:
             raise InvalidModelError(f"order has a cycle through {a} and {b}")
-    minima = [
-        w
-        for w in model.worlds
-        if all(v == w or (v, w) not in model.order for v in model.worlds)
-    ]
+    above_some = {b for a, b in model.order if a != b}
+    minima = [w for w in model.worlds if w not in above_some]
     if len(minima) != 1:
         raise InvalidModelError(f"tree needs a unique root, found minima {minima}")
     root = minima[0]
-    covers = _covering_relation(model)
+    covered_by: dict[str, list[str]] = {w: [] for w in model.worlds}
+    for v, covers in _covering_relation(model).items():
+        for w in covers:
+            covered_by[w].append(v)
     parent: dict[str, str] = {}
     for w in model.worlds:
         if w == root:
             continue
-        predecessors = [v for v in model.worlds if w in covers[v]]
+        predecessors = covered_by[w]
         if len(predecessors) != 1:
             raise InvalidModelError(f"world {w} has {len(predecessors)} covering predecessors")
         parent[w] = predecessors[0]
@@ -86,20 +90,17 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
 
 
 def _covering_relation(model: KripkeModel) -> dict[str, tuple[str, ...]]:
-    """Each world's immediate successors: the worlds strictly above it with
-    none strictly between."""
-    covers: dict[str, list[str]] = {w: [] for w in model.worlds}
+    """Each world's immediate successors, in world order: the worlds strictly
+    above it with none strictly between."""
+    above: dict[str, set[str]] = {w: set() for w in model.worlds}
+    for a, b in model.order:
+        if a != b:
+            above[a].add(b)
+    covers = {}
     for w in model.worlds:
-        for v in model.worlds:
-            if v == w or (w, v) not in model.order:
-                continue
-            if any(
-                u != w and u != v and (w, u) in model.order and (u, v) in model.order
-                for u in model.worlds
-            ):
-                continue
-            covers[w].append(v)
-    return {w: tuple(vs) for w, vs in covers.items()}
+        between = set().union(*(above[u] for u in above[w]))
+        covers[w] = tuple(v for v in model.worlds if v in above[w] and v not in between)
+    return covers
 
 
 def _assemble_tree(
@@ -251,37 +252,15 @@ def deepest_common_ancestor(tree: TreeModel, a: str, b: str) -> str:
 
 
 # --- choice functions ---------------------------------------------------------
+#
+# A choice function is a partial map node -> element: a dict whose keys come
+# in sorted node order.
 
 
-@dataclass(frozen=True)
-class ChoiceFunction:
-    """A partial map node -> element, stored as sorted (node, element) pairs."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_map(cls, mapping: dict[str, str]) -> "ChoiceFunction":
-        return cls(tuple(sorted(mapping.items())))
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(node for node, _ in self.entries)
-
-    def value(self, node: str) -> str:
-        for n, e in self.entries:
-            if n == node:
-                return e
-        raise KeyError(node)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.entries)
-
-
-def check_choice_function(tree: TreeModel, function: ChoiceFunction) -> list[str]:
+def check_choice_function(tree: TreeModel, function: dict[str, str]) -> list[str]:
     """Violations of the four choice-function conditions; empty means valid."""
     violations = []
-    dom = function.domain
-    mapping = function.as_dict()
+    dom = frozenset(function)
     if not dom <= set(tree.nodes):
         violations.append("domain mentions unknown nodes")
         return violations
@@ -290,14 +269,14 @@ def check_choice_function(tree: TreeModel, function: ChoiceFunction) -> list[str
     if not bars(tree, tree.root, dom):
         violations.append("domain does not bar the root")
     for node in sorted(dom):
-        if mapping[node] not in tree.model.domains[node]:
-            violations.append(f"value {mapping[node]} at {node} is outside its domain")
+        if function[node] not in tree.model.domains[node]:
+            violations.append(f"value {function[node]} at {node} is outside its domain")
     for node in sorted(dom):
         for other in sorted(dom):
-            if (node, other) in tree.model.order and mapping[node] != mapping[other]:
+            if (node, other) in tree.model.order and function[node] != function[other]:
                 violations.append(
-                    f"values differ along a branch: {node}->{mapping[node]},"
-                    f" {other}->{mapping[other]}"
+                    f"values differ along a branch: {node}->{function[node]},"
+                    f" {other}->{function[other]}"
                 )
     return violations
 
@@ -307,7 +286,7 @@ def extend_choice(
     barrier: frozenset[str],
     node: str,
     pins: dict[str, str],
-) -> ChoiceFunction:
+) -> dict[str, str]:
     """A choice function defined on (upset(node) ∩ barrier) plus the region
     incomparable with its block minima, taking pinned values at the block
     minima and the first declared element elsewhere.
@@ -342,13 +321,10 @@ def extend_choice(
     )
     mapping: dict[str, str] = {}
     for minimum, block in blocks:
-        for member in block:
-            mapping[member] = pins[minimum]
+        mapping.update(dict.fromkeys(block, pins[minimum]))
     for minimum, block in partition_upward_closed(tree, incomparable):
-        fallback = tree.model.domains[minimum][0]
-        for member in block:
-            mapping[member] = fallback
-    result = ChoiceFunction.from_map(mapping)
+        mapping.update(dict.fromkeys(block, tree.model.domains[minimum][0]))
+    result = dict(sorted(mapping.items()))
     problems = check_choice_function(tree, result)
     if problems:
         raise AssertionError("extend_choice produced an invalid function: " + "; ".join(problems))
@@ -357,33 +333,35 @@ def extend_choice(
 
 def enumerate_choice_functions(
     tree: TreeModel, max_count: int = MAX_COUNT
-) -> Iterator[ChoiceFunction]:
+) -> Iterator[dict[str, str]]:
     """All choice functions on the tree, in a fixed construction order.
 
     A domain is upward-closed and bars the root exactly when it contains
-    every leaf; values are constant per parent-child block and drawn from the
-    block minimum's domain.
+    every leaf: it is the leaves and an upward-closed set of internal nodes,
+    in increasing mask order over them. Values are constant per parent-child
+    block and drawn from the block minimum's (nonempty) domain, so each
+    domain gives a function and more than `max_count` domains raise
+    ValueError before any function is built.
     """
-    leaves = set(tree.leaves())
-    internal = [n for n in tree.nodes if n not in leaves]
+    leaves = frozenset(tree.leaves())
+    internal = tuple(n for n in tree.nodes if n not in leaves)
+    too_many = f"more than {max_count} choice functions; raise max_count to proceed"
+    try:
+        uppers = upward_closed_subsets(internal, tree.model.order, max_count)
+    except ValueError:
+        raise ValueError(too_many) from None
     produced = 0
-    for mask in range(1 << len(internal)):
-        dom = set(leaves) | {internal[k] for k in range(len(internal)) if (mask >> k) & 1}
-        if not is_upward_closed(tree, frozenset(dom)):
-            continue
-        blocks = partition_upward_closed(tree, frozenset(dom))
+    for upper in uppers:
+        blocks = partition_upward_closed(tree, leaves | upper)
         value_menus = [tree.model.domains[minimum] for minimum, _ in blocks]
         for values in itertools.product(*value_menus):
             mapping = {}
             for (minimum, block), element in zip(blocks, values):
-                for member in block:
-                    mapping[member] = element
+                mapping.update(dict.fromkeys(block, element))
             produced += 1
             if produced > max_count:
-                raise ValueError(
-                    f"more than {max_count} choice functions; raise max_count to proceed"
-                )
-            yield ChoiceFunction.from_map(mapping)
+                raise ValueError(too_many)
+            yield dict(sorted(mapping.items()))
 
 
 # --- constant-domain completion ----------------------------------------------
@@ -396,9 +374,9 @@ class ConstantDomainCompletion:
 
     tree: TreeModel
     model: KripkeModel
-    functions: dict[str, ChoiceFunction]
+    functions: dict[str, dict[str, str]]
 
-    def function_id(self, function: ChoiceFunction) -> str:
+    def function_id(self, function: dict[str, str]) -> str:
         for name, f in self.functions.items():
             if f == function:
                 return name
@@ -417,25 +395,38 @@ def complete_to_constant_domain(
     node, predicate and values of the first arity-1 arguments there, the
     bitset of last arguments that make a non-fact is computed once; a tuple
     holds at a world iff its last argument is in none of these bitsets over
-    the world's up-set."""
+    the world's up-set.
+
+    Raises ValueError, before any predicate is scanned, when those pairs of
+    a node and an argument tuple number more than MAX_COMPLETION_PAIRS."""
     functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
     names = tuple(functions)
     nodes = tree.nodes
     position = {n: i for i, n in enumerate(nodes)}
+    true_at: dict[str, set[tuple[int, tuple[str, ...]]]] = {}
+    for w, pred, args in tree.model.facts:
+        true_at.setdefault(pred, set()).add((position[w], args))
+    pairs = sum(
+        len(nodes) * len(names) ** arity
+        for pred, arity in signature.predicates.items()
+        if pred in true_at
+    )
+    if pairs > MAX_COMPLETION_PAIRS:
+        raise ValueError(
+            f"the completion has {pairs} pairs of a node and an argument tuple,"
+            f" more than {MAX_COMPLETION_PAIRS}"
+        )
     upsets = [[position[v] for v in tree.upset(n)] for n in nodes]
     # values[i][k]: the value of function k at node i, None where undefined;
     # by_value[i][e]: the bitset of functions taking value e at node i
     values = [[None] * len(names) for _ in nodes]
     by_value: list[dict[str, int]] = [{} for _ in nodes]
     for k, function in enumerate(functions.values()):
-        for node, element in function.entries:
+        for node, element in function.items():
             i = position[node]
             values[i][k] = element
             by_value[i][element] = by_value[i].get(element, 0) | 1 << k
     everyone = (1 << len(names)) - 1
-    true_at: dict[str, set[tuple[int, tuple[str, ...]]]] = {}
-    for w, pred, args in tree.model.facts:
-        true_at.setdefault(pred, set()).add((position[w], args))
     facts = []
     for pred, arity in signature.predicates.items():
         true = true_at.get(pred)
@@ -498,7 +489,7 @@ def lift_assignment(
     for var, element in sorted(assignment.items()):
         if element not in tree.model.domains[tree.root]:
             raise ValueError(f"{element!r} is not in the root domain")
-        constant = ChoiceFunction.from_map({n: element for n in tree.nodes})
+        constant = dict.fromkeys(sorted(tree.nodes), element)
         lifted[var] = completion.function_id(constant)
     return lifted
 
@@ -589,11 +580,11 @@ def instance_status(
 
 
 def bar_precondition_violation(
-    tree: TreeModel, signature: Signature, formula: Formula
+    tree: TreeModel, evaluator: Evaluator, formula: Formula
 ) -> Optional[BarViolation]:
     """First subformula instance whose value is not bar-determined: value 1 at
-    a node iff its value-1 successor set bars the node."""
-    evaluator = Evaluator(tree.model, signature)
+    a node iff its value-1 successor set bars the node. `evaluator` is an
+    evaluator on the tree's model."""
     leaves = tree.leaves()
     leaves_above = {
         node: [leaf for leaf in leaves if (node, leaf) in tree.model.order]
@@ -618,23 +609,16 @@ def bar_precondition_violation(
 
 def pointwise_condition(
     completion: ConstantDomainCompletion,
-    signature: Signature,
+    evaluator: Evaluator,
     formula: Formula,
     node: str,
     lifted: dict[str, str],
-    evaluator: Optional[Evaluator] = None,
 ) -> bool:
     """Whether the formula holds at every node above the given one where all
-    assigned choice functions are defined, reading the assignment pointwise.
-
-    `evaluator`, an evaluator on the tree's model, lets many calls share
-    compiled formulas and labels."""
+    assigned choice functions are defined, reading the assignment pointwise
+    with `evaluator`, an evaluator on the tree's model."""
     tree = completion.tree
-    if evaluator is None:
-        evaluator = Evaluator(tree.model, signature)
-    functions = {
-        var: completion.functions[lifted[var]].as_dict() for var in free_vars(formula)
-    }
+    functions = {var: completion.functions[lifted[var]] for var in free_vars(formula)}
     for v in tree.upset(node):
         if all(v in f for f in functions.values()):
             pointwise = {var: f[v] for var, f in functions.items()}
@@ -655,10 +639,12 @@ def check_main_lemma(
     By default the instances are every node with every assignment of the
     formula's free variables, in node order and then in product order of the
     completed domain. The tree is checked for bar-determinacy once, and one
-    evaluator per model serves every instance.
+    evaluator per model serves every instance, the tree's one both the bar
+    check and the pointwise condition.
     """
     tree = completion.tree
-    violation = bar_precondition_violation(tree, signature, formula)
+    pointwise = Evaluator(tree.model, signature)
+    violation = bar_precondition_violation(tree, pointwise, formula)
     if instances is None:
         variables = sorted(free_vars(formula))
         instances = (
@@ -669,33 +655,16 @@ def check_main_lemma(
             )
         )
     completed = Evaluator(completion.model, signature)
-    pointwise = Evaluator(tree.model, signature)
     reports = []
     overall = "holds"
     for node, lifted in instances:
         value = completed.value(node, lifted, formula)
-        condition = pointwise_condition(
-            completion, signature, formula, node, lifted, pointwise
-        )
+        condition = pointwise_condition(completion, pointwise, formula, node, lifted)
         status = instance_status(value, condition, violation)
         if overall == "holds":
             overall = status
         reports.append(EquivalenceReport(node, lifted, status, value, condition, violation))
     return MainLemmaReport(formula, completion, overall, tuple(reports), violation)
-
-
-def check_main_lemma_instance(
-    tree: TreeModel,
-    signature: Signature,
-    formula: Formula,
-    node: str,
-    lifted: dict[str, str],
-    completion: Optional[ConstantDomainCompletion] = None,
-) -> EquivalenceReport:
-    """The main-lemma check at one instance."""
-    if completion is None:
-        completion = complete_to_constant_domain(tree, signature)
-    return check_main_lemma(completion, signature, formula, [(node, lifted)]).instances[0]
 
 
 # --- end-to-end pipeline --------------------------------------------------------

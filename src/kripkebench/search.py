@@ -21,6 +21,7 @@ from .semantics import (
     KripkeModel,
     compile_sequent,
     find_refutation,
+    upward_closed_subsets,
     validate_model,
 )
 from .syntax import (
@@ -113,7 +114,7 @@ def _posets(worlds: range) -> Iterator[frozenset[tuple[int, int]]]:
         if i < worlds.start:
             yield strict
             return
-        for up in _upward_closed_subsets(tuple(range(i + 1, worlds.stop)), strict):
+        for up in upward_closed_subsets(tuple(range(i + 1, worlds.stop)), strict):
             yield from extend(i - 1, strict | {(i, j) for j in up})
 
     yield from extend(worlds.stop - 1, frozenset())
@@ -168,38 +169,6 @@ def _nonempty_subsets(universe: tuple[str, ...]) -> list[tuple[str, ...]]:
     for mask in range(1, 1 << len(universe)):
         out.append(tuple(e for k, e in enumerate(universe) if (mask >> k) & 1))
     return out
-
-
-def _upward_closed_subsets(
-    candidates: tuple[int, ...], order: frozenset[tuple[int, int]]
-) -> list[frozenset[int]]:
-    """The subsets of `candidates` closed upward under `order` within them,
-    in increasing order of their masks over candidate positions.
-
-    Positions are placed from the highest down, each left out before it is
-    put in, which keeps mask order. Position k may be left out when no
-    chosen position lies below it in the order, and put in when every
-    placed position above it in the order is chosen; in a transitive order
-    one of the two always holds, so no partial set is dropped.
-    """
-    masks = [0]
-    for k in range(len(candidates) - 1, -1, -1):
-        w = candidates[k]
-        above = below = 0
-        for j, v in enumerate(candidates):
-            if j != k:
-                above |= ((w, v) in order) << j
-                below |= ((v, w) in order) << j
-        grown = []
-        for chosen in masks:
-            if not below & chosen:
-                grown.append(chosen)
-            if not (above & ~chosen) >> (k + 1):
-                grown.append(chosen | 1 << k)
-        masks = grown
-    return [
-        frozenset(v for j, v in enumerate(candidates) if mask >> j & 1) for mask in masks
-    ]
 
 
 class SlottedFrame(NamedTuple):
@@ -267,7 +236,7 @@ def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[Slo
                         options = closed.get(valid)
                         if options is None:
                             options = closed[valid] = tuple(
-                                _upward_closed_subsets(valid, index_order)
+                                upward_closed_subsets(valid, index_order)
                             )
                         slots.append((pred, args, options))
                         size *= len(options)

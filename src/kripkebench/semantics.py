@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TypeVar
 
 from .syntax import (
     Atom,
@@ -27,6 +27,7 @@ from .syntax import (
 )
 
 Fact = tuple[str, str, tuple[str, ...]]
+T = TypeVar("T")
 
 
 class InvalidModelError(Exception):
@@ -88,9 +89,12 @@ def validate_model(model: KripkeModel) -> list[str]:
     for w in worlds:
         if (w, w) not in model.order:
             violations.append(f"order is not reflexive at {w}")
+    above: dict[str, list[str]] = {}  # in sorted order, as the pairs are
     for a, b in ordered_pairs:
-        for c, d in ordered_pairs:
-            if b == c and (a, d) not in model.order:
+        above.setdefault(a, []).append(b)
+    for a, b in ordered_pairs:
+        for d in above.get(b, ()):
+            if (a, d) not in model.order:
                 violations.append(f"order is not transitive: {a} <= {b} <= {d}")
 
     domain_sets = {w: set(model.domains[w]) for w in worlds}
@@ -116,10 +120,11 @@ def validate_model(model: KripkeModel) -> list[str]:
             if e not in domain_sets[w]:
                 violations.append(f"fact {pred}{args} at {w} uses {e} outside D({w})")
     # heredity: each stored 1-entry must persist at every successor
+    successors = {w: model.successors(w) for w in worlds}
     for w, pred, args in sorted(model.facts):
         if w not in world_set:
             continue
-        for v in model.successors(w):
+        for v in successors[w]:
             if (v, pred, args) not in model.facts:
                 violations.append(
                     f"heredity violated: {pred}{args} is 1 at {w} but 0 at {v} >= {w}"
@@ -138,6 +143,42 @@ def is_constant_domain(model: KripkeModel) -> bool:
     """Whether all worlds share one domain (assumes a valid model)."""
     sets = {frozenset(model.domains[w]) for w in model.worlds}
     return len(sets) <= 1
+
+
+def upward_closed_subsets(
+    candidates: tuple[T, ...], order: frozenset[tuple[T, T]], max_count: Optional[int] = None
+) -> list[frozenset[T]]:
+    """The subsets of `candidates` closed upward under `order` within them,
+    in increasing order of their masks over candidate positions.
+
+    Positions are placed from the highest down, each left out before it is
+    put in, which keeps mask order. Position k may be left out when no
+    chosen position lies below it in the order, and put in when every
+    placed position above it in the order is chosen; in a transitive order
+    one of the two always holds, so no partial set is dropped. So the family
+    never shrinks as positions are placed, and past `max_count` (at least 1)
+    partial sets it raises ValueError before it is built to the end.
+    """
+    masks = [0]
+    for k in range(len(candidates) - 1, -1, -1):
+        w = candidates[k]
+        above = below = 0
+        for j, v in enumerate(candidates):
+            if j != k:
+                above |= ((w, v) in order) << j
+                below |= ((v, w) in order) << j
+        grown = []
+        for chosen in masks:
+            if not below & chosen:
+                grown.append(chosen)
+            if not (above & ~chosen) >> (k + 1):
+                grown.append(chosen | 1 << k)
+        masks = grown
+        if max_count is not None and len(masks) > max_count:
+            raise ValueError(f"more than {max_count} upward-closed sets")
+    return [
+        frozenset(v for j, v in enumerate(candidates) if mask >> j & 1) for mask in masks
+    ]
 
 
 # --- compiled evaluation ------------------------------------------------------

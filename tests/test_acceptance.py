@@ -233,9 +233,9 @@ def test_08_partitions_and_choice_extension_exhaustive_on_small_trees():
                     pins = {minimum: v for (minimum, _), v in zip(blocks, values)}
                     function = extend_choice(tree, barrier, node, pins)
                     assert check_choice_function(tree, function) == []
-                    assert region <= function.domain
+                    assert region <= frozenset(function)
                     for minimum, _ in blocks:
-                        assert function.value(minimum) == pins[minimum]
+                        assert function[minimum] == pins[minimum]
                     extension_checks += 1
     assert partition_checks > 1000 and extension_checks > 5000
     passed(8, f"{partition_checks} partitions and {extension_checks} extensions verified")

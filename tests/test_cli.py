@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kripkebench import cli, search
+from kripkebench import cli, construct, search
 from kripkebench.cli import main
 from kripkebench.semantics import KripkeModel, parse_model_text
 
@@ -27,6 +31,43 @@ SEPARATING_MODEL = (
     "domain w2: a1 a2\n"
     "fact w1: p(a1)\nfact w1: T\n"
     "fact w2: p(a1)\nfact w2: q(a2)\nfact w2: T\n"
+)
+
+# sequent files: arbitrary text, or declarations, at most one malformed
+# directive and a `sequent:` line of whole formulas or of fragments
+_DIRECTIVES = st.lists(
+    st.sampled_from(
+        ["pred p 1", "pred q 0", "pred r 2", "conn or builtin", "conn not builtin", "conn c 2 0110"]
+    ),
+    unique=True,
+)
+_NOISE = st.one_of(
+    st.tuples(
+        st.sampled_from(["pred", "conn"]),
+        st.sampled_from(["p", "q", "or", "c"]),
+        st.integers(-2, 3).map(str),
+        st.sampled_from(["", "0", "01", "0110", "builtin"]),
+    ).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+_FORMULAS = st.lists(
+    st.sampled_from(
+        ["p(x)", "q", "r(x, y)", "or(p(x), q)", "not(q)", "c(q, q)", "forall x. p(x)",
+         "exists y. r(y, x)"]
+    ),
+    max_size=2,
+).map(", ".join)
+_SEQUENT_LINE = st.one_of(
+    st.tuples(_FORMULAS, _FORMULAS).map(lambda sides: f"sequent: {sides[0]} => {sides[1]}"),
+    st.lists(
+        st.sampled_from(["p(x)", "q", "or(", "forall x.", "exists", ",", "=>", "(", ")", "."]),
+        max_size=8,
+    ).map(lambda parts: "sequent: " + " ".join(parts)),
+)
+_SEQUENT_FILES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.tuples(_DIRECTIVES, _SEQUENT_LINE, st.lists(_NOISE, max_size=1))
+    .map(lambda parts: "\n".join(parts[0] + [parts[1]] + parts[2])),
 )
 
 
@@ -193,6 +234,29 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err.startswith("error: inconsistent search: ")
 
+    @settings(max_examples=300, deadline=None)
+    @given(_SEQUENT_FILES)
+    @example("pred p 1\nsequent: p(x\n")
+    @example("sequent: a => b\nsequent: c\n")
+    @example("conn c -1 0\nsequent: =>\n")
+    def test_any_sequent_file_exits_with_a_contract_code(self, text):
+        # exit 0-3 and no traceback; a usage or file error is one `error: ` line
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "fuzz.seq")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(
+                    [
+                        "decide", "--mode", "kripke", "--seq", path,
+                        "--max-worlds", "2", "--max-domain", "1",
+                    ]
+                )
+        assert code in (0, 1, 2, 3)
+        if code >= 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestSynthesizeCommand:
@@ -315,6 +379,58 @@ class TestCompleteCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 3: unknown directive ''"]
 
+    def test_forty_node_chain_completes(self, tmp_path, capsys):
+        # a mask scan over the internal nodes would visit 2^39 domains
+        worlds = [f"n{i}" for i in range(40)]
+        lines = ["pred p 1", "worlds: " + " ".join(worlds), "fact n39: p(a)"]
+        lines += [f"order: {a} {b}" for a, b in zip(worlds, worlds[1:])]
+        lines += [f"domain {w}: a" for w in worlds]
+        path = tmp_path / "chain.model"
+        path.write_text("\n".join(lines) + "\n")
+        started = time.monotonic()
+        assert main(["complete", str(path)]) == 0
+        assert time.monotonic() - started < 10
+        # one function per up-set of the chain, each holding the leaf
+        out = capsys.readouterr().out
+        assert sum(line.startswith("# F") for line in out.splitlines()) == 40
+
+    def test_broom_past_the_choice_function_cap_is_usage_error(self, tmp_path, capsys):
+        # a root, 30 internal children and a leaf above each: 2^30 + 1 domains
+        lines = ["worlds: r " + " ".join(f"c{i} l{i}" for i in range(30))]
+        lines += [f"order: r c{i}\norder: c{i} l{i}" for i in range(30)]
+        lines += ["domain r: a"] + [f"domain c{i}: a\ndomain l{i}: a" for i in range(30)]
+        path = tmp_path / "broom.model"
+        path.write_text("\n".join(lines) + "\n")
+        started = time.monotonic()
+        assert main(["complete", str(path)]) == 2
+        assert time.monotonic() - started < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: more than {construct.MAX_COUNT} choice functions;"
+            " raise max_count to proceed\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["complete"], ["check-main-lemma", "@", "e(x, y)"]])
+    def test_star_too_large_to_complete_is_usage_error(self, tmp_path, capsys, argv):
+        # 3^8 + 1 = 6,562 choice functions, so 9 * 6,562^2 pairs for e
+        leaves = [f"l{i}" for i in range(8)]
+        lines = ["pred e 2", "worlds: r " + " ".join(leaves), "domain r: a"]
+        for leaf in leaves:
+            lines += [f"order: r {leaf}", f"domain {leaf}: a b c", f"fact {leaf}: e(a, b)"]
+        path = tmp_path / "star.model"
+        path.write_text("\n".join(lines) + "\n")
+        started = time.monotonic()
+        code = main([argv[0], str(path)] + argv[2:])
+        assert time.monotonic() - started < 10
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the completion has {9 * 6562 ** 2} pairs of a node and an argument"
+            f" tuple, more than {construct.MAX_COMPLETION_PAIRS}\n"
+        )
+
 
 class TestCheckMainLemmaCommand:
     def test_atomic_report(self, separating_file, capsys):
@@ -378,6 +494,15 @@ class TestReportRelationsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --corpus must be at least 0, not -5\n"
+
+    def test_corpus_past_the_cap_is_usage_error(self, capsys, monkeypatch):
+        # refused before any corpus is built
+        monkeypatch.setattr(search, "sequent_corpus", None)
+        too_many = str(cli.MAX_CORPUS + 1)
+        assert main(["report-relations", "--builtins", "and", "--corpus", too_many]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --corpus must be at most {cli.MAX_CORPUS}, not {too_many}\n"
 
 
 class TestDeterminism:

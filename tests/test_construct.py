@@ -1,16 +1,15 @@
 import itertools as it
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
 from kripkebench.construct import (
-    ChoiceFunction,
     bar_precondition_violation,
     bars,
     check_choice_function,
     check_main_lemma,
-    check_main_lemma_instance,
     complete_to_constant_domain,
     constant_domain_pipeline,
     deepest_common_ancestor,
@@ -40,6 +39,7 @@ from kripkebench.truthfun import builtin
 from util import (
     DEFAULT_PREDICATES,
     all_tree_shapes,
+    choice_functions_by_masks,
     make_tree,
     naive_bar_violation,
     naive_value,
@@ -273,14 +273,14 @@ class TestExtendChoice:
         tree = unravel_strict(separating, "w1")
         everything = frozenset(tree.nodes)
         got = extend_choice(tree, everything, tree.root, {tree.root: "a1"})
-        assert got.as_dict() == {"w1": "a1", "w1/w2": "a1"}
+        assert got == {"w1": "a1", "w1/w2": "a1"}
         assert check_choice_function(tree, got) == []
 
     def test_leaf_barrier_pins_one_leaf_defaults_the_rest(self):
         tree = make_tree((0, 0, 0))
         leaves = frozenset(tree.leaves())
         got = extend_choice(tree, leaves, "n1", {"n1": "b"})
-        assert got.as_dict() == {"n1": "b", "n2": "a", "n3": "a"}
+        assert got == {"n1": "b", "n2": "a", "n3": "a"}
         assert check_choice_function(tree, got) == []
 
     def test_rejects_wrong_pins(self, separating):
@@ -301,7 +301,7 @@ class TestChoiceFunctionEnumeration:
     def test_single_node_tree(self):
         tree = make_tree((), domains={"n0": ("a", "b", "c")})
         functions = list(enumerate_choice_functions(tree))
-        assert [f.as_dict() for f in functions] == [
+        assert functions == [
             {"n0": "a"},
             {"n0": "b"},
             {"n0": "c"},
@@ -309,13 +309,13 @@ class TestChoiceFunctionEnumeration:
 
     def test_chain_values_constant_once_root_included(self):
         tree = make_tree((0,))
-        functions = [f.as_dict() for f in enumerate_choice_functions(tree)]
+        functions = list(enumerate_choice_functions(tree))
         assert {"n0": "a", "n1": "a"} in functions
         assert {"n0": "a", "n1": "b"} not in functions
 
     def test_unraveled_two_chain_has_three(self, separating):
         tree = unravel_strict(separating, "w1")
-        functions = [f.as_dict() for f in enumerate_choice_functions(tree)]
+        functions = list(enumerate_choice_functions(tree))
         assert functions == [
             {"w1/w2": "a1"},
             {"w1/w2": "a2"},
@@ -327,6 +327,17 @@ class TestChoiceFunctionEnumeration:
             tree = make_tree(parents)
             for f in enumerate_choice_functions(tree):
                 assert check_choice_function(tree, f) == []
+
+    def test_equals_the_mask_scan_on_every_tree_shape_up_to_six_nodes(self):
+        # same functions, same order, keys in sorted node order
+        rng = random.Random(6)
+        for parents in all_tree_shapes(6):
+            domains = {"n0": rng.choice([("a",), ("a", "b")])}
+            for child, parent in enumerate(parents, start=1):
+                domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b", "c")])
+            tree = make_tree(parents, domains)
+            got = [list(f.items()) for f in enumerate_choice_functions(tree)]
+            assert got == [list(f.items()) for f in choice_functions_by_masks(tree)]
 
     def test_budget(self, separating):
         tree = unravel_strict(separating, "w1")
@@ -351,10 +362,10 @@ class TestCompletion:
     def test_leaf_valued_function_reads_leaf_fact(self, separating, separating_sig):
         tree = unravel_strict(separating, "w1")
         completion = complete_to_constant_domain(tree, separating_sig)
-        leaf_a2 = completion.function_id(ChoiceFunction.from_map({"w1/w2": "a2"}))
+        leaf_a2 = completion.function_id({"w1/w2": "a2"})
         # p(a2) is 0 at the source leaf, so the fact is absent at the root
         assert (tree.root, "p", (leaf_a2,)) not in completion.model.facts
-        leaf_a1 = completion.function_id(ChoiceFunction.from_map({"w1/w2": "a1"}))
+        leaf_a1 = completion.function_id({"w1/w2": "a1"})
         assert (tree.root, "p", (leaf_a1,)) in completion.model.facts
 
     def test_valid_on_small_random_trees(self):
@@ -402,8 +413,8 @@ class TestLiftAssignment:
         completion = complete_to_constant_domain(tree, separating_sig)
         lifted = lift_assignment(completion, {"x": "a1"})
         function = completion.functions[lifted["x"]]
-        assert function.domain == set(tree.nodes)
-        assert {function.value(n) for n in tree.nodes} == {"a1"}
+        assert frozenset(function) == set(tree.nodes)
+        assert {function[n] for n in tree.nodes} == {"a1"}
         assert check_choice_function(tree, function) == []
 
     def test_rejects_elements_outside_root_domain(self, separating, separating_sig):
@@ -426,9 +437,9 @@ class TestMainLemmaInstances:
                 variables = sorted(free_vars(formula))
                 for name in completion.model.domains[tree.root]:
                     lifted = {v: name for v in variables}
-                    report = check_main_lemma_instance(
-                        tree, sig, formula, tree.root, lifted, completion
-                    )
+                    report = check_main_lemma(
+                        completion, sig, formula, [(tree.root, lifted)]
+                    ).instances[0]
                     assert (report.completed_value == 1) == report.pointwise_condition
 
     def test_flip_at_leaf_fails_precondition_at_root(self):
@@ -442,9 +453,9 @@ class TestMainLemmaInstances:
         tree = tree_from_model(model)
         completion = complete_to_constant_domain(tree, sig)
         lifted = lift_assignment(completion, {"x": "a"})
-        report = check_main_lemma_instance(
-            tree, sig, parse_formula("p(x)", sig), "r", lifted, completion
-        )
+        report = check_main_lemma(
+            completion, sig, parse_formula("p(x)", sig), [("r", lifted)]
+        ).instances[0]
         assert report.status == "precondition-failed"
         assert report.bar_violation.node == "r"
         assert report.bar_violation.value == 0
@@ -458,15 +469,17 @@ class TestMainLemmaInstances:
         )
         completion = complete_to_constant_domain(tree, sig)
         for text in ("p", "q", "and(p, q)"):
-            report = check_main_lemma_instance(
-                tree, sig, parse_formula(text, sig), "n0", {}, completion
-            )
+            report = check_main_lemma(
+                completion, sig, parse_formula(text, sig), [("n0", {})]
+            ).instances[0]
             assert report.status == "holds"
 
     def test_bar_precondition_reports_first_violation(self):
         tree = make_tree((0,), facts=frozenset({("n1", "r", ())}))
         sig = Signature({"r": 0}, {})
-        violation = bar_precondition_violation(tree, sig, parse_formula("r", sig))
+        violation = bar_precondition_violation(
+            tree, Evaluator(tree.model, sig), parse_formula("r", sig)
+        )
         assert violation is not None and violation.node == "n0"
 
     def test_never_fails_when_bar_determined_over_meet_closed_connectives(self):
@@ -526,8 +539,9 @@ class TestMainLemmaInstances:
                 )
                 tree = make_tree(parents, facts=facts)
                 completion = complete_to_constant_domain(tree, sig)
+                tree_eval = Evaluator(tree.model, sig)
                 for formula in formulas:
-                    if bar_precondition_violation(tree, sig, formula) is not None:
+                    if bar_precondition_violation(tree, tree_eval, formula) is not None:
                         continue
                     variables = sorted(free_vars(formula))
                     for node in tree.nodes:
@@ -539,7 +553,7 @@ class TestMainLemmaInstances:
                                 completion.model, sig, node, lifted, formula
                             )
                             condition = pointwise_condition(
-                                completion, sig, formula, node, lifted
+                                completion, tree_eval, formula, node, lifted
                             )
                             assert (value == 1) == condition
                             instances += 1
@@ -566,11 +580,11 @@ class TestMainLemmaChecker:
         functions = {x: completion.functions[name] for x, name in lifted.items()}
         condition = all(
             naive_value(
-                tree.model, self.SIG, v, {x: f.value(v) for x, f in functions.items()}, formula
+                tree.model, self.SIG, v, {x: f[v] for x, f in functions.items()}, formula
             )
             == 1
             for v in tree.upset(node)
-            if all(v in f.domain for f in functions.values())
+            if all(v in f for f in functions.values())
         )
         return value, condition
 
@@ -592,7 +606,9 @@ class TestMainLemmaChecker:
             for text in self.FORMULAS:
                 formula = parse_formula(text, self.SIG)
                 report = check_main_lemma(completion, self.SIG, formula)
-                violation = bar_precondition_violation(tree, self.SIG, formula)
+                violation = bar_precondition_violation(
+                    tree, Evaluator(tree.model, self.SIG), formula
+                )
                 assert violation == naive_bar_violation(tree, self.SIG, formula)
                 assert report.bar_violation == violation
                 variables = sorted(free_vars(formula))
@@ -621,13 +637,10 @@ class TestMainLemmaChecker:
         completion = complete_to_constant_domain(tree, sig)
         formula = parse_formula("or(p(x), q(x))", sig)
         for instance in check_main_lemma(completion, sig, formula).instances:
-            single = check_main_lemma_instance(
-                tree, sig, formula, instance.node, instance.assignment, completion
-            )
-            assert single == instance
-            assert check_main_lemma_instance(
-                tree, sig, formula, instance.node, instance.assignment
-            ) == instance
+            point = [(instance.node, instance.assignment)]
+            assert check_main_lemma(completion, sig, formula, point).instances[0] == instance
+            fresh = complete_to_constant_domain(tree, sig)
+            assert check_main_lemma(fresh, sig, formula, point).instances[0] == instance
 
     def test_one_bar_pass_and_module_level_seams(self, monkeypatch, separating, separating_sig):
         # benchmark tracing wraps these two functions at their module attributes
@@ -699,6 +712,20 @@ class TestTreeFromModel:
         rebuilt = tree_from_model(tree.model)
         assert rebuilt.root == tree.root
         assert rebuilt.parent == tree.parent
+
+    def test_long_chain_becomes_a_tree_quickly(self):
+        # validation by pairs of order pairs took about 17 s on these 200 worlds
+        worlds = tuple(f"w{i}" for i in range(200))
+        model = KripkeModel(
+            worlds,
+            reflexive_transitive_closure(worlds, zip(worlds, worlds[1:])),
+            {w: ("a",) for w in worlds},
+            frozenset(),
+        )
+        started = time.monotonic()
+        tree = tree_from_model(model)
+        assert time.monotonic() - started < 5
+        assert tree.parent == dict(zip(worlds[1:], worlds))
 
     def test_rejects_diamond(self):
         with pytest.raises(InvalidModelError):

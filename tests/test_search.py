@@ -27,6 +27,7 @@ from kripkebench.semantics import (
     compile_sequent,
     find_refutation,
     is_constant_domain,
+    upward_closed_subsets,
     validate_model,
 )
 from kripkebench.syntax import Signature, parse_sequent
@@ -169,9 +170,13 @@ class TestEnumeration:
             for order in search._ORDER_GENERATORS[shape](n):
                 for size in range(n + 1):
                     for candidates in itertools.combinations(range(n), size):
-                        assert search._upward_closed_subsets(
-                            candidates, order
-                        ) == upward_closed_subsets_by_masks(candidates, order)
+                        want = upward_closed_subsets_by_masks(candidates, order)
+                        assert upward_closed_subsets(candidates, order) == want
+                        # the bound admits the whole family and no less
+                        assert upward_closed_subsets(candidates, order, len(want)) == want
+                        if len(want) > 1:
+                            with pytest.raises(ValueError):
+                                upward_closed_subsets(candidates, order, len(want) - 1)
 
 
 class TestDecide:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from kripkebench.syntax import Sequent, Signature, free_vars, parse_formula, par
 from kripkebench.synthesize import separating_countermodel
 from kripkebench.truthfun import BUILTINS, builtin
 
-from util import naive_refutation, naive_value, random_model
+from util import naive_refutation, naive_value, random_model, validate_model_by_pairs
 
 
 @pytest.fixture
@@ -104,6 +105,35 @@ class TestValidation:
             facts=frozenset({("w0", "p", ()), ("w0", "p", ("a",))}),
         )
         assert any("inconsistent" in v for v in validate_model(model))
+
+    VIOLATION_KINDS = (
+        "undeclared world", "not reflexive", "not transitive", "lists duplicate", "is empty",
+        "not monotone", "inconsistent arities", "outside D", "heredity", "exactly the declared",
+    )
+
+    def test_validation_matches_the_pair_scan_on_random_relations(self):
+        # relations that need not be orders, with undeclared worlds, duplicate
+        # or missing domain elements, stray facts and mixed arities
+        rng = random.Random(2026)
+        seen = set()
+        for _ in range(600):
+            worlds = tuple(f"w{i}" for i in range(rng.randint(1, 5)))
+            names = worlds + ("u",)
+            order = frozenset((a, b) for a in names for b in names if rng.random() < 0.3)
+            if rng.random() < 0.5:
+                order = reflexive_transitive_closure(worlds, [p for p in order if "u" not in p])
+            domains = {w: tuple(rng.choices("abc", k=rng.randint(0, 3))) for w in worlds}
+            if rng.random() < 0.05:
+                domains["u"] = ("a",)
+            facts = frozenset(
+                (rng.choice(names), rng.choice("pq"), tuple(rng.choices("abc", k=rng.randint(0, 2))))
+                for _ in range(rng.randint(0, 8))
+            )
+            model = KripkeModel(worlds, order, domains, facts)
+            violations = validate_model(model)
+            assert violations == validate_model_by_pairs(model)
+            seen |= {kind for kind in self.VIOLATION_KINDS for v in violations if kind in v}
+        assert seen == set(self.VIOLATION_KINDS)
 
 
 class TestConstantDomain:
@@ -406,6 +436,18 @@ class TestModelFiles:
             parse_model_text(
                 "pred p 2\nworlds: w0\ndomain w0: a\nfact w0: p(a)\n"
             )
+
+    def test_long_chain_loads_quickly(self):
+        # a scan over pairs of the 20,100 order pairs here took about 17 s
+        worlds = [f"w{i}" for i in range(200)]
+        lines = ["worlds: " + " ".join(worlds)]
+        lines += [f"order: {a} {b}" for a, b in zip(worlds, worlds[1:])]
+        lines += [f"domain {w}: a" for w in worlds]
+        lines += [f"fact {w}: r" for w in worlds[100:]]
+        started = time.monotonic()
+        model, _ = parse_model_text("\n".join(lines) + "\n")
+        assert time.monotonic() - started < 5
+        assert len(model.order) == 200 * 201 // 2
 
     def test_zero_ary_fact_spellings(self):
         model, _ = parse_model_text("worlds: w0\ndomain w0: a\nfact w0: T\n")

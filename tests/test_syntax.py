@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kripkebench.syntax import (
     Atom,
@@ -210,3 +210,33 @@ class TestSignature:
             with pytest.raises(ValueError) as direct:
                 TruthFunction.from_json(f'{{"arity": {arity}, "table": "{table}"}}')
             assert str(raised.value) == f"line 1: {direct.value}"
+
+
+# signature lines shaped like `pred`/`conn` directives, so that the fuzzer
+# reaches the parser's branches and not only its "unknown directive" error
+_SIGNATURE_LINE = st.one_of(
+    st.text(max_size=12),
+    st.lists(
+        st.one_of(
+            st.sampled_from(
+                ["pred", "conn", "builtin", "p", "or", "xor", "f", "T", "#", "0", "1", "2",
+                 "-1", "01", "0110", "0x", "99999999999"]
+            ),
+            st.text(max_size=3),
+        ),
+        max_size=5,
+    ).map(" ".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.lists(_SIGNATURE_LINE, max_size=6).map("\n".join)))
+@example("pred p -1")
+@example("conn c -1 0")
+@example("pred or 1\nconn or builtin")
+def test_signature_parser_returns_a_signature_or_raises_invalid_signature_error(text):
+    try:
+        signature = parse_signature(text)
+    except InvalidSignatureError:
+        return
+    assert isinstance(signature, Signature)

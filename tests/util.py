@@ -12,6 +12,8 @@ from kripkebench.construct import (
     TreeModel,
     bars,
     enumerate_choice_functions,
+    is_upward_closed,
+    partition_upward_closed,
 )
 from kripkebench.search import (
     Refuted,
@@ -146,14 +148,14 @@ def reference_completion(tree, signature):
         if not has_any:
             continue  # everything stays 0
         for combo in itertools.product(names, repeat=arity):
-            domains = [functions[name].domain for name in combo]
+            domains = [frozenset(functions[name]) for name in combo]
             shared = set(tree.nodes)
             for d in domains:
                 shared &= d
             bad = {
                 v
                 for v in shared
-                if (v, pred, tuple(functions[name].value(v) for name in combo))
+                if (v, pred, tuple(functions[name][v] for name in combo))
                 not in tree.model.facts
             }
             for w in tree.nodes:
@@ -166,6 +168,80 @@ def reference_completion(tree, signature):
         facts=frozenset(facts),
     )
     return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
+
+
+def choice_functions_by_masks(tree):
+    """Every choice function on the tree, by a scan of all masks over the
+    internal nodes in increasing order, keeping the upward-closed domains
+    that hold every leaf."""
+    leaves = set(tree.leaves())
+    internal = [n for n in tree.nodes if n not in leaves]
+    for mask in range(1 << len(internal)):
+        dom = frozenset(leaves | {internal[k] for k in range(len(internal)) if mask >> k & 1})
+        if not is_upward_closed(tree, dom):
+            continue
+        blocks = partition_upward_closed(tree, dom)
+        for values in itertools.product(*(tree.model.domains[m] for m, _ in blocks)):
+            mapping = {}
+            for (_, block), element in zip(blocks, values):
+                for member in block:
+                    mapping[member] = element
+            yield dict(sorted(mapping.items()))
+
+
+def validate_model_by_pairs(model):
+    """The order and heredity checks of `validate_model` by scans over all
+    pairs of order pairs and over all worlds, with its messages in its
+    order."""
+    violations = []
+    worlds = model.worlds
+    world_set = set(worlds)
+    if len(world_set) != len(worlds):
+        violations.append("duplicate world names")
+    if set(model.domains) != world_set:
+        violations.append("domains must be declared for exactly the declared worlds")
+        return violations
+    ordered_pairs = sorted(model.order)
+    for a, b in ordered_pairs:
+        if a not in world_set or b not in world_set:
+            violations.append(f"order pair ({a}, {b}) mentions an undeclared world")
+    for w in worlds:
+        if (w, w) not in model.order:
+            violations.append(f"order is not reflexive at {w}")
+    for a, b in ordered_pairs:
+        for c, d in ordered_pairs:
+            if b == c and (a, d) not in model.order:
+                violations.append(f"order is not transitive: {a} <= {b} <= {d}")
+    domain_sets = {w: set(model.domains[w]) for w in worlds}
+    for w in worlds:
+        if not model.domains[w]:
+            violations.append(f"domain of {w} is empty")
+        if len(domain_sets[w]) != len(model.domains[w]):
+            violations.append(f"domain of {w} lists duplicate elements")
+    for a, b in ordered_pairs:
+        if a in domain_sets and b in domain_sets and not domain_sets[a] <= domain_sets[b]:
+            missing = sorted(domain_sets[a] - domain_sets[b])
+            violations.append(f"domain not monotone: {missing} in D({a}) but not D({b})")
+    arities = {}
+    for w, pred, args in sorted(model.facts):
+        if w not in world_set:
+            violations.append(f"fact at undeclared world {w}")
+            continue
+        if pred in arities and arities[pred] != len(args):
+            violations.append(f"predicate {pred} used with inconsistent arities")
+        arities.setdefault(pred, len(args))
+        for e in args:
+            if e not in domain_sets[w]:
+                violations.append(f"fact {pred}{args} at {w} uses {e} outside D({w})")
+    for w, pred, args in sorted(model.facts):
+        if w not in world_set:
+            continue
+        for v in worlds:
+            if (w, v) in model.order and (v, pred, args) not in model.facts:
+                violations.append(
+                    f"heredity violated: {pred}{args} is 1 at {w} but 0 at {v} >= {w}"
+                )
+    return violations
 
 
 def poset_orders_by_masks(n):
