@@ -19,7 +19,7 @@ def main() -> int:
     parser.add_argument("--cd-domain", type=int, default=2)
     args = parser.parse_args()
 
-    cd_bounds = SearchBounds(args.cd_worlds, args.cd_domain, "tree", constant_domain=True)
+    cd_bounds = SearchBounds(args.cd_worlds, args.cd_domain, "tree")
     for name in ("or", "xor"):
         certificate = synthesize(name, builtin(name), cd_bounds)
         print(format_certificate(certificate))

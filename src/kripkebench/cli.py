@@ -215,10 +215,7 @@ def cmd_synthesize(args) -> int:
         cd_bounds = None
     else:
         cd_bounds = SearchBounds(
-            max_worlds=args.cd_bounds[0],
-            max_domain=args.cd_bounds[1],
-            shape="tree",
-            constant_domain=True,
+            max_worlds=args.cd_bounds[0], max_domain=args.cd_bounds[1], shape="tree"
         )
     certificate = synthesize.synthesize(name, tf, cd_bounds)
     text = synthesize.format_certificate(certificate)

@@ -19,7 +19,8 @@ from .semantics import Evaluator, InvalidModelError, KripkeModel, require_valid_
 from .semantics import upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
-# the most nodes an unraveled tree, or choice functions an enumeration, may have
+# the most nodes an unraveled tree, choice functions an enumeration, or
+# instances a main-lemma check may have
 MAX_COUNT = 50_000
 # the most (node, argument tuple) pairs a completion may scan: nodes times
 # functions to the arity, summed over the predicates that have facts
@@ -638,15 +639,19 @@ def check_main_lemma(
 
     By default the instances are every node with every assignment of the
     formula's free variables, in node order and then in product order of the
-    completed domain. The tree is checked for bar-determinacy once, and one
+    completed domain; more than MAX_COUNT of them raise ValueError before any
+    is evaluated. The tree is checked for bar-determinacy once, and one
     evaluator per model serves every instance, the tree's one both the bar
     check and the pointwise condition.
     """
     tree = completion.tree
-    pointwise = Evaluator(tree.model, signature)
-    violation = bar_precondition_violation(tree, pointwise, formula)
     if instances is None:
         variables = sorted(free_vars(formula))
+        if len(tree.nodes) * len(completion.functions) ** len(variables) > MAX_COUNT:
+            raise ValueError(
+                f"the main lemma has more than {MAX_COUNT} instances here"
+                " (nodes times functions to the number of free variables)"
+            )
         instances = (
             (node, dict(zip(variables, combo)))
             for node in tree.nodes
@@ -654,6 +659,8 @@ def check_main_lemma(
                 completion.model.domains[node], repeat=len(variables)
             )
         )
+    pointwise = Evaluator(tree.model, signature)
+    violation = bar_precondition_violation(tree, pointwise, formula)
     completed = Evaluator(completion.model, signature)
     reports = []
     overall = "holds"

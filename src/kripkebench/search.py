@@ -20,7 +20,8 @@ from .semantics import (
     Frame,
     KripkeModel,
     compile_sequent,
-    find_refutation,
+    find_refutation,  # unused here; a seam the benchmark tracer wraps (ROADMAP item 1)
+    refuting_points,
     upward_closed_subsets,
     validate_model,
 )
@@ -60,7 +61,6 @@ class SearchBounds:
     max_worlds: int
     max_domain: int
     shape: str = "poset"
-    constant_domain: bool = False
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -188,7 +188,9 @@ class SlottedFrame(NamedTuple):
     size: int
 
 
-def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[SlottedFrame]:
+def enumerate_frames(
+    signature: Signature, bounds: SearchBounds, constant_domain: bool = False
+) -> Iterator[SlottedFrame]:
     """The frames of `enumerate_models`, in its order, with their fact slots.
 
     Raises ValueError before the stream passes MAX_FRAMES frames or
@@ -197,13 +199,13 @@ def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[Slo
     """
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
     prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
-    subsets = [] if bounds.constant_domain else _nonempty_subsets(universe)
+    subsets = [] if constant_domain else _nonempty_subsets(universe)
     frames = models = 0
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         for index_order in _ORDER_GENERATORS[bounds.shape](n):
             order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
-            if bounds.constant_domain:
+            if constant_domain:
                 domain_choices: Iterator = ((d,) * n for d in prefixes)
             else:
                 domain_choices = (
@@ -249,9 +251,12 @@ def enumerate_frames(signature: Signature, bounds: SearchBounds) -> Iterator[Slo
                 yield SlottedFrame(worlds, order, domains, tuple(slots), size)
 
 
-def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[KripkeModel]:
+def enumerate_models(
+    signature: Signature, bounds: SearchBounds, constant_domain: bool = False
+) -> Iterator[KripkeModel]:
     """Deterministic stream of the valid models within the bounds that can
-    be a first countermodel.
+    be a first countermodel, with one domain at every world when
+    `constant_domain`.
 
     Worlds are w0..w{n-1}, elements a0..a{m-1}; orders, domain assignments,
     and interpretations are enumerated in a fixed construction order, and
@@ -280,7 +285,7 @@ def enumerate_models(signature: Signature, bounds: SearchBounds) -> Iterator[Kri
     A preorder's least worlds need not include w0, so `any-preorder` keeps
     all its orders.
     """
-    for frame in enumerate_frames(signature, bounds):
+    for frame in enumerate_frames(signature, bounds, constant_domain):
         for index in range(frame.size):
             yield decode_model(frame, index)
 
@@ -370,35 +375,29 @@ def decide(
     one-world models. Returns the first countermodel in construction order,
     else ValidUpToBounds. Each frame's models are labelled at once by
     `first_refuted`; only the first countermodel is decoded, and it is
-    re-checked by `validate_model` and `find_refutation` at width 1, which
-    also gives its world and assignment. A search that would pass MAX_FRAMES
-    frames or MAX_MODELS models raises ValueError before it does.
+    re-checked by `validate_model` and the independent `refuting_points`,
+    which also gives its world and assignment. A search that would pass
+    MAX_FRAMES frames or MAX_MODELS models raises ValueError before it does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
-    effective = bounds
-    if mode == "cd":
-        effective = replace(bounds, constant_domain=True)
-    elif mode == "classical":
-        effective = replace(bounds, max_worlds=1)
+    effective = replace(bounds, max_worlds=1) if mode == "classical" else bounds
     compiled = compile_sequent(signature, sequent)
     search_signature = _restrict_to_sequent(signature, compiled)
-    for frame in enumerate_frames(search_signature, effective):
+    for frame in enumerate_frames(search_signature, effective, mode == "cd"):
         index = first_refuted(frame, compiled)
         if index is not None:
-            return _rechecked(decode_model(frame, index), signature, sequent, compiled)
+            return _rechecked(decode_model(frame, index), signature, sequent)
     return ValidUpToBounds(effective)
 
 
-def _rechecked(
-    model: KripkeModel, signature: Signature, sequent: Sequent, compiled: CompiledSequent
-) -> Refuted:
+def _rechecked(model: KripkeModel, signature: Signature, sequent: Sequent) -> Refuted:
     violations = validate_model(model)
     if violations:
         raise InconsistentVerdictError(
             "inconsistent search: the decoded countermodel is invalid: " + "; ".join(violations)
         )
-    witness = find_refutation(model, signature, sequent, compiled=compiled)
+    witness = next(refuting_points(model, signature, sequent), None)
     if witness is None:
         raise InconsistentVerdictError(
             "inconsistent search: the bit-sliced search refuted a model"

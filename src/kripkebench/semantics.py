@@ -89,13 +89,19 @@ def validate_model(model: KripkeModel) -> list[str]:
     for w in worlds:
         if (w, w) not in model.order:
             violations.append(f"order is not reflexive at {w}")
-    above: dict[str, list[str]] = {}  # in sorted order, as the pairs are
+    # each name's up-set as a mask, bits in sorted name order; a <= b lacks
+    # the d of up[b] & ~up[a]
+    names = sorted({x for pair in ordered_pairs for x in pair})
+    index = {x: i for i, x in enumerate(names)}
+    up = dict.fromkeys(names, 0)
     for a, b in ordered_pairs:
-        above.setdefault(a, []).append(b)
+        up[a] |= 1 << index[b]
     for a, b in ordered_pairs:
-        for d in above.get(b, ()):
-            if (a, d) not in model.order:
-                violations.append(f"order is not transitive: {a} <= {b} <= {d}")
+        missing = up[b] & ~up[a]
+        while missing:
+            d = names[(missing & -missing).bit_length() - 1]
+            violations.append(f"order is not transitive: {a} <= {b} <= {d}")
+            missing &= missing - 1
 
     domain_sets = {w: set(model.domains[w]) for w in worlds}
     for w in worlds:
@@ -507,85 +513,84 @@ def eval_formula(
 
 
 def find_refutation(
-    model: KripkeModel,
-    signature: Signature,
-    sequent: Sequent,
-    *,
-    compiled: Optional[CompiledSequent] = None,
+    model: KripkeModel, signature: Signature, sequent: Sequent
 ) -> Optional[tuple[str, dict[str, str]]]:
     """First point (world, assignment) where the sequent gets value 0.
 
     Worlds are scanned in declaration order, assignments with variables in
     sorted order and elements in declaration order; returns None when the
-    model validates the sequent. `compiled`, from `compile_sequent(signature,
-    sequent)`, saves compiling the sequent again.
+    model validates the sequent.
     """
-    if compiled is None:
-        compiled = compile_sequent(signature, sequent)
+    compiled = compile_sequent(signature, sequent)
     return Evaluator(model, signature, compiled.formulas).refutation(compiled)
 
 
-def classical_eval(
-    signature: Signature,
-    domain: tuple[str, ...],
-    facts: frozenset[tuple[str, tuple[str, ...]]],
-    assignment: dict[str, str],
-    formula: Formula,
-) -> int:
-    """Plain truth-table evaluation over one nonempty domain.
-
-    Independent of the Kripke evaluator; coincides with it on the induced
-    one-world model.
+def refuting_points(
+    model: KripkeModel, signature: Signature, sequent: Sequent
+) -> Iterator[tuple[str, dict[str, str]]]:
+    """Each point (world, assignment) where the sequent gets value 0, in the
+    scan order of `find_refutation`, by direct recursion on the four Kripke
+    clauses. It shares no code with `Evaluator`, and on a one-world model it
+    is classical evaluation. A value is memoized by (subformula, world,
+    elements at its free variables), so the work stays polynomial.
     """
-    if not domain:
-        raise ValueError("classical evaluation needs a nonempty domain")
-    if isinstance(formula, Atom):
-        for x in formula.args:
-            if x not in assignment:
-                raise ValueError(f"unbound free variable {x!r}")
-        args = tuple(assignment[x] for x in formula.args)
-        return 1 if (formula.pred, args) in facts else 0
-    if isinstance(formula, Conn):
-        tf = signature.connectives[formula.conn]
-        index = 0
-        for arg in formula.args:
-            index = (index << 1) | classical_eval(signature, domain, facts, assignment, arg)
-        return tf.table[index]
-    if isinstance(formula, Forall):
-        return (
-            1
-            if all(
-                classical_eval(
-                    signature, domain, facts, {**assignment, formula.var: a}, formula.body
-                )
-                for a in domain
-            )
-            else 0
-        )
-    if isinstance(formula, Exists):
-        return (
-            1
-            if any(
-                classical_eval(
-                    signature, domain, facts, {**assignment, formula.var: a}, formula.body
-                )
-                for a in domain
-            )
-            else 0
-        )
-    raise TypeError(f"not a formula: {formula!r}")
+    up: dict[str, list[str]] = {w: [] for w in model.worlds}
+    for a, b in model.order:
+        up[a].append(b)
+    free: dict[int, tuple[str, ...]] = {}  # by id of subformula, found in one walk
+    memo: dict[tuple, bool] = {}
 
+    def walk(f: Formula) -> set[str]:
+        kind = type(f)
+        if kind is Atom:
+            return set(f.args)
+        got = set()
+        for arg in f.args if kind is Conn else (f.body,):
+            got |= walk(arg)
+        if kind is not Conn:
+            got.discard(f.var)
+        free[id(f)] = tuple(got)
+        return got
 
-def one_world_model(
-    domain: tuple[str, ...], facts: Iterable[tuple[str, tuple[str, ...]]], world: str = "w0"
-) -> KripkeModel:
-    """The one-world Kripke model induced by a classical structure."""
-    return KripkeModel(
-        worlds=(world,),
-        order=frozenset({(world, world)}),
-        domains={world: tuple(domain)},
-        facts=frozenset((world, pred, args) for pred, args in facts),
-    )
+    def holds(f: Formula, w: str, rho: dict[str, str]) -> bool:
+        kind = type(f)
+        if kind is Atom:
+            return (w, f.pred, tuple(map(rho.__getitem__, f.args))) in model.facts
+        key = (id(f), w, *map(rho.__getitem__, free[id(f)]))
+        got = memo.get(key)
+        if got is None:
+            if kind is Conn:
+                table = signature.connectives[f.conn].table
+                got = True
+                for v in up[w]:
+                    index = 0
+                    for arg in f.args:
+                        index = 2 * index + holds(arg, v, rho)
+                    if not table[index]:
+                        got = False
+                        break
+            else:
+                # forall holds unless the body fails above; exists fails unless it holds here
+                want = got = kind is Forall
+                inner = dict(rho)
+                for v in up[w] if want else (w,):
+                    for inner[f.var] in model.domains[v]:
+                        if holds(f.body, v, inner) != want:
+                            got = not want
+                            break
+                    if got != want:
+                        break
+            memo[key] = got
+        return got
+
+    variables = sorted(set().union(*map(walk, sequent.formulas())))
+    for w in model.worlds:
+        for combo in itertools.product(model.domains[w], repeat=len(variables)):
+            rho = dict(zip(variables, combo))
+            if all(holds(f, w, rho) for f in sequent.antecedent) and not any(
+                holds(f, w, rho) for f in sequent.succedent
+            ):
+                yield w, rho
 
 
 # --- model files -------------------------------------------------------------

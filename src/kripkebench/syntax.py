@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from .truthfun import TruthFunction, builtin, table_bits
 
 RESERVED = ("forall", "exists")
+# the most formulas one parsed formula may nest, itself included; parsing
+# and evaluation recurse once or more per level
+MAX_NESTING = 100
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -225,6 +228,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = signature
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -244,9 +248,12 @@ class _Parser:
         kind, value, at = self.peek()
         if kind != "IDENT":
             raise ParseError(f"expected a formula, found {value!r}", at)
-        if value in RESERVED:
-            return self.quantifier()
-        return self.application()
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests more than {MAX_NESTING} levels deep", at)
+        self.depth += 1
+        formula = self.quantifier() if value in RESERVED else self.application()
+        self.depth -= 1
+        return formula
 
     def quantifier(self) -> Formula:
         _, word, _ = self.next()

@@ -35,7 +35,7 @@ from .truthfun import (
 
 ROLE_KEYS = ("p", "q", "T", "R")
 
-DEFAULT_CD_BOUNDS = SearchBounds(max_worlds=3, max_domain=2, shape="tree", constant_domain=True)
+DEFAULT_CD_BOUNDS = SearchBounds(max_worlds=3, max_domain=2, shape="tree")
 
 
 def find_witness(tf: TruthFunction) -> tuple[TruthVector, TruthVector]:

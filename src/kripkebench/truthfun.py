@@ -125,7 +125,10 @@ class TruthFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "TruthFunction":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("connective JSON nests too deeply") from None
         if not isinstance(data, dict) or set(data) != {"arity", "table"}:
             raise ValueError("expected an object with keys 'arity' and 'table'")
         arity, table = data["arity"], data["table"]

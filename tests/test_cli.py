@@ -10,9 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kripkebench import cli, construct, search
+from kripkebench import cli, construct, search, semantics
 from kripkebench.cli import main
 from kripkebench.semantics import KripkeModel, parse_model_text
+
+from util import shifted_above_none_of
 
 
 OR_SEQUENT = (
@@ -71,6 +73,35 @@ _SEQUENT_FILES = st.one_of(
 )
 
 
+# connective files: arbitrary text, JSON values, and objects with the two
+# keys holding values of any type
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+_CONNECTIVE_FILES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries(
+        {
+            "arity": st.integers(-2, 4) | _JSON,
+            "table": st.text("01", max_size=17) | _JSON,
+        }
+    ).map(json.dumps),
+)
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def assert_usage_error(code, capsys):
+    """Exit 2 with one `error:` line and nothing on stdout."""
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def or_seq_file(tmp_path):
     path = tmp_path / "or.seq"
@@ -114,6 +145,29 @@ class TestAnalyze:
         assert main(["analyze-connective", "--connective", str(path), "--name", "maj"]) == 0
         out = capsys.readouterr().out
         assert "connective: maj" in out
+
+    def test_deeply_nested_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        assert_usage_error(main(["analyze-connective", "--connective", str(path)]), capsys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONNECTIVE_FILES)
+    @example(DEEP_JSON)
+    @example('{"arity": 1, "table": "01"}')
+    @example('{"arity": 99999999999999999999, "table": "01"}')
+    def test_any_connective_file_exits_with_a_contract_code(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "fuzz.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["analyze-connective", "--connective", path])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestDecide:
@@ -234,6 +288,25 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err.startswith("error: inconsistent search: ")
 
+    def test_planted_labelling_fault_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the fault refutes `not(not(r)) => r` on a model that validates it,
+        # and the independent re-check stops it before anything is printed
+        monkeypatch.setattr(semantics.Evaluator, "_above_none_of", shifted_above_none_of)
+        path = tmp_path / "dn.seq"
+        path.write_text("pred r 0\nconn not builtin\nsequent: not(not(r)) => r\n")
+        code = main(["decide", "--mode", "kripke", "--seq", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: inconsistent search: ")
+
+    def test_deeply_nested_sequent_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.seq"
+        path.write_text(
+            "pred p 0\nconn not builtin\nsequent: => " + "not(" * 400 + "p" + ")" * 400 + "\n"
+        )
+        assert_usage_error(main(["decide", "--mode", "kripke", "--seq", str(path)]), capsys)
+
     @settings(max_examples=300, deadline=None)
     @given(_SEQUENT_FILES)
     @example("pred p 1\nsequent: p(x\n")
@@ -269,6 +342,11 @@ class TestSynthesizeCommand:
 
     def test_supermultiplicative_is_domain_error(self, capsys):
         assert main(["synthesize", "--builtin", "and"]) == 2
+
+    def test_deeply_nested_connective_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        assert_usage_error(main(["synthesize", "--connective", str(path)]), capsys)
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "cert.txt"
@@ -459,6 +537,23 @@ class TestCheckMainLemmaCommand:
         assert main(["check-main-lemma", str(path), "p(x)"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "holds"
+
+    def test_deeply_nested_formula_is_usage_error(self, separating_file, capsys):
+        formula = "forall x. " * 500 + "p(x)"
+        assert_usage_error(main(["check-main-lemma", separating_file, formula]), capsys)
+
+    def test_instances_past_the_cap_are_usage_error(self, tmp_path, capsys):
+        # 40 nodes times 40 choice functions to the third: 2,560,000 instances
+        worlds = [f"n{i}" for i in range(40)]
+        lines = ["pred p 1", "conn and builtin", "worlds: " + " ".join(worlds)]
+        lines += [f"order: {a} {b}" for a, b in zip(worlds, worlds[1:])]
+        lines += [f"domain {w}: a" for w in worlds]
+        path = tmp_path / "chain.model"
+        path.write_text("\n".join(lines) + "\n")
+        started = time.monotonic()
+        code = main(["check-main-lemma", str(path), "and(p(x), and(p(y), p(z)))"])
+        assert time.monotonic() - started < 5
+        assert_usage_error(code, capsys)
 
 
 class TestCensusCommand:

@@ -1,9 +1,8 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
-from kripkebench import search
+from kripkebench import search, semantics
 from kripkebench.search import (
     SHAPES,
     InconsistentVerdictError,
@@ -41,6 +40,7 @@ from util import (
     poset_orders_by_masks,
     preorder_orders_by_masks,
     reference_enumerate_models,
+    shifted_above_none_of,
     upward_closed_subsets_by_masks,
 )
 
@@ -94,7 +94,7 @@ class TestEnumeration:
 
     def test_constant_domain_flag(self):
         sig = Signature({"p": 1}, {})
-        for model in enumerate_models(sig, SearchBounds(2, 2, "tree", constant_domain=True)):
+        for model in enumerate_models(sig, SearchBounds(2, 2, "tree"), constant_domain=True):
             assert is_constant_domain(model)
 
     @pytest.mark.parametrize("shape", ["chain", "tree", "poset", "any-preorder"])
@@ -134,12 +134,15 @@ class TestEnumeration:
     ):
         # the unreduced stream, less the models that cannot come first
         sig = Signature(predicates, {})
-        bounds = SearchBounds(max_worlds, max_domain, shape, constant_domain=constant_domain)
+        bounds = SearchBounds(max_worlds, max_domain, shape)
         reduced = (
-            m for m in reference_enumerate_models(sig, bounds) if is_canonical(m, shape)
+            m
+            for m in reference_enumerate_models(sig, bounds, constant_domain)
+            if is_canonical(m, shape)
         )
         count = 0
-        for got, want in itertools.zip_longest(enumerate_models(sig, bounds), reduced):
+        stream = enumerate_models(sig, bounds, constant_domain)
+        for got, want in itertools.zip_longest(stream, reduced):
             assert got == want
             count += 1
         assert count > 1
@@ -203,7 +206,6 @@ class TestDecide:
         assert isinstance(kripke, Refuted)
         cd = decide(sig, s, "cd", SearchBounds(2, 2, "tree"))
         assert isinstance(cd, ValidUpToBounds)
-        assert cd.bounds.constant_domain
 
     def test_classical_mode_stays_one_world(self):
         sig = Signature({"p": 0}, {"not": builtin("not")})
@@ -457,9 +459,8 @@ class TestDecideAgainstNaiveOracle:
         # every model of the stream, not only the first refuted one
         compiled = compile_sequent(sig, s)
         for model in enumerate_models(Signature(predicates, {}), bounds):
-            assert find_refutation(model, sig, s, compiled=compiled) == naive_refutation(
-                model, sig, s
-            )
+            witness = Evaluator(model, sig, compiled.formulas).refutation(compiled)
+            assert witness == naive_refutation(model, sig, s)
 
 
 def _corpus_signature():
@@ -488,27 +489,27 @@ class TestBitSlicedSearch:
         # and every label of a chunk holds, at block i bit m, bit i of the
         # width-1 label on the chunk's model m
         sig = _corpus_signature()
-        bounds = replace(bounds, constant_domain=mode == "cd")
+        cd = mode == "cd"
         frames = refuted = labels = 0
         for s in sequent_corpus(sig, 2024, 12):
             compiled = compile_sequent(sig, s)
             formulas = compiled.formulas
-            models = enumerate_models(sig, bounds)
-            for frame in enumerate_frames(sig, bounds):
+            models = enumerate_models(sig, bounds, cd)
+            for frame in enumerate_frames(sig, bounds, cd):
                 decoded = [decode_model(frame, m) for m in range(frame.size)]
                 assert decoded == list(itertools.islice(models, frame.size))
+                singles = [Evaluator(model, sig, formulas) for model in decoded]
                 want = next(
                     (
                         m
-                        for m, model in enumerate(decoded)
-                        if find_refutation(model, sig, s, compiled=compiled) is not None
+                        for m, single in enumerate(singles)
+                        if single.refutation(compiled) is not None
                     ),
                     None,
                 )
                 assert first_refuted(frame, compiled) == want
                 frames += 1
                 refuted += want is not None
-                singles = [Evaluator(model, sig, formulas) for model in decoded]
                 elements = sorted({e for domain in frame.domains.values() for e in domain})
                 for start, batch in search._chunks(frame, formulas):
                     width = batch.frame.width
@@ -552,14 +553,14 @@ class TestBitSlicedSearch:
         s = parse_sequent(text, sig)
         verdict = decide(sig, s, mode, bounds)
         assert isinstance(verdict, Refuted)
-        effective = replace(bounds, constant_domain=mode == "cd")
-        stream = enumerate_models(search._restrict_to_sequent(sig, compile_sequent(sig, s)), effective)
+        restricted = search._restrict_to_sequent(sig, compile_sequent(sig, s))
+        stream = enumerate_models(restricted, bounds, mode == "cd")
         scan = next(
             m
             for m, model in enumerate(stream)
             if find_refutation(model, sig, s) is not None
         )
-        models = enumerate_models(search._restrict_to_sequent(sig, compile_sequent(sig, s)), effective)
+        models = enumerate_models(restricted, bounds, mode == "cd")
         assert next(itertools.islice(models, scan, None)) == verdict.model
         assert scan == position
 
@@ -608,6 +609,46 @@ class TestBitSlicedSearch:
         )
         with pytest.raises(InconsistentVerdictError, match="heredity violated"):
             decide(sig, s, "kripke", bounds)
+
+    def test_planted_labelling_fault_raises(self, monkeypatch):
+        # the fault makes the search refute models that validate the
+        # sequent; the re-check shares no code with the labelling, so it
+        # raises on each of them, and every refuted verdict that remains
+        # is a true one
+        monkeypatch.setattr(semantics.Evaluator, "_above_none_of", shifted_above_none_of)
+        sig = _corpus_signature()
+        raised = refuted = 0
+        for mode, bounds in (("cd", SearchBounds(2, 2, "tree")), ("kripke", SearchBounds(3, 2))):
+            for s in sequent_corpus(sig, 2024, 100):
+                try:
+                    verdict = decide(sig, s, mode, bounds)
+                except InconsistentVerdictError:
+                    raised += 1
+                    continue
+                if isinstance(verdict, Refuted):
+                    point = (verdict.world, verdict.assignment)
+                    assert naive_refutation(verdict.model, sig, s) == point
+                    refuted += 1
+        assert raised > 0 and refuted > 0
+
+    def test_recheck_agrees_on_every_countermodel(self):
+        # the point the re-check reports is the one the labelling and the
+        # naive recursion find first, on every countermodel of the corpus
+        sig = _corpus_signature()
+        count = 0
+        for mode, bounds in (
+            ("cd", SearchBounds(2, 2, "tree")),
+            ("kripke", SearchBounds(3, 2, "poset")),
+            ("classical", SearchBounds(2, 2, "tree")),
+        ):
+            for s in sequent_corpus(sig, 2024, 100):
+                verdict = decide(sig, s, mode, bounds)
+                if isinstance(verdict, Refuted):
+                    point = (verdict.world, verdict.assignment)
+                    assert find_refutation(verdict.model, sig, s) == point
+                    assert naive_refutation(verdict.model, sig, s) == point
+                    count += 1
+        assert count == 236
 
     def test_caps_on_frames_and_models(self, monkeypatch):
         sig = Signature({"p": 1}, {})

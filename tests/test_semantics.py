@@ -1,22 +1,23 @@
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kripkebench import semantics
 from kripkebench.semantics import (
     Evaluator,
     InvalidModelError,
     KripkeModel,
-    classical_eval,
     compile_sequent,
     eval_formula,
     find_refutation,
     is_constant_domain,
     model_to_text,
-    one_world_model,
     parse_model_text,
     reflexive_transitive_closure,
+    refuting_points,
     validate_model,
 )
 from kripkebench.search import random_formula
@@ -24,7 +25,13 @@ from kripkebench.syntax import Sequent, Signature, free_vars, parse_formula, par
 from kripkebench.synthesize import separating_countermodel
 from kripkebench.truthfun import BUILTINS, builtin
 
-from util import naive_refutation, naive_value, random_model, validate_model_by_pairs
+from util import (
+    naive_refutation,
+    naive_value,
+    one_world_model,
+    random_model,
+    validate_model_by_pairs,
+)
 
 
 @pytest.fixture
@@ -134,6 +141,15 @@ class TestValidation:
             assert violations == validate_model_by_pairs(model)
             seen |= {kind for kind in self.VIOLATION_KINDS for v in violations if kind in v}
         assert seen == set(self.VIOLATION_KINDS)
+
+    def test_long_chain_validates_quickly(self):
+        # a walk over each successor of each order pair is cubic on a chain
+        worlds = tuple(f"w{i}" for i in range(600))
+        order = frozenset((a, b) for i, a in enumerate(worlds) for b in worlds[i:])
+        model = KripkeModel(worlds, order, {w: ("a",) for w in worlds}, frozenset())
+        started = time.perf_counter()
+        assert validate_model(model) == []
+        assert time.perf_counter() - started < 2
 
 
 class TestConstantDomain:
@@ -254,13 +270,21 @@ class TestModelValidates:
         assert find_refutation(model, sig, parse_sequent("=> t", sig)) == ("w0", {})
 
 
+def classical_value(sig, domain, facts, assignment, formula):
+    """The formula's value in a classical structure, by `refuting_points`
+    on its one-world model: 0 exactly where the point refutes `=> formula`."""
+    point = ("w0", {x: assignment[x] for x in free_vars(formula)})
+    refuted = point in refuting_points(one_world_model(domain, facts), sig, Sequent((), (formula,)))
+    return 0 if refuted else 1
+
+
 class TestClassicalEval:
     def test_double_negation(self):
         sig = Signature({"p": 0}, {"not": builtin("not")})
         formula = parse_formula("not(not(p))", sig)
         for facts in (frozenset(), frozenset({("p", ())})):
             expected = 1 if facts else 0
-            assert classical_eval(sig, ("a",), facts, {}, formula) == expected
+            assert classical_value(sig, ("a",), facts, {}, formula) == expected
 
     def test_matches_kripke_on_one_world_models(self):
         rng = random.Random(11)
@@ -273,7 +297,7 @@ class TestClassicalEval:
                 formula = random_formula(rng, sig, 3, ("x",))
                 for a in model.domains[world]:
                     rho = {"x": a}
-                    assert classical_eval(
+                    assert classical_value(
                         sig, model.domains[world], flat, rho, formula
                     ) == eval_formula(model, sig, world, rho, formula)
 
@@ -282,9 +306,9 @@ class TestClassicalEval:
         facts = frozenset({("p", ("a",)), ("p", ("b",))})
         all_p = parse_formula("forall x. p(x)", sig)
         some_p = parse_formula("exists x. p(x)", sig)
-        assert classical_eval(sig, ("a", "b"), facts, {}, all_p) == 1
-        assert classical_eval(sig, ("a", "b", "c"), facts, {}, all_p) == 0
-        assert classical_eval(sig, ("a", "b", "c"), facts, {}, some_p) == 1
+        assert classical_value(sig, ("a", "b"), facts, {}, all_p) == 1
+        assert classical_value(sig, ("a", "b", "c"), facts, {}, all_p) == 0
+        assert classical_value(sig, ("a", "b", "c"), facts, {}, some_p) == 1
 
 
 class TestHeredity:
@@ -346,6 +370,63 @@ class TestEvaluatorAgainstNaiveRecursion:
                 refuted += witness is not None
         assert refuted > 0
 
+    def test_refuting_points_match_naive_scan(self):
+        # every refuting point in scan order, not only the first one
+        rng = random.Random(41)
+        sig = full_sig()
+
+        def side():
+            return tuple(
+                random_formula(rng, sig, 3, ("x", "y")) for _ in range(rng.randint(0, 2))
+            )
+
+        refuted = 0
+        for _ in range(60):
+            model = random_model(rng, allow_cycles=True)
+            for _ in range(4):
+                s = Sequent(side(), side())
+                points = list(refuting_points(model, sig, s))
+                variables = sorted(set().union(*map(free_vars, s.formulas())))
+                want = []
+                for w in model.worlds:
+                    for combo in itertools.product(model.domains[w], repeat=len(variables)):
+                        rho = dict(zip(variables, combo))
+                        if all(naive_value(model, sig, w, rho, f) for f in s.antecedent) and not any(
+                            naive_value(model, sig, w, rho, f) for f in s.succedent
+                        ):
+                            want.append((w, rho))
+                assert points == want
+                assert next(iter(points), None) == find_refutation(model, sig, s)
+                refuted += bool(points)
+        assert refuted > 0
+
+    def test_refuting_points_reach_no_part_of_the_labelling(self, monkeypatch, separating, sig):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the independent recursion reached the labelling evaluator")
+
+        for name in (
+            "compile_sequent", "CompiledFormulas", "Frame", "Evaluator", "eval_formula",
+            "find_refutation",
+        ):
+            monkeypatch.setattr(semantics, name, unreachable)
+        s = parse_sequent(
+            "T, forall x. or(p(x), q(x)) => or(forall x. p(x), exists x. q(x))", sig
+        )
+        assert list(refuting_points(separating, sig, s)) == [("w1", {})]
+
+    def test_refuting_points_bounded_on_nested_quantifiers(self):
+        # without the memo the recursion grows about 5x per quantifier here
+        worlds = tuple(f"w{i}" for i in range(8))
+        chain_order = reflexive_transitive_closure(worlds, zip(worlds, worlds[1:]))
+        model = KripkeModel(worlds, chain_order, {w: ("a", "b") for w in worlds}, frozenset())
+        sig = Signature({"p": 1, "r": 0}, {"imp": builtin("imp")})
+        body = "imp(p(x1), p(x1))"
+        for i in range(7, 0, -1):
+            body = f"forall x{i}. {body}"
+        started = time.perf_counter()
+        assert next(refuting_points(model, sig, parse_sequent(f"{body} => r", sig))) == ("w0", {})
+        assert time.perf_counter() - started < 1
+
     def test_compiled_sequent_across_frames(self):
         # one compiled sequent serves models that interleave frames, and the
         # in-place change to `shared` must show
@@ -380,11 +461,11 @@ class TestEvaluatorAgainstNaiveRecursion:
             compiled = compile_sequent(sig, s)
             shared.update(growing)
             for model in models:
-                witness = find_refutation(model, sig, s, compiled=compiled)
+                witness = Evaluator(model, sig, compiled.formulas).refutation(compiled)
                 assert witness == naive_refutation(model, sig, s)
                 refuted += witness is not None
             shared["w0"] = ("a0", "a1")
-            witness = find_refutation(models[-1], sig, s, compiled=compiled)
+            witness = Evaluator(models[-1], sig, compiled.formulas).refutation(compiled)
             assert witness == naive_refutation(models[-1], sig, s)
         assert refuted > 0
 

@@ -271,11 +271,10 @@ class TestSynthesize:
     def test_cd_verdict_at_default_bounds(self):
         certificate = synthesize("xor", builtin("xor"))
         assert isinstance(certificate.cd_verdict, ValidUpToBounds)
-        assert certificate.cd_verdict.bounds.constant_domain
 
     @pytest.mark.parametrize("tf", [CASE_C_TABLE, CASE_D_TABLE, CASE_E_TABLE])
     def test_ternary_templates_survive_bounded_cd_search(self, tf):
-        bounds = SearchBounds(2, 2, "tree", constant_domain=True)
+        bounds = SearchBounds(2, 2, "tree")
         certificate = synthesize("c3", tf, cd_bounds=bounds)
         assert isinstance(certificate.cd_verdict, ValidUpToBounds)
 

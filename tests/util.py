@@ -88,6 +88,17 @@ def random_model(
     return model
 
 
+def one_world_model(domain, facts, world="w0") -> KripkeModel:
+    """The one-world Kripke model of a classical structure, whose facts are
+    (pred, args) pairs over `domain`."""
+    return KripkeModel(
+        worlds=(world,),
+        order=frozenset({(world, world)}),
+        domains={world: tuple(domain)},
+        facts=frozenset((world, pred, args) for pred, args in facts),
+    )
+
+
 def make_tree(
     parents: tuple[int, ...],
     domains: dict[str, tuple[str, ...]] | None = None,
@@ -294,9 +305,10 @@ REFERENCE_ORDERS = {
 }
 
 
-def reference_enumerate_models(signature, bounds):
+def reference_enumerate_models(signature, bounds, constant_domain=False):
     """The unreduced model stream: every order of the shape, rooted or not,
-    every domain assignment, and every model's fact slots built anew.
+    every domain assignment (one domain at every world when
+    `constant_domain`), and every model's fact slots built anew.
     `enumerate_models` must be its subsequence of the models that
     `is_canonical` accepts, model by model."""
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
@@ -305,7 +317,7 @@ def reference_enumerate_models(signature, bounds):
         worlds = tuple(f"w{i}" for i in range(n))
         for index_order in REFERENCE_ORDERS[bounds.shape](n):
             order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
-            if bounds.constant_domain:
+            if constant_domain:
                 domain_choices = ((d,) * n for d in subsets)
             else:
                 domain_choices = (
@@ -384,6 +396,19 @@ def naive_value(model, sig, world, assignment, formula):
     raise TypeError
 
 
+def shifted_above_none_of(evaluator, bad):
+    """A planted labelling fault for `Evaluator._above_none_of`: each
+    world's block is shifted one world too far."""
+    frame = evaluator.frame
+    hit = 0
+    for offset, below in frame.below:
+        block = bad >> offset & frame.ones
+        if block:
+            for shift in below:
+                hit |= block << (shift + frame.width)
+    return frame.full ^ hit & frame.full
+
+
 def naive_bar_violation(tree, sig, formula):
     """`construct.bar_precondition_violation` by its definition: at each
     instance, value 1 iff the value-1 part of the node's up-set, computed by
@@ -422,9 +447,7 @@ def naive_decide(sig, sequent, mode, bounds):
     """`decide` rebuilt on `naive_refutation`: the first model of the
     unreduced `reference_enumerate_models` stream that the naive scan
     refutes."""
-    if mode == "cd":
-        bounds = replace(bounds, constant_domain=True)
-    elif mode == "classical":
+    if mode == "classical":
         bounds = replace(bounds, max_worlds=1)
     used = {
         f.pred for g in sequent.formulas() for f in subformulas(g) if isinstance(f, Atom)
@@ -432,7 +455,7 @@ def naive_decide(sig, sequent, mode, bounds):
     search_sig = Signature(
         {p: a for p, a in sig.predicates.items() if p in used}, dict(sig.connectives)
     )
-    for model in reference_enumerate_models(search_sig, bounds):
+    for model in reference_enumerate_models(search_sig, bounds, mode == "cd"):
         witness = naive_refutation(model, sig, sequent)
         if witness is not None:
             return Refuted(model, *witness)
