@@ -19,8 +19,8 @@ from .semantics import Evaluator, InvalidModelError, KripkeModel, require_valid_
 from .semantics import upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
-# the most nodes an unraveled tree, choice functions an enumeration, or
-# instances a main-lemma check may have
+# the most nodes or order pairs an unraveled tree, choice functions an
+# enumeration, or instances a main-lemma check may have
 MAX_COUNT = 50_000
 # the most (node, argument tuple) pairs a completion may scan: nodes times
 # functions to the arity, summed over the predicates that have facts
@@ -147,7 +147,7 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     successor cones of a node and of its last world project onto the same
     upset). Preorders with genuine cycles are rejected; use unravel_stuttered
     for those. A ladder of diamonds doubles the paths per rung, so more than
-    MAX_COUNT nodes raise ValueError.
+    MAX_COUNT nodes, or order pairs, raise ValueError.
     """
     require_valid_model(model)
     if start not in model.domains:
@@ -164,6 +164,10 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
         chains.extend(chain + (v,) for v in covers[chain[-1]])
         if len(chains) > MAX_COUNT:
             raise ValueError(f"the unraveled tree has more than {MAX_COUNT} nodes")
+    # a covering path visits each world at most once, so the chains above
+    # hold at most MAX_COUNT times the source's worlds
+    if sum(map(len, chains)) > MAX_COUNT:
+        raise ValueError(f"the unraveled tree's order has more than {MAX_COUNT} pairs")
     return _assemble_tree(model, chains, truncated=False)
 
 
@@ -171,20 +175,26 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
     """Unravel into the tree of non-decreasing world sequences from start,
     truncated at the given total length. The result is marked truncated:
     value and bar preservation hold only in the limit of growing bounds.
-    On a cycle the tree grows exponentially with the length bound, so more
-    than MAX_COUNT nodes raise ValueError."""
+    On a cycle the tree grows exponentially with the length bound, and even
+    on one world its order grows as the square of it: a node's chain lists
+    its pairs with the nodes below it. So more than MAX_COUNT order pairs,
+    which is at least the node count, raise ValueError."""
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
     require_valid_model(model)
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
     chains = [(start,)]
+    pairs = 1
     for chain in chains:  # breadth-first: the list grows while it is read
         if len(chain) < length_bound:
-            chains.extend(chain + (v,) for v in model.successors(chain[-1]))
-        if len(chains) > MAX_COUNT:
+            successors = model.successors(chain[-1])
+            chains.extend(chain + (v,) for v in successors)
+            pairs += (len(chain) + 1) * len(successors)
+        if pairs > MAX_COUNT:
             raise ValueError(
-                f"the unraveled tree has more than {MAX_COUNT} nodes; lower the length bound"
+                f"the unraveled tree has more than {MAX_COUNT} nodes or order pairs;"
+                " lower the length bound"
             )
     return _assemble_tree(model, chains, truncated=True)
 
@@ -235,21 +245,6 @@ def partition_upward_closed(
         for n in tree.nodes
         if n in nodes and tree.parent.get(n) not in nodes
     ]
-
-
-def deepest_common_ancestor(tree: TreeModel, a: str, b: str) -> str:
-    """The order-infimum of two nodes: their deepest common ancestor."""
-    ancestors = set()
-    node = a
-    while True:
-        ancestors.add(node)
-        if node == tree.root:
-            break
-        node = tree.parent[node]
-    node = b
-    while node not in ancestors:
-        node = tree.parent[node]
-    return node
 
 
 # --- choice functions ---------------------------------------------------------

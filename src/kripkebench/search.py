@@ -47,7 +47,8 @@ MODES = ("kripke", "cd", "classical")
 
 # the most models labelled at once, as bits of one int per world and label
 CHUNK_BITS = 1 << 16
-# the most frames and models one `decide` may search
+# the most frames and models one `decide` may search; MAX_MODELS also caps
+# the (chunk, assignment) pairs it labels
 MAX_FRAMES = 10_000
 MAX_MODELS = 1_000_000
 
@@ -324,10 +325,7 @@ def _chunks(frame: SlottedFrame, compiled: CompiledFormulas) -> Iterator[tuple[i
     [o * stride, (o + 1) * stride) of each period, and one multiplication
     repeats that period across the block.
     """
-    split, inner = 0, frame.size
-    while inner > CHUNK_BITS:
-        inner //= len(frame.slots[split][2])
-        split += 1
+    split, inner = _chunk_split(frame)
     labelled = Frame(frame.worlds, frame.order, frame.domains, inner)
     ones = labelled.ones
     offsets = [offset for offset, _ in labelled.named]
@@ -356,6 +354,15 @@ def _chunks(frame: SlottedFrame, compiled: CompiledFormulas) -> Iterator[tuple[i
         yield chunk * inner, Evaluator.of_frame(compiled, labelled, atoms)
 
 
+def _chunk_split(frame: SlottedFrame) -> tuple[int, int]:
+    """How many leading slots each chunk fixes, and how many models it holds."""
+    split, inner = 0, frame.size
+    while inner > CHUNK_BITS:
+        inner //= len(frame.slots[split][2])
+        split += 1
+    return split, inner
+
+
 def _restrict_to_sequent(signature: Signature, compiled: CompiledSequent) -> Signature:
     # predicates absent from the sequent cannot affect its value; dropping
     # them keeps the enumeration small without changing any verdict
@@ -377,14 +384,23 @@ def decide(
     `first_refuted`; only the first countermodel is decoded, and it is
     re-checked by `validate_model` and the independent `refuting_points`,
     which also gives its world and assignment. A search that would pass
-    MAX_FRAMES frames or MAX_MODELS models raises ValueError before it does.
+    MAX_FRAMES frames or MAX_MODELS models raises ValueError before it does,
+    and so does one that would label more than MAX_MODELS pairs of a chunk
+    and an assignment of the sequent's free variables to a frame's elements.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     effective = replace(bounds, max_worlds=1) if mode == "classical" else bounds
     compiled = compile_sequent(signature, sequent)
     search_signature = _restrict_to_sequent(signature, compiled)
+    labellings = 0
     for frame in enumerate_frames(search_signature, effective, mode == "cd"):
+        elements = len({e for domain in frame.domains.values() for e in domain})
+        labellings += frame.size // _chunk_split(frame)[1] * elements ** len(compiled.slots)
+        if labellings > MAX_MODELS:
+            raise ValueError(
+                f"the search labels more than {MAX_MODELS} assignments; lower the bounds"
+            )
         index = first_refuted(frame, compiled)
         if index is not None:
             return _rechecked(decode_model(frame, index), signature, sequent)

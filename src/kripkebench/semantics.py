@@ -75,6 +75,8 @@ def validate_model(model: KripkeModel) -> list[str]:
     """All invariant violations, as human-readable strings; empty means valid."""
     violations: list[str] = []
     worlds = model.worlds
+    if not worlds:
+        violations.append("the model declares no worlds")
     world_set = set(worlds)
     if len(world_set) != len(worlds):
         violations.append("duplicate world names")
@@ -275,10 +277,9 @@ class Frame:
     models of it at once derives from them alone.
 
     A frame holds, per world, the offset of its block and the offsets of the
-    worlds below it; per element, the blocks of the worlds whose domain
-    holds it; and, filled on demand, each world's assignments. It reads no
-    facts, so the evaluators of every chunk of a frame's interpretations
-    share it.
+    worlds below it, and, per element, the blocks of the worlds whose domain
+    holds it. It reads no facts, so the evaluators of every chunk of a
+    frame's interpretations share it.
     """
 
     def __init__(
@@ -288,7 +289,6 @@ class Frame:
         domains: dict[str, tuple[str, ...]],
         width: int = 1,
     ):
-        self.domains = domains
         self.width = width
         self.ones = (1 << width) - 1
         self.full = (1 << len(worlds) * width) - 1
@@ -307,19 +307,6 @@ class Frame:
             for e in domains[w]:
                 self.present[e] = self.present.get(e, 0) | self.ones << offset
         self.elements = tuple(self.present.items())
-        self._points: dict[int, tuple] = {}
-
-    def points(self, count: int) -> tuple[tuple[int, str, tuple[tuple[str, ...], ...]], ...]:
-        """Per world in declaration order, `(offset, world, assignments)`,
-        where the assignments are the tuples of `count` elements of its
-        domain in the scan order of `find_refutation`."""
-        got = self._points.get(count)
-        if got is None:
-            got = self._points[count] = tuple(
-                (offset, w, tuple(itertools.product(self.domains[w], repeat=count)))
-                for offset, w in self.named
-            )
-        return got
 
 
 @dataclass
@@ -329,8 +316,7 @@ class CompiledSequent:
     formulas: CompiledFormulas
     antecedent: tuple[int, ...]
     succedent: tuple[int, ...]
-    variables: tuple[str, ...]  # the sequent's free variables, sorted
-    slots: tuple[int, ...]
+    slots: tuple[int, ...]  # of the sequent's free variables
 
 
 def compile_sequent(signature: Signature, sequent: Sequent) -> CompiledSequent:
@@ -339,7 +325,7 @@ def compile_sequent(signature: Signature, sequent: Sequent) -> CompiledSequent:
     succedent = tuple(formulas.add(f) for f in sequent.succedent)
     variables = tuple(sorted({x for node in antecedent + succedent for x in formulas.free[node]}))
     slots = tuple(formulas.slot(x) for x in variables)
-    return CompiledSequent(formulas, antecedent, succedent, variables, slots)
+    return CompiledSequent(formulas, antecedent, succedent, slots)
 
 
 class Evaluator:
@@ -406,43 +392,31 @@ class Evaluator:
                 return 1
         return 0
 
-    def refutation(self, sequent: CompiledSequent) -> Optional[tuple[str, dict[str, str]]]:
-        """First point (world, assignment) where the sequent gets value 0 in
-        some model of the batch, in the scan order of `find_refutation`."""
-        for w, combo, _ in self._refuting_points(sequent):
-            return w, dict(zip(sequent.variables, combo))
-        return None
-
     def refuted_models(self, sequent: CompiledSequent) -> int:
-        """The models, as the bits of one block, that some point refutes."""
-        hits = 0
-        for _, _, block in self._refuting_points(sequent):
-            hits |= block
-        return hits
+        """The models, as the bits of one block, that some point refutes.
 
-    def _refuting_points(
-        self, sequent: CompiledSequent
-    ) -> Iterator[tuple[str, tuple[str, ...], int]]:
-        """Each point (world, assignment) that refutes the sequent in some
-        model, in scan order, with the block of the models it refutes."""
+        Each assignment of the sequent's free variables to the frame's
+        elements is labelled once, from the worlds whose domain holds all of
+        it, so no bit where the assignment is undefined is read.
+        """
+        frame = self.frame
         env: list = [None] * len(self.compiled.slots)
-        slots = sequent.slots
-        ones = self.frame.ones
-        refuting: dict[tuple[str, ...], int] = {}
-        for offset, w, combos in self.frame.points(len(slots)):
-            for combo in combos:
-                mask = refuting.get(combo)
-                if mask is None:
-                    for slot, e in zip(slots, combo):
-                        env[slot] = e
-                    mask = refuting[combo] = self._refuting(sequent, env)
-                block = mask >> offset & ones
-                if block:
-                    yield w, combo, block
+        hits = 0
+        for combo in itertools.product(frame.elements, repeat=len(sequent.slots)):
+            start = frame.full
+            for slot, (e, present) in zip(sequent.slots, combo):
+                env[slot] = e
+                start &= present
+            if start:
+                hits |= self._refuting(sequent, env, start)
+        blocks = 0
+        for offset, _ in frame.named:
+            blocks |= hits >> offset & frame.ones
+        return blocks
 
-    def _refuting(self, sequent: CompiledSequent, env: list) -> int:
-        """Where every antecedent formula is 1 and every succedent one 0."""
-        mask = self.frame.full
+    def _refuting(self, sequent: CompiledSequent, env: list, mask: int) -> int:
+        """Where in `mask` every antecedent formula is 1 and every succedent
+        one 0."""
         for node in sequent.antecedent:
             mask &= self._label(node, env)
             if not mask:
@@ -515,24 +489,23 @@ def eval_formula(
 def find_refutation(
     model: KripkeModel, signature: Signature, sequent: Sequent
 ) -> Optional[tuple[str, dict[str, str]]]:
-    """First point (world, assignment) where the sequent gets value 0.
-
-    Worlds are scanned in declaration order, assignments with variables in
-    sorted order and elements in declaration order; returns None when the
-    model validates the sequent.
-    """
-    compiled = compile_sequent(signature, sequent)
-    return Evaluator(model, signature, compiled.formulas).refutation(compiled)
+    """The first point of `refuting_points`, or None when the model
+    validates the sequent."""
+    return next(refuting_points(model, signature, sequent), None)
 
 
 def refuting_points(
     model: KripkeModel, signature: Signature, sequent: Sequent
 ) -> Iterator[tuple[str, dict[str, str]]]:
-    """Each point (world, assignment) where the sequent gets value 0, in the
-    scan order of `find_refutation`, by direct recursion on the four Kripke
-    clauses. It shares no code with `Evaluator`, and on a one-world model it
-    is classical evaluation. A value is memoized by (subformula, world,
-    elements at its free variables), so the work stays polynomial.
+    """Each point (world, assignment) where the sequent gets value 0, by
+    direct recursion on the four Kripke clauses.
+
+    Worlds come in declaration order, and each world's assignments with the
+    variables in sorted order and elements in the order of its domain, the
+    last variable varying fastest. It shares no code with `Evaluator`, and on
+    a one-world model it is classical evaluation. A value is memoized by
+    (subformula, world, elements at its free variables), so the work stays
+    polynomial.
     """
     up: dict[str, list[str]] = {w: [] for w in model.worlds}
     for a, b in model.order:

@@ -266,6 +266,30 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err == f"error: the search has more than {cap}; lower the bounds\n"
 
+    @pytest.mark.parametrize("count, seconds", [(14, 5), (20, 1)])
+    def test_assignments_past_the_cap_are_usage_error(self, tmp_path, capsys, count, seconds):
+        # 3^count assignments of the free variables at the frame of three
+        # elements, 4,782,969 at 14; the sequent is valid, so every frame
+        # would be labelled
+        atoms = ", ".join(f"p(x{i})" for i in range(count))
+        path = tmp_path / "wide.seq"
+        path.write_text(f"pred p 1\nsequent: {atoms} => exists y. p(y)\n")
+        started = time.monotonic()
+        code = main(
+            [
+                "decide", "--mode", "kripke", "--seq", str(path),
+                "--max-worlds", "1", "--max-domain", "3",
+            ]
+        )
+        assert time.monotonic() - started < seconds
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the search labels more than {search.MAX_MODELS} assignments;"
+            " lower the bounds\n"
+        )
+
     def test_inconsistent_countermodel_is_never_printed(
         self, or_seq_file, capsys, monkeypatch
     ):
@@ -415,6 +439,31 @@ class TestUnravelCommand:
         assert main(["unravel", "--stutter", "30", str(path)]) == 2
         assert "more than 50000 nodes" in capsys.readouterr().err
 
+    def test_stutter_past_the_pair_cap_is_usage_error(self, tmp_path, capsys):
+        # one world: a chain of 50000 nodes, within the node cap, but a chain
+        # of L nodes has L(L+1)/2 order pairs and names of up to L worlds
+        path = tmp_path / "one.model"
+        path.write_text("worlds: w0\ndomain w0: a\n")
+        started = time.monotonic()
+        assert main(["unravel", "--stutter", "50000", str(path)]) == 2
+        assert time.monotonic() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 50000 nodes or order pairs" in captured.err
+
+    def test_strict_past_the_pair_cap_is_usage_error(self, tmp_path, capsys):
+        # a chain of 320 worlds unravels to 320 nodes and 51,360 order pairs
+        worlds = [f"n{i}" for i in range(320)]
+        lines = ["worlds: " + " ".join(worlds)]
+        lines += [f"order: {a} {b}" for a, b in zip(worlds, worlds[1:])]
+        lines += [f"domain {w}: a" for w in worlds]
+        path = tmp_path / "chain.model"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["unravel", "--strict", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the unraveled tree's order has more than 50000 pairs\n"
+
     def test_strict_past_the_node_cap_is_usage_error(self, tmp_path, capsys):
         # a ladder of 14 diamonds b_i < l_i, r_i < b_{i+1} has 2^16 - 3
         # covering paths from b0
@@ -433,6 +482,19 @@ class TestUnravelCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the unraveled tree has more than 50000 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["unravel", "--strict", "MODEL"], ["complete", "MODEL"], ["check-main-lemma", "MODEL", "p(a)"]],
+)
+def test_model_without_worlds_is_exit_three(tmp_path, capsys, argv):
+    path = tmp_path / "empty.model"
+    path.write_text("pred p 1\n")
+    assert main([str(path) if a == "MODEL" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: invalid model:", "the model declares no worlds"]
 
 
 class TestCompleteCommand:

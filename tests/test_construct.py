@@ -12,7 +12,6 @@ from kripkebench.construct import (
     check_main_lemma,
     complete_to_constant_domain,
     constant_domain_pipeline,
-    deepest_common_ancestor,
     enumerate_choice_functions,
     extend_choice,
     instance_status,
@@ -252,20 +251,6 @@ class TestPartition:
                         (minimum, member) in tree.model.order for member in block
                     )
                 assert union == set(subset)  # covering
-
-
-class TestDeepestCommonAncestor:
-    def test_matches_order_infimum_on_small_trees(self):
-        for parents in all_tree_shapes(5):
-            tree = make_tree(parents)
-            order = tree.model.order
-            for a in tree.nodes:
-                for b in tree.nodes:
-                    meet = deepest_common_ancestor(tree, a, b)
-                    assert (meet, a) in order and (meet, b) in order
-                    for c in tree.nodes:
-                        if (c, a) in order and (c, b) in order:
-                            assert (c, meet) in order
 
 
 class TestExtendChoice:

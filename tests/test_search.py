@@ -459,8 +459,8 @@ class TestDecideAgainstNaiveOracle:
         # every model of the stream, not only the first refuted one
         compiled = compile_sequent(sig, s)
         for model in enumerate_models(Signature(predicates, {}), bounds):
-            witness = Evaluator(model, sig, compiled.formulas).refutation(compiled)
-            assert witness == naive_refutation(model, sig, s)
+            hits = Evaluator(model, sig, compiled.formulas).refuted_models(compiled)
+            assert bool(hits) == (naive_refutation(model, sig, s) is not None)
 
 
 def _corpus_signature():
@@ -485,7 +485,7 @@ class TestBitSlicedSearch:
     def test_each_frame_against_its_decoded_models(self, mode, bounds):
         # per frame, not only the first refuted one: the frame's models in
         # the stream are its decoded models in index order, the index
-        # `first_refuted` gives is the first one `find_refutation` refutes,
+        # `first_refuted` gives is the first one its own evaluator refutes,
         # and every label of a chunk holds, at block i bit m, bit i of the
         # width-1 label on the chunk's model m
         sig = _corpus_signature()
@@ -503,7 +503,7 @@ class TestBitSlicedSearch:
                     (
                         m
                         for m, single in enumerate(singles)
-                        if single.refutation(compiled) is not None
+                        if single.refuted_models(compiled)
                     ),
                     None,
                 )
