@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Optional
 
 from . import construct, search, semantics, synthesize
@@ -54,7 +55,6 @@ def _bounds_from_args(args) -> SearchBounds:
         max_worlds=args.max_worlds,
         max_domain=args.max_domain,
         shape=args.shape,
-        budget=args.budget,
     )
 
 
@@ -82,7 +82,6 @@ def _add_bounds_arguments(sub) -> None:
     sub.add_argument("--max-worlds", type=int, default=3)
     sub.add_argument("--max-domain", type=int, default=2)
     sub.add_argument("--shape", choices=search.SHAPES, default="poset")
-    sub.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
 
 
 def _add_connective_arguments(sub) -> None:
@@ -102,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers", type=int, default=1, help="must be at least 1; search runs in one process"
     )
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--timing", action="store_true", help="append an elapsed-time line")
     commands = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -119,12 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     syn = add_parser("synthesize", help="separating sequent for a connective")
     _add_connective_arguments(syn)
+    cd_bounds = synthesize.DEFAULT_CD_BOUNDS
     syn.add_argument(
         "--cd-bounds",
         nargs=2,
         type=int,
         metavar=("WORLDS", "DOMAIN"),
-        default=(3, 2),
+        default=(cd_bounds.max_worlds, cd_bounds.max_domain),
         help="bounds for the constant-domain check",
     )
     syn.add_argument("--no-cd-check", action="store_true")
@@ -163,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help=f"also run the seeded corpus consistency sweep of this size, at most {MAX_CORPUS}",
     )
+    relations.add_argument("--seed", type=int, default=0, help="seed of the corpus")
     return parser
 
 
@@ -214,9 +214,8 @@ def cmd_synthesize(args) -> int:
     if args.no_cd_check:
         cd_bounds = None
     else:
-        cd_bounds = SearchBounds(
-            max_worlds=args.cd_bounds[0], max_domain=args.cd_bounds[1], shape="tree"
-        )
+        worlds, domain = args.cd_bounds
+        cd_bounds = replace(synthesize.DEFAULT_CD_BOUNDS, max_worlds=worlds, max_domain=domain)
     certificate = synthesize.synthesize(name, tf, cd_bounds)
     text = synthesize.format_certificate(certificate)
     if args.output:
@@ -229,7 +228,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_unravel(args) -> int:
     model, signature = semantics.load_model(args.model)
-    start = args.root or model.worlds[0]
+    start = model.worlds[0] if args.root is None else args.root
     if args.strict:
         tree = construct.unravel_strict(model, start)
     else:

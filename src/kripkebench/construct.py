@@ -55,7 +55,7 @@ class TreeModel:
         return frozenset(v for v in self.nodes if (node, v) in self.model.order)
 
 
-def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -> TreeModel:
+def tree_from_model(model: KripkeModel) -> TreeModel:
     """View a validated model as a tree, or raise InvalidModelError.
 
     Requires an antisymmetric order with a unique minimum in which every
@@ -84,7 +84,7 @@ def tree_from_model(model: KripkeModel, last: Optional[dict[str, str]] = None) -
         if len(predecessors) != 1:
             raise InvalidModelError(f"world {w} has {len(predecessors)} covering predecessors")
         parent[w] = predecessors[0]
-    return TreeModel(model=model, root=root, parent=parent, last=last)
+    return TreeModel(model=model, root=root, parent=parent)
 
 
 # --- unraveling --------------------------------------------------------------
@@ -327,23 +327,21 @@ def extend_choice(
     return result
 
 
-def enumerate_choice_functions(
-    tree: TreeModel, max_count: int = MAX_COUNT
-) -> Iterator[dict[str, str]]:
+def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
     """All choice functions on the tree, in a fixed construction order.
 
     A domain is upward-closed and bars the root exactly when it contains
     every leaf: it is the leaves and an upward-closed set of internal nodes,
     in increasing mask order over them. Values are constant per parent-child
     block and drawn from the block minimum's (nonempty) domain, so each
-    domain gives a function and more than `max_count` domains raise
+    domain gives a function and more than MAX_COUNT domains raise
     ValueError before any function is built.
     """
     leaves = frozenset(tree.leaves())
     internal = tuple(n for n in tree.nodes if n not in leaves)
-    too_many = f"more than {max_count} choice functions; raise max_count to proceed"
+    too_many = f"more than {MAX_COUNT} choice functions"
     try:
-        uppers = upward_closed_subsets(internal, tree.model.order, max_count)
+        uppers = upward_closed_subsets(internal, tree.model.order, MAX_COUNT)
     except ValueError:
         raise ValueError(too_many) from None
     produced = 0
@@ -355,7 +353,7 @@ def enumerate_choice_functions(
             for (minimum, block), element in zip(blocks, values):
                 mapping.update(dict.fromkeys(block, element))
             produced += 1
-            if produced > max_count:
+            if produced > MAX_COUNT:
                 raise ValueError(too_many)
             yield dict(sorted(mapping.items()))
 

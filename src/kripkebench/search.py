@@ -41,7 +41,6 @@ from .truthfun import (
 )
 
 SHAPES = ("any-preorder", "poset", "tree", "chain")
-DEFAULT_BUDGET = 16
 
 MODES = ("kripke", "cd", "classical")
 
@@ -51,6 +50,9 @@ CHUNK_BITS = 1 << 16
 # the (chunk, assignment) pairs it labels
 MAX_FRAMES = 10_000
 MAX_MODELS = 1_000_000
+# the most max_worlds * max_domain a search may take; the caps above count
+# frames and models, not the orders and domains built before a frame is
+BUDGET = 16
 
 
 class InconsistentVerdictError(RuntimeError):
@@ -62,17 +64,16 @@ class SearchBounds:
     max_worlds: int
     max_domain: int
     shape: str = "poset"
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_domain < 1:
             raise ValueError("bounds must be at least 1")
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; known: {', '.join(SHAPES)}")
-        if self.max_worlds * self.max_domain > self.budget:
+        if self.max_worlds * self.max_domain > BUDGET:
             raise ValueError(
                 f"max_worlds * max_domain = {self.max_worlds * self.max_domain}"
-                f" exceeds budget {self.budget}"
+                f" exceeds budget {BUDGET}"
             )
 
 
@@ -192,7 +193,36 @@ class SlottedFrame(NamedTuple):
 def enumerate_frames(
     signature: Signature, bounds: SearchBounds, constant_domain: bool = False
 ) -> Iterator[SlottedFrame]:
-    """The frames of `enumerate_models`, in its order, with their fact slots.
+    """Deterministic stream of the frames within the bounds that can carry
+    a first countermodel, with one domain at every world when
+    `constant_domain`, each with its fact slots.
+
+    Worlds are w0..w{n-1}, elements a0..a{m-1}; orders, domain assignments,
+    and interpretations are enumerated in a fixed construction order, and
+    heredity is built in (each fact slot ranges over upward-closed world
+    sets), so every model of a frame is valid. For every shape but
+    `any-preorder`, w0 lies below every world; the domain of w0 is always a
+    prefix a0..a{k-1}.
+
+    The models of the stream, frame by frame in the order of each frame's
+    slot product, are a subsequence of the unreduced stream (every order of
+    the shape, every root domain) that keeps its first countermodel M, so
+    `decide` finds the same model, world and assignment. Say M is refuted
+    first at world w:
+
+    - A sequent's value at w depends only on the up-set of w (the
+      generated-submodel lemma; Troelstra & van Dalen, Constructivism in
+      Mathematics, 1988). That up-set relabels into the stream of its shape
+      and mode and, with fewer worlds, would come earlier. So w lies below
+      every world, and where the indexing extends the order (posets, trees,
+      chains), w = w0.
+    - Renaming elements changes no value. Renaming the domain of w0 onto the
+      prefix of its size, the subset of least mask among those of that size,
+      gives a countermodel whose domain tuple, compared at w0 first, comes
+      earlier. So the domain of w0 is a prefix.
+
+    A preorder's least worlds need not include w0, so `any-preorder` keeps
+    all its orders.
 
     Raises ValueError before the stream passes MAX_FRAMES frames or
     MAX_MODELS models. Models are counted slot by slot, so a frame past the
@@ -255,37 +285,8 @@ def enumerate_frames(
 def enumerate_models(
     signature: Signature, bounds: SearchBounds, constant_domain: bool = False
 ) -> Iterator[KripkeModel]:
-    """Deterministic stream of the valid models within the bounds that can
-    be a first countermodel, with one domain at every world when
-    `constant_domain`.
-
-    Worlds are w0..w{n-1}, elements a0..a{m-1}; orders, domain assignments,
-    and interpretations are enumerated in a fixed construction order, and
-    heredity is built in (each fact slot ranges over upward-closed world
-    sets), so every yielded model is valid. For every shape but
-    `any-preorder`, w0 lies below every world; the domain of w0 is always a
-    prefix a0..a{k-1}. The models of each frame of `enumerate_frames` come
-    in the order of its slots' product.
-
-    The stream is a subsequence of the unreduced one (every order of the
-    shape, every root domain) that keeps its first countermodel M, so
-    `decide` finds the same model, world and assignment. Say M is refuted
-    first at world w:
-
-    - A sequent's value at w depends only on the up-set of w (the
-      generated-submodel lemma; Troelstra & van Dalen, Constructivism in
-      Mathematics, 1988). That up-set relabels into the stream of its shape
-      and mode and, with fewer worlds, would come earlier. So w lies below
-      every world, and where the indexing extends the order (posets, trees,
-      chains), w = w0.
-    - Renaming elements changes no value. Renaming the domain of w0 onto the
-      prefix of its size, the subset of least mask among those of that size,
-      gives a countermodel whose domain tuple, compared at w0 first, comes
-      earlier. So the domain of w0 is a prefix.
-
-    A preorder's least worlds need not include w0, so `any-preorder` keeps
-    all its orders.
-    """
+    """The models of `enumerate_frames`, decoded one by one, for tests and
+    the benchmark tracer."""
     for frame in enumerate_frames(signature, bounds, constant_domain):
         for index in range(frame.size):
             yield decode_model(frame, index)
@@ -439,11 +440,11 @@ class ConnectiveCensus:
         return self.quadrants[(supermultiplicative, monotonic)]
 
 
-def classify_connectives(arity: int, cap: int = 4) -> ConnectiveCensus:
+def classify_connectives(arity: int) -> ConnectiveCensus:
     quadrants: dict[tuple[bool, bool], list[str]] = {
         (sm, mono): [] for sm in (True, False) for mono in (True, False)
     }
-    for tf in enumerate_truth_functions(arity, cap):
+    for tf in enumerate_truth_functions(arity):
         sm, _ = is_supermultiplicative(tf)
         quadrants[(sm, is_monotonic(tf))].append(tf.table_string())
     return ConnectiveCensus(
@@ -483,13 +484,6 @@ class RelationReport:
     def ils_equals_cls(self) -> bool:
         return self.ils_equals_cds and self.cds_equals_cls
 
-    def offenders(self, property_name: str) -> tuple[str, ...]:
-        if property_name == "supermultiplicative":
-            return tuple(c.name for c in self.connectives if not c.supermultiplicative)
-        if property_name == "monotonic":
-            return tuple(c.name for c in self.connectives if not c.monotonic)
-        raise ValueError(f"unknown property {property_name!r}")
-
 
 def report_relations(signature: Signature) -> RelationReport:
     rows = []
@@ -502,12 +496,18 @@ def report_relations(signature: Signature) -> RelationReport:
 
 # --- deterministic sequent corpus -------------------------------------------
 
+# each side of a corpus sequent holds at most CORPUS_MAX_SIDE formulas of
+# depth at most CORPUS_MAX_DEPTH over CORPUS_VARIABLES
+CORPUS_MAX_SIDE = 2
+CORPUS_MAX_DEPTH = 3
+CORPUS_VARIABLES = ("x", "y")
+
 
 def random_formula(
     rng: random.Random,
     signature: Signature,
     max_depth: int,
-    variables: tuple[str, ...] = ("x", "y"),
+    variables: tuple[str, ...] = CORPUS_VARIABLES,
 ) -> Formula:
     """One random formula of depth <= max_depth (atoms have depth 0)."""
     preds = list(signature.predicates.items())
@@ -532,25 +532,18 @@ def random_formula(
     return build(max_depth)
 
 
-def sequent_corpus(
-    signature: Signature,
-    seed: int,
-    count: int,
-    max_side: int = 2,
-    max_depth: int = 3,
-    variables: tuple[str, ...] = ("x", "y"),
-) -> list[Sequent]:
+def sequent_corpus(signature: Signature, seed: int, count: int) -> list[Sequent]:
     """Deterministic sample of sequents with bounded size and depth."""
     rng = random.Random(seed)
     corpus = []
     for _ in range(count):
         antecedent = tuple(
-            random_formula(rng, signature, max_depth, variables)
-            for _ in range(rng.randint(0, max_side))
+            random_formula(rng, signature, CORPUS_MAX_DEPTH)
+            for _ in range(rng.randint(0, CORPUS_MAX_SIDE))
         )
         succedent = tuple(
-            random_formula(rng, signature, max_depth, variables)
-            for _ in range(rng.randint(0, max_side))
+            random_formula(rng, signature, CORPUS_MAX_DEPTH)
+            for _ in range(rng.randint(0, CORPUS_MAX_SIDE))
         )
         corpus.append(Sequent(antecedent, succedent))
     return corpus

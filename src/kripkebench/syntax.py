@@ -168,32 +168,6 @@ def render_sequent(sequent: Sequent) -> str:
     return f"=> {right}" if right else "=>"
 
 
-def check_formula(signature: Signature, formula: Formula) -> None:
-    """Validate a programmatically built formula against the signature."""
-    if isinstance(formula, Atom):
-        if formula.pred not in signature.predicates:
-            raise ValueError(f"unknown predicate {formula.pred!r}")
-        want = signature.predicates[formula.pred]
-        if len(formula.args) != want:
-            raise ValueError(
-                f"predicate {formula.pred!r} expects {want} arguments, got {len(formula.args)}"
-            )
-    elif isinstance(formula, Conn):
-        if formula.conn not in signature.connectives:
-            raise ValueError(f"unknown connective {formula.conn!r}")
-        want = signature.connectives[formula.conn].arity
-        if len(formula.args) != want:
-            raise ValueError(
-                f"connective {formula.conn!r} expects {want} arguments, got {len(formula.args)}"
-            )
-        for arg in formula.args:
-            check_formula(signature, arg)
-    elif isinstance(formula, (Forall, Exists)):
-        check_formula(signature, formula.body)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-
-
 # --- parsing ---------------------------------------------------------------
 
 

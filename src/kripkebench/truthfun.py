@@ -200,14 +200,12 @@ def nary_meet_closure(f: TruthFunction, n: int) -> bool:
     return rec(0, full)
 
 
-def enumerate_truth_functions(
-    arity: int, cap: int = ENUMERATION_ARITY_CAP
-) -> Iterator[TruthFunction]:
+def enumerate_truth_functions(arity: int) -> Iterator[TruthFunction]:
     """All truth functions of the given arity, in table order."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
-    if arity > cap:
-        raise ValueError(f"arity {arity} exceeds enumeration cap {cap}")
+    if arity > ENUMERATION_ARITY_CAP:
+        raise ValueError(f"arity {arity} exceeds enumeration cap {ENUMERATION_ARITY_CAP}")
     size = 1 << arity
     for k in range(1 << size):
         table = tuple((k >> (size - 1 - i)) & 1 for i in range(size))

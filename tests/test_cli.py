@@ -1,6 +1,9 @@
+import argparse
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -240,6 +243,42 @@ class TestDecide:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "mode, shape, max_worlds, max_domain",
+        [("cd", "chain", "500", "1"), ("kripke", "poset", "2", "22")],
+    )
+    def test_runaway_bounds_are_refused_at_once(
+        self, tmp_path, capsys, mode, shape, max_worlds, max_domain
+    ):
+        # with worlds x domain uncapped, the 500-world chain ran past 30 s and
+        # 22 elements built all 2^22 domains before the frame cap fired
+        path = tmp_path / "r.seq"
+        path.write_text("pred r 0\nsequent: r => r\n")
+        started = time.monotonic()
+        code = main(
+            [
+                "decide", "--mode", mode, "--seq", str(path), "--shape", shape,
+                "--max-worlds", max_worlds, "--max-domain", max_domain,
+            ]
+        )
+        assert time.monotonic() - started < 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        product = int(max_worlds) * int(max_domain)
+        assert captured.err == (
+            f"error: max_worlds * max_domain = {product} exceeds budget {search.BUDGET}\n"
+        )
+
+    @pytest.mark.parametrize("option", [["--budget", "64"], ["--seed", "3"]])
+    def test_removed_options_are_argparse_errors(self, or_seq_file, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", "--mode", "kripke", "--seq", or_seq_file] + option)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: " + " ".join(option) in captured.err
+
+    @pytest.mark.parametrize(
         "max_worlds, max_domain, cap",
         [
             ("16", "1", f"{search.MAX_FRAMES} frames"),
@@ -406,6 +445,11 @@ class TestUnravelCommand:
         assert "# root: w2" in out
         assert "w1" not in out.split("worlds:")[1].splitlines()[0]
 
+    @pytest.mark.parametrize("root", ["", "w9"])
+    def test_unknown_root_is_usage_error(self, separating_file, capsys, root):
+        code = main(["unravel", "--strict", separating_file, "--root", root])
+        assert_usage_error(code, capsys)
+
     def test_stuttered_output_feeds_complete(self, separating_file, tmp_path, capsys):
         assert main(["unravel", "--stutter", "2", separating_file]) == 0
         out = capsys.readouterr().out
@@ -547,8 +591,7 @@ class TestCompleteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: more than {construct.MAX_COUNT} choice functions;"
-            " raise max_count to proceed\n"
+            f"error: more than {construct.MAX_COUNT} choice functions\n"
         )
 
     @pytest.mark.parametrize("argv", [["complete"], ["check-main-lemma", "@", "e(x, y)"]])
@@ -719,6 +762,24 @@ class TestDeterminism:
         code = main(["report-relations", "--builtins", "and", "--corpus", "3", "--seed", "5"])
         assert code == 0
         assert "corpus: 3 sequents" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_every_option_is_read(name):
+    # an option counts as read where `args.<dest>` appears in the command,
+    # in a helper it calls, or in `main`, which every command passes through
+    helpers = [cli._bounds_from_args, cli._connective_from_args, cli._load_problem]
+    command = inspect.getsource(cli._COMMANDS[name])
+    readers = [command, inspect.getsource(cli.main)]
+    readers += [inspect.getsource(h) for h in helpers if f"{h.__name__}(" in command]
+    read = {m for text in readers for m in re.findall(r"\bargs\.(\w+)", text)}
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    dests = {
+        a.dest for a in subparsers.choices[name]._actions if not isinstance(a, argparse._HelpAction)
+    }
+    assert dests - read == set()
 
 
 def test_cli_import_loads_no_heavy_or_test_modules():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from kripkebench import construct
 from kripkebench.construct import (
     bar_precondition_violation,
     bars,
@@ -324,10 +325,11 @@ class TestChoiceFunctionEnumeration:
             got = [list(f.items()) for f in enumerate_choice_functions(tree)]
             assert got == [list(f.items()) for f in choice_functions_by_masks(tree)]
 
-    def test_budget(self, separating):
+    def test_budget(self, separating, monkeypatch):
         tree = unravel_strict(separating, "w1")
+        monkeypatch.setattr(construct, "MAX_COUNT", 2)
         with pytest.raises(ValueError):
-            list(enumerate_choice_functions(tree, max_count=2))
+            list(enumerate_choice_functions(tree))
 
 
 class TestCompletion:

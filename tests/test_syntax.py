@@ -10,7 +10,6 @@ from kripkebench.syntax import (
     ParseError,
     Sequent,
     Signature,
-    check_formula,
     free_vars,
     parse_formula,
     parse_sequent,
@@ -177,13 +176,6 @@ class TestSignature:
     def test_shared_name_rejected(self):
         with pytest.raises(InvalidSignatureError):
             Signature({"f": 1}, {"f": builtin("not")})
-
-    def test_check_formula(self, sig):
-        check_formula(sig, Conn("or", (Atom("r"), Atom("T"))))
-        with pytest.raises(ValueError):
-            check_formula(sig, Conn("or", (Atom("r"),)))
-        with pytest.raises(ValueError):
-            check_formula(sig, Atom("missing"))
 
     def test_signature_file_round_trip(self, sig):
         assert parse_signature(signature_to_text(sig)) == sig
