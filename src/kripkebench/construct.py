@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .semantics import Evaluator, InvalidModelError, KripkeModel, require_valid_model
+from .semantics import Evaluator, InvalidModelError, KripkeModel, bits, require_valid_model
 from .semantics import upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
@@ -25,6 +25,11 @@ MAX_COUNT = 50_000
 # the most (node, argument tuple) pairs a completion may scan: nodes times
 # functions to the arity, summed over the predicates that have facts
 MAX_COMPLETION_PAIRS = 1_000_000
+# the most characters of node names an unraveled tree's order pairs may
+# take, the pair (a, b) taking len(a) + len(b). Names are '/'-joined chains,
+# so on one world they grow with the length bound, and the order written out
+# as names with its cube.
+MAX_NAME_CHARS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -117,20 +122,33 @@ def _assemble_tree(
     worlds = tuple(node_name[c] for c in chains)
     parent = {node_name[c]: node_name[c[:-1]] for c in chains if len(c) > 1}
     order = set()
+    name_chars = 0
     for c in chains:
+        name = node_name[c]
         for k in range(1, len(c) + 1):
-            order.add((node_name[c[:k]], node_name[c]))
+            lower = node_name[c[:k]]
+            order.add((lower, name))
+            name_chars += len(lower) + len(name)
+    if name_chars > MAX_NAME_CHARS:
+        raise ValueError(
+            f"the unraveled tree's order takes more than {MAX_NAME_CHARS}"
+            " characters of node names"
+        )
     last = {node_name[c]: c[-1] for c in chains}
     domains = {node_name[c]: model.domains[c[-1]] for c in chains}
-    facts = frozenset(
-        (node, pred, args)
-        for node, source in last.items()
-        for w, pred, args in model.facts
-        if w == source
-    )
-    tree_model = KripkeModel(
-        worlds=worlds, order=frozenset(order), domains=domains, facts=facts
-    )
+    # copies[i]: the mask of the nodes whose last world is the source's world i
+    position = {w: i for i, w in enumerate(model.worlds)}
+    copies = [0] * len(model.worlds)
+    for k, c in enumerate(chains):
+        copies[position[c[-1]]] |= 1 << k
+    labels = {}
+    for atom, mask in model.labels.items():
+        label = 0
+        for nodes in itertools.compress(copies, bits(mask)):
+            label |= nodes
+        if label:
+            labels[atom] = label
+    tree_model = KripkeModel(worlds, frozenset(order), domains, labels=labels)
     return TreeModel(
         model=tree_model,
         root=node_name[chains[0]],
@@ -147,7 +165,8 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     successor cones of a node and of its last world project onto the same
     upset). Preorders with genuine cycles are rejected; use unravel_stuttered
     for those. A ladder of diamonds doubles the paths per rung, so more than
-    MAX_COUNT nodes, or order pairs, raise ValueError.
+    MAX_COUNT nodes, or order pairs, raise ValueError, as do order pairs
+    taking more than MAX_NAME_CHARS characters of node names.
     """
     require_valid_model(model)
     if start not in model.domains:
@@ -178,7 +197,9 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
     On a cycle the tree grows exponentially with the length bound, and even
     on one world its order grows as the square of it: a node's chain lists
     its pairs with the nodes below it. So more than MAX_COUNT order pairs,
-    which is at least the node count, raise ValueError."""
+    which is at least the node count, raise ValueError, and so does an
+    order whose pairs take more than MAX_NAME_CHARS characters of node
+    names, which grow with the chains."""
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
     require_valid_model(model)
@@ -389,28 +410,29 @@ def complete_to_constant_domain(
     node, predicate and values of the first arity-1 arguments there, the
     bitset of last arguments that make a non-fact is computed once; a tuple
     holds at a world iff its last argument is in none of these bitsets over
-    the world's up-set.
+    the world's up-set. The completed model is built from its atom labels,
+    the transposes of these per-world bitsets.
 
     Raises ValueError, before any predicate is scanned, when those pairs of
     a node and an argument tuple number more than MAX_COMPLETION_PAIRS."""
     functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
     names = tuple(functions)
     nodes = tree.nodes
-    position = {n: i for i, n in enumerate(nodes)}
-    true_at: dict[str, set[tuple[int, tuple[str, ...]]]] = {}
-    for w, pred, args in tree.model.facts:
-        true_at.setdefault(pred, set()).add((position[w], args))
+    facts = tree.model.labels
+    with_facts = {pred for pred, _ in facts}
     pairs = sum(
         len(nodes) * len(names) ** arity
         for pred, arity in signature.predicates.items()
-        if pred in true_at
+        if pred in with_facts
     )
     if pairs > MAX_COMPLETION_PAIRS:
         raise ValueError(
             f"the completion has {pairs} pairs of a node and an argument tuple,"
             f" more than {MAX_COMPLETION_PAIRS}"
         )
-    upsets = [[position[v] for v in tree.upset(n)] for n in nodes]
+    position = {n: i for i, n in enumerate(nodes)}
+    up = _up_masks(tree)
+    upsets = [list(itertools.compress(range(len(nodes)), bits(mask))) for mask in up]
     # values[i][k]: the value of function k at node i, None where undefined;
     # by_value[i][e]: the bitset of functions taking value e at node i
     values = [[None] * len(names) for _ in nodes]
@@ -421,14 +443,15 @@ def complete_to_constant_domain(
             values[i][k] = element
             by_value[i][element] = by_value[i].get(element, 0) | 1 << k
     everyone = (1 << len(names)) - 1
-    facts = []
+    labels = {}
     for pred, arity in signature.predicates.items():
-        true = true_at.get(pred)
-        if true is None:
+        if pred not in with_facts:
             continue  # everything stays 0
         if arity == 0:
-            bad = {i for i in range(len(nodes)) if (i, ()) not in true}
-            facts.extend((w, pred, ()) for w, up in zip(nodes, upsets) if bad.isdisjoint(up))
+            bad = ~facts.get((pred, ()), 0)
+            label = sum(1 << i for i, mask in enumerate(up) if not mask & bad)
+            if label:
+                labels[pred, ()] = label
             continue
         bad_last: dict[tuple[int, tuple[str, ...]], int] = {}
         for head in itertools.product(range(len(names)), repeat=arity - 1):
@@ -441,36 +464,52 @@ def complete_to_constant_domain(
                 key = (i, prefix)
                 if key not in bad_last:
                     bad_last[key] = 0
-                    for element, bits in by_value[i].items():
-                        if (i, prefix + (element,)) not in true:
-                            bad_last[key] |= bits
+                    for element, members in by_value[i].items():
+                        if not facts.get((pred, prefix + (element,)), 0) >> i & 1:
+                            bad_last[key] |= members
                 bad_at.append(bad_last[key])
-            head_names = tuple(names[k] for k in head)
-            # one argument tuple per last argument, shared by every world
-            combos = [head_names + (name,) for name in names]
-            for w, up in zip(nodes, upsets):
+            good = []  # per world: the bitset of last arguments that make a fact
+            for ups in upsets:
                 excluded = 0
-                for i in up:
+                for i in ups:
                     excluded |= bad_at[i]
-                good = everyone & ~excluded
-                facts.extend(
-                    (w, pred, combo) for combo in itertools.compress(combos, _bits(good))
-                )
+                good.append(everyone & ~excluded)
+            head_names = tuple(names[k] for k in head)
+            for name, label in zip(names, _columns(good, len(names))):
+                if label:
+                    labels[pred, head_names + (name,)] = label
     completed = KripkeModel(
-        worlds=tree.model.worlds,
-        order=tree.model.order,
-        domains={w: names for w in tree.model.worlds},
-        facts=frozenset(facts),
+        tree.model.worlds,
+        tree.model.order,
+        {w: names for w in tree.model.worlds},
+        labels=labels,
     )
     return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+def _up_masks(tree: TreeModel) -> list[int]:
+    """Each node's up-set as a mask, bit i standing for node i."""
+    position = {n: i for i, n in enumerate(tree.nodes)}
+    up = [0] * len(tree.nodes)
+    for a, b in tree.model.order:
+        up[position[a]] |= 1 << position[b]
+    return up
 
 
-def _bits(mask: int) -> bytes:
-    """Bit k of the mask as byte k, 0 or 1."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+def _columns(rows: list[int], width: int) -> list[int]:
+    """The transpose of a bit matrix: column k has bit i set where row i has
+    bit k set, for k below `width`. Rows go eight at a time into the bytes
+    of one int, whose byte k is then bits i..i+7 of column k."""
+    columns = [0] * width
+    for start in range(0, len(rows), 8):
+        packed = 0
+        for shift, row in enumerate(rows[start : start + 8]):
+            packed |= int.from_bytes(bits(row), "little") << shift
+        columns = [
+            column | byte << start
+            for column, byte in zip(columns, packed.to_bytes(width, "little"))
+        ]
+    return columns
 
 
 def lift_assignment(
@@ -605,20 +644,23 @@ def pointwise_condition(
     completion: ConstantDomainCompletion,
     evaluator: Evaluator,
     formula: Formula,
-    node: str,
     lifted: dict[str, str],
-) -> bool:
-    """Whether the formula holds at every node above the given one where all
-    assigned choice functions are defined, reading the assignment pointwise
-    with `evaluator`, an evaluator on the tree's model."""
-    tree = completion.tree
-    functions = {var: completion.functions[lifted[var]] for var in free_vars(formula)}
-    for v in tree.upset(node):
-        if all(v in f for f in functions.values()):
-            pointwise = {var: f[v] for var, f in functions.items()}
-            if evaluator.value(v, pointwise, formula) != 1:
-                return False
-    return True
+) -> int:
+    """The mask of the tree's nodes, bit i for node i, where some assigned
+    choice function is undefined or the formula holds with the assignment
+    read pointwise, by `evaluator`, an evaluator on the tree's model. The
+    pointwise condition at a node holds exactly when the node's up-set lies
+    inside this mask."""
+    variables = sorted(free_vars(formula))
+    functions = [completion.functions[lifted[var]] for var in variables]
+    mask = 0
+    for i, v in enumerate(completion.tree.nodes):
+        if any(v not in f for f in functions):
+            mask |= 1 << i
+            continue
+        pointwise = {var: f[v] for var, f in zip(variables, functions)}
+        mask |= evaluator.value(v, pointwise, formula) << i
+    return mask
 
 
 def check_main_lemma(
@@ -635,11 +677,13 @@ def check_main_lemma(
     completed domain; more than MAX_COUNT of them raise ValueError before any
     is evaluated. The tree is checked for bar-determinacy once, and one
     evaluator per model serves every instance, the tree's one both the bar
-    check and the pointwise condition.
+    check and the pointwise condition. Each assignment is read once over all
+    nodes: the formula's label on the completed model, and the mask of
+    `pointwise_condition`.
     """
     tree = completion.tree
+    variables = sorted(free_vars(formula))
     if instances is None:
-        variables = sorted(free_vars(formula))
         if len(tree.nodes) * len(completion.functions) ** len(variables) > MAX_COUNT:
             raise ValueError(
                 f"the main lemma has more than {MAX_COUNT} instances here"
@@ -655,11 +699,26 @@ def check_main_lemma(
     pointwise = Evaluator(tree.model, signature)
     violation = bar_precondition_violation(tree, pointwise, formula)
     completed = Evaluator(completion.model, signature)
+    position = {n: i for i, n in enumerate(tree.nodes)}
+    up = _up_masks(tree)
+    readings: dict[tuple, tuple[int, int]] = {}  # by the assigned names: two masks
     reports = []
     overall = "holds"
     for node, lifted in instances:
-        value = completed.value(node, lifted, formula)
-        condition = pointwise_condition(completion, pointwise, formula, node, lifted)
+        i = position.get(node)
+        if i is None:
+            raise ValueError(f"unknown world {node!r}")
+        key = tuple(lifted.get(x) for x in variables)
+        reading = readings.get(key)
+        if reading is None:
+            completed.value(node, lifted, formula)  # checks the assignment, as label() does not
+            reading = readings[key] = (
+                completed.label(lifted, formula),
+                pointwise_condition(completion, pointwise, formula, lifted),
+            )
+        label, where = reading
+        value = label >> i & 1
+        condition = not up[i] & ~where
         status = instance_status(value, condition, violation)
         if overall == "holds":
             overall = status

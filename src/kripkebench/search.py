@@ -295,11 +295,12 @@ def enumerate_models(
 def decode_model(frame: SlottedFrame, index: int) -> KripkeModel:
     """Model `index` of the frame's slot product, whose last slot varies
     fastest."""
-    facts = []
+    labels = {}
     for pred, args, options in reversed(frame.slots):
         index, choice = divmod(index, len(options))
-        facts.extend((frame.worlds[i], pred, args) for i in options[choice])
-    return KripkeModel(frame.worlds, frame.order, frame.domains, frozenset(facts))
+        if options[choice]:
+            labels[pred, args] = sum(1 << i for i in options[choice])
+    return KripkeModel(frame.worlds, frame.order, frame.domains, labels=labels)
 
 
 def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[int]:

@@ -8,7 +8,8 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, TypeVar
 
@@ -27,6 +28,7 @@ from .syntax import (
 )
 
 Fact = tuple[str, str, tuple[str, ...]]
+Labels = dict[tuple[str, tuple[str, ...]], int]  # (pred, args) -> a label
 T = TypeVar("T")
 
 
@@ -34,9 +36,26 @@ class InvalidModelError(Exception):
     """A model file or model value violates the model invariants."""
 
 
-@dataclass(frozen=True, eq=True)
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(mask: int) -> bytes:
+    """Bit k of the mask as byte k, 0 or 1, up to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+@dataclass(frozen=True, init=False)
 class KripkeModel:
-    """Worlds with a preorder, per-world domains, and stored 1-facts.
+    """Worlds with a preorder, per-world domains, and the 1-entries of the
+    interpretation as atom labels.
+
+    `labels` maps each atom `(pred, args)` that holds somewhere to the mask
+    of the worlds where it holds, bit i standing for `worlds[i]`; no mask is
+    0. These are the atom labels `Evaluator` reads. A model is built from
+    `facts`, `(world, pred, args)` triples, or from `labels`. `facts` is a
+    view: the triples given, or else derived from the labels when first
+    read. A fact at an undeclared world has no bit, so only `facts` keeps
+    it, for `validate_model` to report.
 
     `worlds` order and per-world element order are significant: they fix the
     canonical enumeration order of counterwitnesses.
@@ -45,7 +64,41 @@ class KripkeModel:
     worlds: tuple[str, ...]
     order: frozenset[tuple[str, str]]
     domains: dict[str, tuple[str, ...]]
-    facts: frozenset[Fact]
+    # init=False keeps `dataclasses.replace` to the fields above and `facts`
+    labels: Labels = field(init=False)
+
+    def __init__(
+        self,
+        worlds: tuple[str, ...],
+        order: frozenset[tuple[str, str]],
+        domains: dict[str, tuple[str, ...]],
+        facts: Optional[Iterable[Fact]] = None,
+        *,
+        labels: Optional[Labels] = None,
+    ):
+        if (facts is None) == (labels is None):
+            raise TypeError("a model takes either facts or labels")
+        if labels is None:
+            facts = frozenset(facts)
+            self.__dict__["facts"] = facts  # the view is the triples given
+            position = {w: i for i, w in enumerate(worlds)}
+            labels = {}
+            for w, pred, args in facts:
+                i = position.get(w)
+                if i is not None:
+                    labels[pred, args] = labels.get((pred, args), 0) | 1 << i
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def facts(self) -> frozenset[Fact]:
+        return frozenset(
+            (w, pred, args)
+            for (pred, args), mask in self.labels.items()
+            for w in itertools.compress(self.worlds, bits(mask))
+        )
 
     def successors(self, world: str) -> tuple[str, ...]:
         return tuple(v for v in self.worlds if (world, v) in self.order)
@@ -344,15 +397,14 @@ class Evaluator:
         signature: Signature,
         compiled: Optional[CompiledFormulas] = None,
     ):
-        frame = Frame(model.worlds, model.order, model.domains)
-        atoms: dict[tuple[str, tuple[str, ...]], int] = {}
-        for w, pred, args in model.facts:
-            atoms[pred, args] = atoms.get((pred, args), 0) | 1 << frame.offset[w]
-        self._start(CompiledFormulas(signature) if compiled is None else compiled, frame, atoms)
+        if compiled is None:
+            compiled = CompiledFormulas(signature)
+        # at width 1 a model's labels are its atom labels
+        self._start(compiled, Frame(model.worlds, model.order, model.domains), model.labels)
 
     @classmethod
     def of_frame(
-        cls, compiled: CompiledFormulas, frame: Frame, atoms: dict[tuple[str, tuple[str, ...]], int]
+        cls, compiled: CompiledFormulas, frame: Frame, atoms: Labels
     ) -> Evaluator:
         """An evaluator of `frame.width` models of the frame, where `atoms`
         maps `(pred, args)` to the label of that atom (0 when absent)."""
@@ -382,6 +434,16 @@ class Evaluator:
                 )
         env = [assignment.get(x) for x in self.compiled.slots]
         return self._label(node, env) >> offset & 1
+
+    def label(self, assignment: dict[str, str], formula: Formula) -> int:
+        """The formula's label under the assignment. With width 1 bit i is
+        its value at world i, wherever that world's domain holds the
+        assigned elements; elsewhere the bit is unspecified."""
+        node = self.compiled.add(formula)
+        for x in self.compiled.free[node]:
+            if x not in assignment:
+                raise ValueError(f"unbound free variable {x!r}")
+        return self._label(node, [assignment.get(x) for x in self.compiled.slots])
 
     def sequent_value(self, world: str, assignment: dict[str, str], sequent: Sequent) -> int:
         for f in sequent.antecedent:
@@ -507,6 +569,7 @@ def refuting_points(
     (subformula, world, elements at its free variables), so the work stays
     polynomial.
     """
+    facts = model.facts
     up: dict[str, list[str]] = {w: [] for w in model.worlds}
     for a, b in model.order:
         up[a].append(b)
@@ -528,7 +591,7 @@ def refuting_points(
     def holds(f: Formula, w: str, rho: dict[str, str]) -> bool:
         kind = type(f)
         if kind is Atom:
-            return (w, f.pred, tuple(map(rho.__getitem__, f.args))) in model.facts
+            return (w, f.pred, tuple(map(rho.__getitem__, f.args))) in facts
         key = (id(f), w, *map(rho.__getitem__, free[id(f)]))
         got = memo.get(key)
         if got is None:
@@ -674,6 +737,10 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
 
 
 def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:
+    """The model file of a valid model. Facts come by world, then by
+    predicate, then by argument names compared as strings: each atom is
+    rendered once, in the sorted order of the label keys, and filed under
+    the worlds of its label."""
     lines = [] if signature is None else signature_to_text(signature).splitlines()
     lines.append("worlds: " + " ".join(model.worlds))
     index = {w: i for i, w in enumerate(model.worlds)}
@@ -682,9 +749,21 @@ def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> 
             lines.append(f"order: {a} {b}")
     for w in model.worlds:
         lines.append(f"domain {w}: " + " ".join(model.domains[w]))
-    for w, pred, args in sorted(model.facts, key=lambda f: (index[f[0]], f[1], f[2])):
+    at: list[list[str]] = [[] for _ in model.worlds]  # per world, its atoms in order
+    spread: dict[int, list[list[str]]] = {}  # label -> the lists of its worlds
+    labels = model.labels
+    for pred, args in sorted(labels):
+        mask = labels[pred, args]
+        targets = spread.get(mask)
+        if targets is None:
+            targets = spread[mask] = list(itertools.compress(at, bits(mask)))
         rendered = f"{pred}({', '.join(args)})" if args else pred
-        lines.append(f"fact {w}: {rendered}")
+        for atoms in targets:
+            atoms.append(rendered)
+    for w, atoms in zip(model.worlds, at):
+        if atoms:
+            prefix = f"fact {w}: "
+            lines.append(prefix + ("\n" + prefix).join(atoms))
     return "\n".join(lines) + "\n"
 
 

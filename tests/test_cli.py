@@ -495,6 +495,22 @@ class TestUnravelCommand:
         assert captured.out == ""
         assert "more than 50000 nodes or order pairs" in captured.err
 
+    def test_stutter_past_the_name_bound_is_usage_error(self, tmp_path, capsys):
+        # one world: a chain of 315 nodes has 49,770 order pairs, within the
+        # pair cap, but its '/'-joined names would write about 47.7 MB
+        path = tmp_path / "one.model"
+        path.write_text("worlds: w0\ndomain w0: a\n")
+        started = time.monotonic()
+        assert main(["unravel", "--stutter", "315", str(path)]) == 2
+        assert time.monotonic() - started < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the unraveled tree's order takes more than 2000000 characters of node names\n"
+        )
+        assert main(["unravel", "--stutter", "100", str(path)]) == 0
+        assert len(capsys.readouterr().out) < 2 * construct.MAX_NAME_CHARS
+
     def test_strict_past_the_pair_cap_is_usage_error(self, tmp_path, capsys):
         # a chain of 320 worlds unravels to 320 nodes and 51,360 order pairs
         worlds = [f"n{i}" for i in range(320)]

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools as it
+import os
 import random
+import sys
 import time
 from dataclasses import replace
 
@@ -28,6 +31,7 @@ from kripkebench.semantics import (
     InvalidModelError,
     KripkeModel,
     is_constant_domain,
+    parse_model_text,
     reflexive_transitive_closure,
     validate_model,
 )
@@ -46,6 +50,7 @@ from util import (
     random_model,
     random_tree_facts,
     reference_completion,
+    reference_main_lemma,
 )
 
 
@@ -388,6 +393,23 @@ class TestCompletionMatchesReference:
                 completed_preds |= {pred for _, pred, _ in got.model.facts}
         assert completed_preds == set(self.PREDICATES)
 
+    def test_trees_past_eight_nodes(self):
+        # the completion transposes its per-world bitsets eight worlds at a time
+        sig = Signature({"r": 0, "p": 1, "e": 2}, {})
+        rng = random.Random(2036)
+        for n in (9, 12, 17):
+            # a path with a few side branches, which keeps the functions few
+            parents = tuple(i - 2 if i % 5 == 0 else i - 1 for i in range(1, n))
+            domains = {"n0": ("a",)}
+            for child, parent in enumerate(parents, start=1):
+                domains[f"n{child}"] = rng.choice([domains[f"n{parent}"]] * 3 + [("a", "b")])
+            tree = make_tree(parents, domains)
+            tree = make_tree(parents, domains, random_tree_facts(rng, tree, sig.predicates, 0.1))
+            got = complete_to_constant_domain(tree, sig)
+            want = reference_completion(tree, sig)
+            assert got.model == want.model
+            assert any(mask >> 8 for mask in got.model.labels.values())
+
 
 class TestLiftAssignment:
     def test_empty(self, separating, separating_sig):
@@ -539,8 +561,9 @@ class TestMainLemmaInstances:
                             value = eval_formula(
                                 completion.model, sig, node, lifted, formula
                             )
-                            condition = pointwise_condition(
-                                completion, tree_eval, formula, node, lifted
+                            where = pointwise_condition(completion, tree_eval, formula, lifted)
+                            condition = all(
+                                where >> tree.nodes.index(v) & 1 for v in tree.upset(node)
                             )
                             assert (value == 1) == condition
                             instances += 1
@@ -651,8 +674,81 @@ class TestMainLemmaChecker:
         report = check_main_lemma(
             completion, separating_sig, parse_formula("p(x)", separating_sig)
         )
-        assert calls == {"bar": 1, "pointwise": len(report.instances)}
+        # one pointwise mask per assignment, read at every node
+        assert calls == {"bar": 1, "pointwise": len(completion.functions)}
         assert len(report.instances) == len(tree.nodes) * len(completion.functions)
+
+
+class TestMainLemmaMatchesReference:
+    """`check_main_lemma` reads each assignment once over all nodes; the
+    reference of tests/util reads each instance at its node and up-set."""
+
+    # the `check-main-lemma` formulas of tests/test_output_digests.py: holds,
+    # tree, open, fails and bar violation
+    FORMULAS = (
+        "forall x. p(x)",
+        "forall x. imp(p(x), exists y. q(y))",
+        "imp(q(x), p(x))",
+        "or(p(x), q(x))",
+        "p(x)",
+    )
+    CONNECTIVES = {"or": builtin("or"), "imp": builtin("imp")}
+
+    def assert_same_reports(self, completion, sig, formulas, rng):
+        statuses = set()
+        for text in formulas:
+            formula = parse_formula(text, sig)
+            want = reference_main_lemma(completion, sig, formula)
+            assert check_main_lemma(completion, sig, formula) == want
+            statuses.add(want.status)
+            # explicit instances, in any order and with repeated assignments
+            instances = rng.sample(
+                [(i.node, i.assignment) for i in want.instances], min(len(want.instances), 12)
+            )
+            assert check_main_lemma(completion, sig, formula, instances) == reference_main_lemma(
+                completion, sig, formula, instances
+            )
+        return statuses
+
+    def test_every_tree_shape_up_to_five_nodes(self):
+        sig = Signature({"p": 1, "q": 1}, self.CONNECTIVES)
+        rng = random.Random(2034)
+        statuses = set()
+        for parents in all_tree_shapes(5):
+            domains = {"n0": rng.choice([("a",), ("a", "b")])}
+            for child, parent in enumerate(parents, start=1):
+                domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b")])
+            tree = make_tree(parents, domains)
+            facts = random_tree_facts(rng, tree, sig.predicates, rng.choice([0.2, 0.5]))
+            completion = complete_to_constant_domain(make_tree(parents, domains, facts), sig)
+            statuses |= self.assert_same_reports(completion, sig, self.FORMULAS, rng)
+        assert statuses == {"holds", "fails", "precondition-failed"}
+
+    def test_completion_workload_trees(self, monkeypatch):
+        # the seven trees of the benchmark's `completion` workload, the two
+        # diamonds unravelled from their first world as `unravel --strict` does
+        bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+        monkeypatch.syspath_prepend(bench)
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(bench, "workloads.py")
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        rng = random.Random(2035)
+        texts = workloads._fixed_models()
+        assert len(texts) == 7
+        for key, text in texts.items():
+            model, parsed = parse_model_text(text)
+            sig = Signature({**parsed.predicates, "q": 1}, {**parsed.connectives, **self.CONNECTIVES})
+            if key.startswith("d"):
+                tree = unravel_strict(model, model.worlds[0])
+            else:
+                tree = tree_from_model(model)
+            completion = complete_to_constant_domain(tree, sig)
+            formulas = self.FORMULAS + (workloads.LEMMA_FORMULA,)
+            self.assert_same_reports(completion, sig, formulas, rng)
 
 
 class TestPipeline:

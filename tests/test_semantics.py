@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kripkebench import semantics
+from kripkebench.construct import complete_to_constant_domain, unravel_strict, unravel_stuttered
 from kripkebench.semantics import (
     Evaluator,
     InvalidModelError,
@@ -20,16 +21,20 @@ from kripkebench.semantics import (
     refuting_points,
     validate_model,
 )
-from kripkebench.search import random_formula
+from kripkebench.search import SearchBounds, enumerate_models, random_formula
 from kripkebench.syntax import Sequent, Signature, free_vars, parse_formula, parse_sequent
 from kripkebench.synthesize import separating_countermodel
 from kripkebench.truthfun import BUILTINS, builtin
 
 from util import (
+    all_tree_shapes,
+    make_tree,
     naive_refutation,
     naive_value,
     one_world_model,
     random_model,
+    random_tree_facts,
+    reference_model_to_text,
     validate_model_by_pairs,
 )
 
@@ -534,6 +539,57 @@ class TestModelFiles:
         model, _ = parse_model_text("worlds: w0\ndomain w0: a\nfact w0: T\n")
         model2, _ = parse_model_text("worlds: w0\ndomain w0: a\nfact w0: T()\n")
         assert model.facts == model2.facts == frozenset({("w0", "T", ())})
+
+
+class TestWriterMatchesReference:
+    """`model_to_text` files each atom under the worlds of its label; the
+    reference sorts every fact by world, predicate and argument names."""
+
+    PREDICATES = {"r": 0, "p": 1, "e": 2}
+
+    def test_completions(self):
+        # q is declared and has no facts; on shape (0, 0), a root with two
+        # leaves of four elements gives 4 x 4 + 1 = 17 functions, so F10
+        # must come before F2
+        sig = Signature({**self.PREDICATES, "q": 1}, {})
+        rng = random.Random(2032)
+        most = 0
+        for parents in all_tree_shapes(4):
+            wide = parents == (0, 0)
+            domains = {"n0": ("a",)}
+            for child, parent in enumerate(parents, start=1):
+                domains[f"n{child}"] = ("a", "b", "c", "d") if wide else rng.choice(
+                    [domains[f"n{parent}"], ("a", "b")]
+                )
+            tree = make_tree(parents, domains)
+            facts = random_tree_facts(rng, tree, self.PREDICATES, 0.4)
+            tree = make_tree(parents, domains, facts)
+            completion = complete_to_constant_domain(tree, sig)
+            most = max(most, len(completion.functions))
+            text = model_to_text(completion.model, sig)
+            assert text == reference_model_to_text(completion.model, sig)
+        assert most >= 11
+
+    def test_parsed_unravelled_and_decoded_models(self, sig):
+        rng = random.Random(2033)
+        models = []
+        for _ in range(30):
+            model = random_model(rng, predicates={**self.PREDICATES, "q": 1})
+            models.append(model)
+            models.append(unravel_strict(model, model.worlds[0]).model)
+            models.append(unravel_stuttered(model, model.worlds[-1], 3).model)
+            # the facts in shuffled order, read back by the parser
+            lines = model_to_text(model).splitlines()
+            rng.shuffle(lines)
+            parsed, _ = parse_model_text("\n".join(lines) + "\n")
+            assert parsed == model
+            models.append(parsed)
+        bounds = SearchBounds(2, 2, "poset")
+        models += list(itertools.islice(enumerate_models(sig, bounds), 0, 3000, 7))
+        assert {p for m in models for _, p, _ in m.facts} >= {"r", "p", "e", "T"}
+        for model in models:
+            assert model_to_text(model, sig) == reference_model_to_text(model, sig)
+            assert model_to_text(model) == reference_model_to_text(model)
 
 
 # Lines shaped like model-file directives, so that the fuzzer reaches the

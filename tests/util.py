@@ -9,9 +9,13 @@ from dataclasses import replace
 from kripkebench.construct import (
     BarViolation,
     ConstantDomainCompletion,
+    EquivalenceReport,
+    MainLemmaReport,
     TreeModel,
+    bar_precondition_violation,
     bars,
     enumerate_choice_functions,
+    instance_status,
     is_upward_closed,
     partition_upward_closed,
 )
@@ -23,6 +27,7 @@ from kripkebench.search import (
     _tree_orders,
 )
 from kripkebench.semantics import (
+    Evaluator,
     KripkeModel,
     reflexive_transitive_closure,
     validate_model,
@@ -35,6 +40,7 @@ from kripkebench.syntax import (
     Signature,
     free_vars,
     sequent_free_vars,
+    signature_to_text,
     subformulas,
 )
 
@@ -179,6 +185,66 @@ def reference_completion(tree, signature):
         facts=frozenset(facts),
     )
     return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
+
+
+def reference_model_to_text(model, signature=None):
+    """`semantics.model_to_text` by one key-function sort of every fact:
+    the writer must return the same text."""
+    lines = [] if signature is None else signature_to_text(signature).splitlines()
+    lines.append("worlds: " + " ".join(model.worlds))
+    index = {w: i for i, w in enumerate(model.worlds)}
+    for a, b in sorted(model.order, key=lambda p: (index[p[0]], index[p[1]])):
+        if a != b:
+            lines.append(f"order: {a} {b}")
+    for w in model.worlds:
+        lines.append(f"domain {w}: " + " ".join(model.domains[w]))
+    for w, pred, args in sorted(model.facts, key=lambda f: (index[f[0]], f[1], f[2])):
+        rendered = f"{pred}({', '.join(args)})" if args else pred
+        lines.append(f"fact {w}: {rendered}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_pointwise_condition(completion, evaluator, formula, node, lifted):
+    """Whether the formula holds at every node above the given one where all
+    assigned choice functions are defined, reading the assignment pointwise
+    with `evaluator`, an evaluator on the tree's model."""
+    tree = completion.tree
+    functions = {var: completion.functions[lifted[var]] for var in free_vars(formula)}
+    for v in tree.upset(node):
+        if all(v in f for f in functions.values()):
+            pointwise = {var: f[v] for var, f in functions.items()}
+            if evaluator.value(v, pointwise, formula) != 1:
+                return False
+    return True
+
+
+def reference_main_lemma(completion, signature, formula, instances=None):
+    """`construct.check_main_lemma` read instance by instance: the value at
+    the node on the completed model, and the pointwise condition over the
+    node's up-set. The checker must return an equal report."""
+    tree = completion.tree
+    if instances is None:
+        variables = sorted(free_vars(formula))
+        instances = [
+            (node, dict(zip(variables, combo)))
+            for node in tree.nodes
+            for combo in itertools.product(
+                completion.model.domains[node], repeat=len(variables)
+            )
+        ]
+    pointwise = Evaluator(tree.model, signature)
+    violation = bar_precondition_violation(tree, pointwise, formula)
+    completed = Evaluator(completion.model, signature)
+    reports = []
+    overall = "holds"
+    for node, lifted in instances:
+        value = completed.value(node, lifted, formula)
+        condition = reference_pointwise_condition(completion, pointwise, formula, node, lifted)
+        status = instance_status(value, condition, violation)
+        if overall == "holds":
+            overall = status
+        reports.append(EquivalenceReport(node, lifted, status, value, condition, violation))
+    return MainLemmaReport(formula, completion, overall, tuple(reports), violation)
 
 
 def choice_functions_by_masks(tree):
