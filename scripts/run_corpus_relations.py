@@ -4,7 +4,7 @@ mutually consistent on a seeded corpus of random sequents."""
 
 import argparse
 
-from kripkebench.search import SearchBounds, check_relations_on_corpus, sequent_corpus
+from kripkebench.search import CORPUS_SMALL_BOUNDS, check_relations_on_corpus, sequent_corpus
 from kripkebench.syntax import Signature
 from kripkebench.truthfun import builtin
 
@@ -21,17 +21,13 @@ def main() -> int:
     names = [n.strip() for n in args.connectives.split(",") if n.strip()]
     signature = Signature({"p": 1, "q": 1, "r": 0}, {n: builtin(n) for n in names})
     corpus = sequent_corpus(signature, args.seed, args.count)
-    records = check_relations_on_corpus(
-        signature,
-        corpus,
-        small=SearchBounds(2, 2, "tree"),
-        large=SearchBounds(3, 2, "poset"),
-    )
+    records = check_relations_on_corpus(signature, corpus)
     cd_refuted = sum(1 for r in records if r.cd_refuted)
     inconclusive = sum(1 for r in records if r.inconclusive)
     classical = sum(1 for r in records if r.classical_refuted)
     print(f"signature: {{{args.connectives}}}  corpus: {len(records)} (seed {args.seed})")
-    print(f"cd-refuted at (2,2,tree): {cd_refuted}")
+    b = CORPUS_SMALL_BOUNDS
+    print(f"cd-refuted at ({b.max_worlds},{b.max_domain},{b.shape}): {cd_refuted}")
     print(f"classically refuted (when the monotone theorem applies): {classical}")
     print(f"inconclusive: {inconclusive}")
     for record in records:

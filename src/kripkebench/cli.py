@@ -61,21 +61,20 @@ def _bounds_from_args(args) -> SearchBounds:
 def _load_problem(path: str) -> tuple[Signature, str]:
     """A sequent file: signature directives plus one `sequent:` line."""
     sequent_text: Optional[str] = None
-    signature_lines = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = strip_comment(raw)
-            if not line:
-                continue
-            if line.startswith("sequent:"):
-                if sequent_text is not None:
-                    raise InvalidSignatureError(f"line {lineno}: duplicate sequent line")
-                sequent_text = line[len("sequent:"):].strip()
-            else:
-                signature_lines.append(line)
+        lines = handle.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = strip_comment(raw)
+        if line.startswith("sequent:"):
+            if sequent_text is not None:
+                raise InvalidSignatureError(f"line {lineno}: duplicate sequent line")
+            sequent_text = line[len("sequent:"):].strip()
+            # blanked, so that the signature parser numbers every other line
+            # as the file does
+            lines[lineno - 1] = ""
     if sequent_text is None:
         raise InvalidSignatureError(f"{path}: missing 'sequent:' line")
-    return parse_signature("\n".join(signature_lines)), sequent_text
+    return parse_signature("\n".join(lines)), sequent_text
 
 
 def _add_bounds_arguments(sub) -> None:
@@ -312,12 +311,7 @@ def cmd_report_relations(args) -> int:
         if not signature.predicates:
             raise InvalidSignatureError("corpus sweep needs predicates in the signature")
         corpus = search.sequent_corpus(signature, args.seed, args.corpus)
-        records = search.check_relations_on_corpus(
-            signature,
-            corpus,
-            small=SearchBounds(2, 2, "tree"),
-            large=SearchBounds(3, 2, "poset"),
-        )
+        records = search.check_relations_on_corpus(signature, corpus)
         inconclusive = sum(1 for r in records if r.inconclusive)
         refuted = sum(1 for r in records if r.cd_refuted)
         print(f"corpus: {len(records)} sequents, {refuted} cd-refuted, {inconclusive} inconclusive")

@@ -502,6 +502,10 @@ def report_relations(signature: Signature) -> RelationReport:
 CORPUS_MAX_SIDE = 2
 CORPUS_MAX_DEPTH = 3
 CORPUS_VARIABLES = ("x", "y")
+# check_relations_on_corpus decides cd and classical at the small bounds and
+# kripke at the large ones
+CORPUS_SMALL_BOUNDS = SearchBounds(2, 2, "tree")
+CORPUS_LARGE_BOUNDS = SearchBounds(3, 2, "poset")
 
 
 def random_formula(
@@ -562,12 +566,7 @@ class CorpusRecord:
     note: str
 
 
-def check_relations_on_corpus(
-    signature: Signature,
-    corpus: list[Sequent],
-    small: SearchBounds,
-    large: SearchBounds,
-) -> list[CorpusRecord]:
+def check_relations_on_corpus(signature: Signature, corpus: list[Sequent]) -> list[CorpusRecord]:
     """Cross-mode consistency sweep used by the desk-scale theorem checks.
 
     For each sequent: a cd refutation at the small bounds must be matched by
@@ -580,20 +579,20 @@ def check_relations_on_corpus(
     report = report_relations(signature)
     records = []
     for sequent in corpus:
-        cd = decide(signature, sequent, "cd", small)
+        cd = decide(signature, sequent, "cd", CORPUS_SMALL_BOUNDS)
         cd_refuted = isinstance(cd, Refuted)
         kripke_refuted = None
         classical_refuted = None
         inconclusive = False
         note = ""
         if cd_refuted:
-            kripke = decide(signature, sequent, "kripke", large)
+            kripke = decide(signature, sequent, "kripke", CORPUS_LARGE_BOUNDS)
             kripke_refuted = isinstance(kripke, Refuted)
             if not kripke_refuted:
                 note = "cd-refuted but kripke search found nothing at larger bounds"
                 inconclusive = True
             if report.cds_equals_cls:
-                classical = decide(signature, sequent, "classical", small)
+                classical = decide(signature, sequent, "classical", CORPUS_SMALL_BOUNDS)
                 classical_refuted = isinstance(classical, Refuted)
                 if not classical_refuted:
                     note = "cd-refuted but classical search exhausted its bounds"

@@ -386,21 +386,15 @@ class Evaluator:
 
     `Evaluator(model, signature)` labels one validated model, a batch of
     width 1, and `Evaluator.of_frame` a batch whose atom labels are given.
-    Formulas are compiled on first use into `compiled`, which may be shared
-    with other evaluators over the same signature; a shared compiled form
+    Formulas are compiled on first use into `compiled`, which `of_frame`
+    evaluators over the same signature may share; a shared compiled form
     never changes values, only speed.
     """
 
-    def __init__(
-        self,
-        model: KripkeModel,
-        signature: Signature,
-        compiled: Optional[CompiledFormulas] = None,
-    ):
-        if compiled is None:
-            compiled = CompiledFormulas(signature)
+    def __init__(self, model: KripkeModel, signature: Signature):
         # at width 1 a model's labels are its atom labels
-        self._start(compiled, Frame(model.worlds, model.order, model.domains), model.labels)
+        frame = Frame(model.worlds, model.order, model.domains)
+        self._start(CompiledFormulas(signature), frame, model.labels)
 
     @classmethod
     def of_frame(

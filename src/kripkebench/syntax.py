@@ -198,28 +198,49 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the token list, one method per rule."""
+
     def __init__(self, text: str, signature: Signature):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = signature
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def end(self) -> None:
+        kind, value, at = self.tokens[self.pos]
+        if kind != "EOF":
+            raise ParseError(f"trailing input {value!r}", at)
+
+    def items(self, item, closers: tuple[str, ...]) -> list:
+        """`item, ..., item`, empty when the next token is in `closers`."""
+        if self.tokens[self.pos][0] in closers:
+            return []
+        out = [item()]
+        while self.tokens[self.pos][0] == ",":
+            self.pos += 1
+            out.append(item())
+        return out
+
+    def variable(self) -> str:
+        _, var, at = self.expect("IDENT")
+        if var in RESERVED:
+            raise ParseError(f"{var!r} cannot be a variable name", at)
+        return var
+
+    def sequent(self) -> Sequent:
+        antecedent = self.items(self.formula, ("=>", "EOF"))
+        self.expect("=>")
+        return Sequent(tuple(antecedent), tuple(self.items(self.formula, ("=>", "EOF"))))
 
     def formula(self) -> Formula:
-        kind, value, at = self.peek()
+        kind, value, at = self.tokens[self.pos]
         if kind != "IDENT":
             raise ParseError(f"expected a formula, found {value!r}", at)
         if self.depth == MAX_NESTING:
@@ -230,112 +251,46 @@ class _Parser:
         return formula
 
     def quantifier(self) -> Formula:
-        _, word, _ = self.next()
-        _, var, at = self.expect("IDENT")
-        if var in RESERVED:
-            raise ParseError(f"{var!r} cannot be a variable name", at)
+        _, word, _ = self.expect("IDENT")
+        var = self.variable()
         self.expect(".")
         body = self.formula()
         return Forall(var, body) if word == "forall" else Exists(var, body)
 
     def application(self) -> Formula:
-        _, name, at = self.next()
-        if self.peek()[0] != "(":
-            return self.bare(name, at)
-        self.next()
+        """A connective applied to formulas or a predicate applied to
+        variables; a 0-ary symbol is written `name` or `name()`."""
+        _, name, at = self.tokens[self.pos]
+        self.pos += 1
         if name in self.sig.connectives:
-            args = self.formula_args()
-            want = self.sig.connectives[name].arity
-            if len(args) != want:
-                raise ParseError(
-                    f"connective {name!r} expects {want} arguments, got {len(args)}", at
-                )
-            return Conn(name, tuple(args))
-        if name in self.sig.predicates:
-            args = self.var_args()
-            want = self.sig.predicates[name]
-            if len(args) != want:
-                raise ParseError(
-                    f"predicate {name!r} expects {want} arguments, got {len(args)}", at
-                )
-            return Atom(name, tuple(args))
-        raise ParseError(f"unknown symbol {name!r}", at)
-
-    def bare(self, name: str, at: int) -> Formula:
-        if name in self.sig.predicates:
-            if self.sig.predicates[name] != 0:
-                raise ParseError(
-                    f"predicate {name!r} expects {self.sig.predicates[name]} arguments, got 0",
-                    at,
-                )
-            return Atom(name)
-        if name in self.sig.connectives:
-            if self.sig.connectives[name].arity != 0:
-                raise ParseError(
-                    f"connective {name!r} expects {self.sig.connectives[name].arity}"
-                    " arguments, got 0",
-                    at,
-                )
-            return Conn(name, ())
-        raise ParseError(f"unknown symbol {name!r}", at)
-
-    def formula_args(self) -> list[Formula]:
-        args: list[Formula] = []
-        if self.peek()[0] == ")":
-            self.next()
-            return args
-        args.append(self.formula())
-        while self.peek()[0] == ",":
-            self.next()
-            args.append(self.formula())
-        self.expect(")")
-        return args
-
-    def var_args(self) -> list[str]:
-        args: list[str] = []
-        if self.peek()[0] == ")":
-            self.next()
-            return args
-        while True:
-            _, var, at = self.expect("IDENT")
-            if var in RESERVED:
-                raise ParseError(f"{var!r} cannot be a variable name", at)
-            args.append(var)
-            if self.peek()[0] == ",":
-                self.next()
-                continue
+            node, item, want = Conn, self.formula, self.sig.connectives[name].arity
+        elif name in self.sig.predicates:
+            node, item, want = Atom, self.variable, self.sig.predicates[name]
+        else:
+            raise ParseError(f"unknown symbol {name!r}", at)
+        args = []
+        if self.tokens[self.pos][0] == "(":
+            self.pos += 1
+            args = self.items(item, (")",))
             self.expect(")")
-            return args
-
-    def side(self) -> list[Formula]:
-        out: list[Formula] = []
-        if self.peek()[0] in ("=>", "EOF"):
-            return out
-        out.append(self.formula())
-        while self.peek()[0] == ",":
-            self.next()
-            out.append(self.formula())
-        return out
+        if len(args) != want:
+            kind = "connective" if node is Conn else "predicate"
+            raise ParseError(f"{kind} {name!r} expects {want} arguments, got {len(args)}", at)
+        return node(name, tuple(args))
 
 
 def parse_formula(text: str, signature: Signature) -> Formula:
     parser = _Parser(text, signature)
     formula = parser.formula()
-    kind, value, at = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {value!r}", at)
+    parser.end()
     return formula
 
 
 def parse_sequent(text: str, signature: Signature) -> Sequent:
     parser = _Parser(text, signature)
-    antecedent = parser.side()
-    parser.expect("=>")
-    succedent = parser.side()
-    kind, value, at = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {value!r}", at)
-    return Sequent(tuple(antecedent), tuple(succedent))
+    sequent = parser.sequent()
+    parser.end()
+    return sequent
 
 
 # --- signature files -------------------------------------------------------

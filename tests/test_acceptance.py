@@ -306,15 +306,12 @@ def test_09_completion_outputs_validate():
 
 
 def test_10_relations_on_seeded_corpus():
-    small = SearchBounds(2, 2, "tree")
-    large = SearchBounds(3, 2, "poset")
-
     intuitionistic_sig = Signature(
         {"p": 1, "q": 1, "r": 0},
         {"not": builtin("not"), "and": builtin("and"), "imp": builtin("imp")},
     )
     records = check_relations_on_corpus(
-        intuitionistic_sig, sequent_corpus(intuitionistic_sig, 2024, 60), small, large
+        intuitionistic_sig, sequent_corpus(intuitionistic_sig, 2024, 60)
     )
     inconclusive = sum(1 for r in records if r.inconclusive)
     for record in records:
@@ -325,9 +322,7 @@ def test_10_relations_on_seeded_corpus():
     monotone_sig = Signature(
         {"p": 1, "q": 1, "r": 0}, {"and": builtin("and"), "or": builtin("or")}
     )
-    records = check_relations_on_corpus(
-        monotone_sig, sequent_corpus(monotone_sig, 2024, 60), small, large
-    )
+    records = check_relations_on_corpus(monotone_sig, sequent_corpus(monotone_sig, 2024, 60))
     inconclusive = sum(1 for r in records if r.inconclusive)
     refuted = 0
     for record in records:

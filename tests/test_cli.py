@@ -202,6 +202,22 @@ class TestDecide:
         path.write_text("pred p 1\nsequent: p(x\n")
         assert main(["decide", "--mode", "kripke", "--seq", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# c\n\npred p x\nsequent: p\n", "error: line 3: arity must be an integer\n"),
+            ("sequent: p\npred p 1\npred p 1\n", "error: line 3: duplicate predicate 'p'\n"),
+            # a duplicate sequent line is reported before any directive
+            ("sequent: p\npred p x\nsequent: p\n", "error: line 3: duplicate sequent line\n"),
+        ],
+    )
+    def test_signature_errors_name_the_line_of_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.seq"
+        path.write_text(text)
+        assert main(["decide", "--mode", "cd", "--seq", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["decide", "--mode", "kripke", "--seq", "/nonexistent"]) == 2
 

@@ -40,6 +40,7 @@ from util import (
     poset_orders_by_masks,
     preorder_orders_by_masks,
     reference_enumerate_models,
+    sharing_evaluator,
     shifted_above_none_of,
     upward_closed_subsets_by_masks,
 )
@@ -400,12 +401,7 @@ class TestTheoremDirections:
 
     def test_corpus_consistency_sweep_flags_nothing_for_monotone_signature(self):
         sig = Signature({"p": 1, "q": 1, "r": 0}, {"and": builtin("and"), "or": builtin("or")})
-        records = check_relations_on_corpus(
-            sig,
-            sequent_corpus(sig, 33, 10),
-            small=SearchBounds(2, 2, "tree"),
-            large=SearchBounds(3, 2, "poset"),
-        )
+        records = check_relations_on_corpus(sig, sequent_corpus(sig, 33, 10))
         for record in records:
             if record.cd_refuted:
                 assert record.kripke_refuted
@@ -459,7 +455,7 @@ class TestDecideAgainstNaiveOracle:
         # every model of the stream, not only the first refuted one
         compiled = compile_sequent(sig, s)
         for model in enumerate_models(Signature(predicates, {}), bounds):
-            hits = Evaluator(model, sig, compiled.formulas).refuted_models(compiled)
+            hits = sharing_evaluator(compiled.formulas, model).refuted_models(compiled)
             assert bool(hits) == (naive_refutation(model, sig, s) is not None)
 
 
@@ -498,7 +494,7 @@ class TestBitSlicedSearch:
             for frame in enumerate_frames(sig, bounds, cd):
                 decoded = [decode_model(frame, m) for m in range(frame.size)]
                 assert decoded == list(itertools.islice(models, frame.size))
-                singles = [Evaluator(model, sig, formulas) for model in decoded]
+                singles = [sharing_evaluator(formulas, model) for model in decoded]
                 want = next(
                     (
                         m

@@ -35,6 +35,7 @@ from util import (
     random_model,
     random_tree_facts,
     reference_model_to_text,
+    sharing_evaluator,
     validate_model_by_pairs,
 )
 
@@ -466,11 +467,11 @@ class TestEvaluatorAgainstNaiveRecursion:
             compiled = compile_sequent(sig, s)
             shared.update(growing)
             for model in models:
-                hit = bool(Evaluator(model, sig, compiled.formulas).refuted_models(compiled))
+                hit = bool(sharing_evaluator(compiled.formulas, model).refuted_models(compiled))
                 assert hit == (naive_refutation(model, sig, s) is not None)
                 refuted += hit
             shared["w0"] = ("a0", "a1")
-            hit = bool(Evaluator(models[-1], sig, compiled.formulas).refuted_models(compiled))
+            hit = bool(sharing_evaluator(compiled.formulas, models[-1]).refuted_models(compiled))
             assert hit == (naive_refutation(models[-1], sig, s) is not None)
         assert refuted > 0
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kripkebench.syntax import (
+    MAX_NESTING,
     Atom,
     Conn,
     Exists,
@@ -84,6 +85,54 @@ class TestParsing:
     def test_reserved_variable_rejected(self, sig):
         with pytest.raises(ParseError):
             parse_formula("forall forall. p(x)", sig)
+
+
+# every ParseError of the tokenizer and the parser: (text, parse a sequent
+# rather than a formula, message, position); `top` is a 0-ary connective
+_NESTED = "not(" * (MAX_NESTING + 1) + "T" + ")" * (MAX_NESTING + 1)
+_PARSE_ERRORS = [
+    ("or(p(x), !)", False, "unexpected character '!'", 9),
+    ("", False, "expected a formula, found ''", 0),
+    ("or(p(x), )", False, "expected a formula, found ')'", 9),
+    ("p(x), => r", True, "expected a formula, found '=>'", 6),
+    ("or(, T)", False, "expected a formula, found ','", 3),
+    (_NESTED, False, f"formula nests more than {MAX_NESTING} levels deep", 4 * MAX_NESTING),
+    ("forall forall. p(x)", False, "'forall' cannot be a variable name", 7),
+    ("p(exists)", False, "'exists' cannot be a variable name", 2),
+    ("b(x, forall)", False, "'forall' cannot be a variable name", 5),
+    ("s", False, "unknown symbol 's'", 0),
+    ("not(s(x))", False, "unknown symbol 's'", 4),
+    ("or", False, "connective 'or' expects 2 arguments, got 0", 0),
+    ("not(or(T))", False, "connective 'or' expects 2 arguments, got 1", 4),
+    ("or()", False, "connective 'or' expects 2 arguments, got 0", 0),
+    ("top(T)", False, "connective 'top' expects 0 arguments, got 1", 0),
+    ("p", False, "predicate 'p' expects 1 arguments, got 0", 0),
+    ("not(p(x, y))", False, "predicate 'p' expects 1 arguments, got 2", 4),
+    ("p()", False, "predicate 'p' expects 1 arguments, got 0", 0),
+    ("T(x)", False, "predicate 'T' expects 0 arguments, got 1", 0),
+    ("or(T, T", False, "expected ')', found ''", 7),
+    ("p(x y)", False, "expected ')', found 'y'", 4),
+    ("p(x,)", False, "expected 'IDENT', found ')'", 4),
+    ("p(, x)", False, "expected 'IDENT', found ','", 2),
+    ("forall . p(x)", False, "expected 'IDENT', found '.'", 7),
+    ("forall x p(x)", False, "expected '.', found 'p'", 9),
+    ("p(x), p(y)", True, "expected '=>', found ''", 10),
+    ("p(x) q", False, "trailing input 'q'", 5),
+    ("p(x) => p(y) r", True, "trailing input 'r'", 13),
+    ("p(x) => => r", True, "trailing input '=>'", 8),
+]
+
+
+@pytest.mark.parametrize("text, sequent, message, position", _PARSE_ERRORS)
+def test_parse_error_message_and_position(text, sequent, message, position):
+    sig = Signature(
+        {"p": 1, "b": 2, "T": 0},
+        {"or": builtin("or"), "not": builtin("not"), "top": TruthFunction(0, (1,))},
+    )
+    with pytest.raises(ParseError) as err:
+        (parse_sequent if sequent else parse_formula)(text, sig)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 class TestFreeVars:

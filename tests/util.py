@@ -28,6 +28,7 @@ from kripkebench.search import (
 )
 from kripkebench.semantics import (
     Evaluator,
+    Frame,
     KripkeModel,
     reflexive_transitive_closure,
     validate_model,
@@ -492,6 +493,12 @@ def naive_bar_violation(tree, sig, formula):
                 if (value == 1) != bars(tree, node, one_set):
                     return BarViolation(sub, node, tuple(sorted(rho.items())), value)
     return None
+
+
+def sharing_evaluator(formulas, model) -> Evaluator:
+    """A width-1 evaluator of the model over shared compiled formulas."""
+    frame = Frame(model.worlds, model.order, model.domains)
+    return Evaluator.of_frame(formulas, frame, model.labels)
 
 
 def naive_refutation(model, sig, sequent):
