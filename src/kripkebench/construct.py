@@ -12,11 +12,11 @@ checked explicitly, which is what the main-lemma checker does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .semantics import Evaluator, InvalidModelError, KripkeModel, bits, require_valid_model
-from .semantics import upward_closed_subsets
+from .semantics import SLICED, Evaluator, InvalidModelError, KripkeModel, Labels, bits
+from .semantics import require_valid_model, upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
 # the most nodes or order pairs an unraveled tree, choice functions an
@@ -66,9 +66,9 @@ def tree_from_model(model: KripkeModel) -> TreeModel:
     Requires an antisymmetric order with a unique minimum in which every
     non-root world has exactly one covering predecessor. Then the order is
     the parent relation's ancestry: in a finite poset every v < w is a chain
-    of covers, and each cover is a parent step.
+    of covers, and each cover is a parent step. The model must already
+    pass `validate_model`, as a loaded model does; it is not checked again.
     """
-    require_valid_model(model)
     for a, b in sorted(model.order):
         if a != b and (b, a) in model.order:
             raise InvalidModelError(f"order has a cycle through {a} and {b}")
@@ -385,11 +385,18 @@ def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
 @dataclass(frozen=True)
 class ConstantDomainCompletion:
     """The completed model: same tree order, one shared domain of choice
-    functions named F0, F1, ... in enumeration order."""
+    functions named F0, F1, ... in enumeration order.
+
+    `blocks` maps `(pred, head)` to the label of `pred(head..., F_j)` for
+    every j at once, as `Evaluator.sliced` reads it: bit `i * k + j` for
+    node i, with k functions. Blocks that are 0 are left out, and a
+    completion built without them (None) is read atom by atom. They are a
+    cache of the model's labels, so equality ignores them."""
 
     tree: TreeModel
     model: KripkeModel
     functions: dict[str, dict[str, str]]
+    blocks: Optional[Labels] = field(default=None, compare=False, repr=False)
 
     def function_id(self, function: dict[str, str]) -> str:
         for name, f in self.functions.items():
@@ -411,7 +418,8 @@ def complete_to_constant_domain(
     bitset of last arguments that make a non-fact is computed once; a tuple
     holds at a world iff its last argument is in none of these bitsets over
     the world's up-set. The completed model is built from its atom labels,
-    the transposes of these per-world bitsets.
+    the transposes of these per-world bitsets; the bitsets themselves, side
+    by side in node order, are the completion's `blocks`.
 
     Raises ValueError, before any predicate is scanned, when those pairs of
     a node and an argument tuple number more than MAX_COMPLETION_PAIRS."""
@@ -444,6 +452,7 @@ def complete_to_constant_domain(
             by_value[i][element] = by_value[i].get(element, 0) | 1 << k
     everyone = (1 << len(names)) - 1
     labels = {}
+    blocks = {}
     for pred, arity in signature.predicates.items():
         if pred not in with_facts:
             continue  # everything stays 0
@@ -475,6 +484,12 @@ def complete_to_constant_domain(
                     excluded |= bad_at[i]
                 good.append(everyone & ~excluded)
             head_names = tuple(names[k] for k in head)
+            block = 0
+            for i, row in enumerate(good):
+                block |= row << i * len(names)
+            if not block:
+                continue
+            blocks[pred, head_names] = block
             for name, label in zip(names, _columns(good, len(names))):
                 if label:
                     labels[pred, head_names + (name,)] = label
@@ -484,7 +499,7 @@ def complete_to_constant_domain(
         {w: names for w in tree.model.worlds},
         labels=labels,
     )
-    return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
+    return ConstantDomainCompletion(tree, completed, functions, blocks)
 
 
 def _up_masks(tree: TreeModel) -> list[int]:
@@ -650,16 +665,21 @@ def pointwise_condition(
     choice function is undefined or the formula holds with the assignment
     read pointwise, by `evaluator`, an evaluator on the tree's model. The
     pointwise condition at a node holds exactly when the node's up-set lies
-    inside this mask."""
+    inside this mask. Nodes where the functions take the same elements
+    share one label of the formula under those elements."""
     variables = sorted(free_vars(formula))
     functions = [completion.functions[lifted[var]] for var in variables]
+    labels: dict[tuple, int] = {}  # by the elements taken
     mask = 0
     for i, v in enumerate(completion.tree.nodes):
-        if any(v not in f for f in functions):
+        elements = tuple(f.get(v) for f in functions)
+        if None in elements:
             mask |= 1 << i
             continue
-        pointwise = {var: f[v] for var, f in zip(variables, functions)}
-        mask |= evaluator.value(v, pointwise, formula) << i
+        label = labels.get(elements)
+        if label is None:
+            label = labels[elements] = evaluator.label(dict(zip(variables, elements)), formula)
+        mask |= label & 1 << i
     return mask
 
 
@@ -677,9 +697,11 @@ def check_main_lemma(
     completed domain; more than MAX_COUNT of them raise ValueError before any
     is evaluated. The tree is checked for bar-determinacy once, and one
     evaluator per model serves every instance, the tree's one both the bar
-    check and the pointwise condition. Each assignment is read once over all
-    nodes: the formula's label on the completed model, and the mask of
-    `pointwise_condition`.
+    check and the pointwise condition. On the completed model the last free
+    variable is sliced (`Evaluator.sliced`, fed the completion's blocks):
+    one label per assignment of the other variables gives the value at
+    every node for every function at once. Each whole assignment gets one
+    mask of `pointwise_condition`.
     """
     tree = completion.tree
     variables = sorted(free_vars(formula))
@@ -698,10 +720,19 @@ def check_main_lemma(
         )
     pointwise = Evaluator(tree.model, signature)
     violation = bar_precondition_violation(tree, pointwise, formula)
-    completed = Evaluator(completion.model, signature)
+    names = {name: j for j, name in enumerate(completion.functions)}
+    if variables:
+        completed = Evaluator.sliced(completion.model, signature, completion.blocks)
+        width = len(names)
+    else:
+        completed = Evaluator(completion.model, signature)
+        width = 1
     position = {n: i for i, n in enumerate(tree.nodes)}
     up = _up_masks(tree)
-    readings: dict[tuple, tuple[int, int]] = {}  # by the assigned names: two masks
+    sliced: dict[tuple, int] = {}  # by the names of all but the last variable: a label
+    # by the assigned names: the label, the bit of the last name in a block,
+    # and the pointwise mask
+    readings: dict[tuple, tuple[int, int, int]] = {}
     reports = []
     overall = "holds"
     for node, lifted in instances:
@@ -711,13 +742,22 @@ def check_main_lemma(
         key = tuple(lifted.get(x) for x in variables)
         reading = readings.get(key)
         if reading is None:
-            completed.value(node, lifted, formula)  # checks the assignment, as label() does not
+            for x in variables:  # as `Evaluator.value` checks an assignment
+                if x not in lifted:
+                    raise ValueError(f"unbound free variable {x!r}")
+                if lifted[x] not in names:
+                    raise ValueError(f"assignment sends {x!r} to {lifted[x]!r}, not in D({node})")
+            label = sliced.get(key[:-1])
+            if label is None:  # a closed formula's assignment stays empty
+                rest = dict(zip(variables, key[:-1] + (SLICED,)))
+                label = sliced[key[:-1]] = completed.label(rest, formula)
             reading = readings[key] = (
-                completed.label(lifted, formula),
+                label,
+                names[key[-1]] if variables else 0,
                 pointwise_condition(completion, pointwise, formula, lifted),
             )
-        label, where = reading
-        value = label >> i & 1
+        label, j, where = reading
+        value = label >> i * width + j & 1
         condition = not up[i] & ~where
         status = instance_status(value, condition, violation)
         if overall == "holds":

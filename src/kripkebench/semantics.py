@@ -413,6 +413,28 @@ class Evaluator:
         self._nodes = compiled.nodes
         self._memo: dict = {}
 
+    @classmethod
+    def sliced(
+        cls,
+        model: KripkeModel,
+        signature: Signature,
+        blocks: Optional[Labels] = None,
+    ) -> Evaluator:
+        """An evaluator of a validated constant-domain model with one
+        variable sliced over the domain's k elements: model j of the batch
+        sends it to the j-th element, so bit `i * k + j` of a label is the
+        value at world i with the variable at element j. The variable is the
+        one that `label` assigns to `SLICED`.
+
+        `blocks` may map `(pred, head)` to the label of the atom whose
+        arguments are `head` and then the sliced variable; with a block
+        absent that label is 0. Without `blocks` such a label is read
+        element by element from the model's atom labels."""
+        elements = model.domains[model.worlds[0]]
+        frame = Frame(model.worlds, model.order, model.domains, width=len(elements))
+        atoms = _SlicedAtoms(model.labels, elements, blocks)
+        return cls.of_frame(CompiledFormulas(signature), frame, atoms)
+
     def value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
         """The formula's value at the world in model 0 of the batch."""
         offset = self.frame.offset.get(world)
@@ -530,6 +552,49 @@ class Evaluator:
             env[a] = saved
         memo[memo_key] = mask
         return mask
+
+
+# the element that `Evaluator.sliced` labels at every element of the domain
+SLICED = object()
+
+
+class _SlicedAtoms:
+    """The atom labels of `Evaluator.sliced`, built on first read from a
+    constant-domain model's width-1 labels and the given blocks. An atom
+    - without the sliced variable has its label spread to whole blocks;
+    - with the sliced variable as its last argument only has its block;
+    - with it elsewhere, or more than once, is read once per element j, and
+      that label spread into bit j of each block.
+    `Evaluator` memoizes every atom it reads, so each is built once."""
+
+    def __init__(self, labels: Labels, elements: tuple[str, ...], blocks: Optional[Labels]):
+        self.labels = labels
+        self.elements = elements
+        self.blocks = blocks
+        self.width = len(elements)
+        self.ones = (1 << self.width) - 1
+        self.spreads: dict[int, int] = {}  # width-1 mask -> bit i at bit i * width
+
+    def spread(self, mask: int) -> int:
+        got = self.spreads.get(mask)
+        if got is None:
+            got = self.spreads[mask] = sum(
+                1 << i * self.width for i, bit in enumerate(bits(mask)) if bit
+            )
+        return got
+
+    def get(self, atom: tuple[str, tuple], default: int = 0) -> int:
+        pred, args = atom
+        count = args.count(SLICED)
+        if not count:
+            return self.spread(self.labels.get(atom, default)) * self.ones
+        if count == 1 and args[-1] is SLICED and self.blocks is not None:
+            return self.blocks.get((pred, args[:-1]), default)
+        label = 0
+        for j, e in enumerate(self.elements):
+            reading = tuple(e if a is SLICED else a for a in args)
+            label |= self.spread(self.labels.get((pred, reading), default)) << j
+        return label
 
 
 def eval_formula(

@@ -751,6 +751,113 @@ class TestMainLemmaMatchesReference:
             self.assert_same_reports(completion, sig, formulas, rng)
 
 
+class TestSlicedMainLemma:
+    """`check_main_lemma` slices the last free variable of the formula on the
+    completed model; each report must equal the per-instance reference of
+    tests/util, whichever atom reading the slice takes."""
+
+    SIG = Signature(
+        {"e": 2, "p": 1, "r": 0, "s": 1, "t": 3},
+        {"or": builtin("or"), "imp": builtin("imp")},
+    )
+    FORMULAS = (
+        "exists y. e(x, y)",  # the sliced variable first: read element by element
+        "exists y. e(y, x)",  # last: the completion's block
+        "e(x, x)",  # repeated
+        "forall y. imp(e(y, x), p(y))",
+        "imp(e(x, z), p(z))",  # two free variables, z sliced
+        "t(y, x, y)",  # the sliced y first and last
+        "t(x, x, y)",
+        "or(p(x), exists x. e(x, x))",  # the sliced variable bound again
+        "r",  # closed, 0-ary
+        "imp(r, s(x))",  # s has no facts
+        "exists x. e(x, x)",
+    )
+
+    def trees(self, rng, count):
+        shapes = list(all_tree_shapes(4))
+        for _ in range(count):
+            parents = rng.choice(shapes)
+            domains = {"n0": rng.choice([("a",), ("a", "b")])}
+            for child, parent in enumerate(parents, start=1):
+                domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b")])
+            tree = make_tree(parents, domains)
+            # facts for every predicate but s, which keeps none
+            predicates = {pred: arity for pred, arity in self.SIG.predicates.items() if pred != "s"}
+            facts = random_tree_facts(rng, tree, predicates, rng.choice([0.15, 0.4, 0.7]))
+            yield make_tree(parents, domains, facts)
+
+    def test_every_instance_matches_the_reference(self):
+        rng = random.Random(2036)
+        statuses = set()
+        for tree in self.trees(rng, 24):
+            completion = complete_to_constant_domain(tree, self.SIG)
+            # a completion without blocks reads every sliced atom element by element
+            unblocked = reference_completion(tree, self.SIG)
+            assert unblocked == completion and unblocked.blocks is None
+            for text in self.FORMULAS:
+                formula = parse_formula(text, self.SIG)
+                want = reference_main_lemma(completion, self.SIG, formula)
+                assert check_main_lemma(completion, self.SIG, formula) == want
+                assert check_main_lemma(unblocked, self.SIG, formula) == want
+                statuses.add(want.status)
+                instances = rng.sample(
+                    [(i.node, i.assignment) for i in want.instances],
+                    min(len(want.instances), 10),
+                )
+                assert check_main_lemma(
+                    completion, self.SIG, formula, instances
+                ) == reference_main_lemma(completion, self.SIG, formula, instances)
+        assert statuses == {"holds", "fails", "precondition-failed"}
+
+    def test_blocks_are_the_labels_side_by_side(self):
+        rng = random.Random(2037)
+        for tree in self.trees(rng, 8):
+            completion = complete_to_constant_domain(tree, self.SIG)
+            names = tuple(completion.functions)
+            k = len(names)
+            for pred, arity in self.SIG.predicates.items():
+                if not arity:
+                    continue  # a 0-ary atom has no last argument to slice
+                for head in it.product(names, repeat=arity - 1):
+                    block = 0
+                    for j, name in enumerate(names):
+                        label = completion.model.labels.get((pred, head + (name,)), 0)
+                        for i in range(len(tree.nodes)):
+                            block |= (label >> i & 1) << i * k + j
+                    assert completion.blocks.get((pred, head), 0) == block
+                    assert (pred, head) not in completion.blocks or block
+
+    @pytest.mark.parametrize(
+        "text, assignment, message",
+        [
+            ("e(x, x)", {}, "unbound free variable 'x'"),
+            ("imp(e(x, z), p(z))", {"z": "F0"}, "unbound free variable 'x'"),
+            ("imp(e(x, z), p(z))", {"x": "F0"}, "unbound free variable 'z'"),
+            ("exists y. e(y, x)", {"x": "G"}, "assignment sends 'x' to 'G', not in D(n1)"),
+            ("imp(e(x, z), p(z))", {"x": "a", "z": "F0"}, "assignment sends 'x' to 'a', not in D(n1)"),
+            ("imp(e(x, z), p(z))", {"x": "F0", "z": None}, "assignment sends 'z' to None, not in D(n1)"),
+        ],
+    )
+    def test_explicit_instances_raise_as_the_evaluator_does(self, text, assignment, message):
+        completion = complete_to_constant_domain(make_tree((0, 0)), self.SIG)
+        formula = parse_formula(text, self.SIG)
+        # a good instance first: the bad one must still be checked
+        good = {x: "F0" for x in free_vars(formula)}
+        instances = [("n0", good), ("n1", assignment)]
+        with pytest.raises(ValueError) as want:
+            reference_main_lemma(completion, self.SIG, formula, instances)
+        with pytest.raises(ValueError) as got:
+            check_main_lemma(completion, self.SIG, formula, instances)
+        assert str(got.value) == str(want.value) == message
+
+    def test_unknown_node(self):
+        completion = complete_to_constant_domain(make_tree((0, 0)), self.SIG)
+        formula = parse_formula("e(x, x)", self.SIG)
+        with pytest.raises(ValueError, match="unknown world 'n9'"):
+            check_main_lemma(completion, self.SIG, formula, [("n9", {"x": "F0"})])
+
+
 class TestPipeline:
     def test_refutation_survives_completion_with_constant_values(self):
         sig = Signature({"p": 0, "q": 0}, {})
@@ -835,6 +942,8 @@ class TestTreeFromModel:
                 strict = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
                 order = frozenset([(w, w) for w in worlds] + strict)
                 model = KripkeModel(worlds, order, {w: ("a",) for w in worlds}, frozenset())
+                if validate_model(model):
+                    continue  # not a preorder: `tree_from_model` takes valid models
                 try:
                     tree = tree_from_model(model)
                 except InvalidModelError:

@@ -44,6 +44,23 @@ FILES = {
         "fact n1: p(b)\nfact n2: q(a)\n"
     ),
     "flip.model": "pred p 1\nworlds: r l\norder: r l\ndomain r: a\ndomain l: a\nfact l: p(a)\n",
+    "edge.model": (
+        "pred e 2\npred p 1\nconn imp builtin\n"
+        "worlds: n0 n1 n2 n3\n"
+        "order: n0 n1\norder: n0 n2\norder: n1 n3\n"
+        "domain n0: a\ndomain n1: a b\ndomain n2: a\ndomain n3: a b\n"
+        "fact n0: e(a, a)\nfact n1: e(a, a)\nfact n2: e(a, a)\nfact n3: e(a, a)\n"
+        "fact n1: e(a, b)\nfact n1: e(b, b)\nfact n1: p(b)\n"
+        "fact n3: e(a, b)\nfact n3: e(b, b)\nfact n3: p(b)\nfact n2: p(a)\n"
+    ),
+    "edge-fork.model": (
+        "pred e 2\npred p 1\nconn imp builtin\n"
+        "worlds: n0 n1 n2 n3\n"
+        "order: n0 n1\norder: n0 n2\norder: n1 n3\n"
+        "domain n0: a\ndomain n1: a b\ndomain n2: a\ndomain n3: a b\n"
+        "fact n1: e(a, b)\nfact n3: e(a, b)\nfact n3: e(b, b)\nfact n3: p(b)\n"
+        "fact n2: e(a, a)\nfact n2: p(a)\n"
+    ),
     "c3.json": '{"arity": 3, "table": "01101001"}',
     "sig.txt": "pred p 1\npred q 1\nconn or builtin\nconn imp builtin\n",
 }
@@ -78,6 +95,13 @@ CALLS = {
     "lemma-open": ["check-main-lemma", "@tree.model", "imp(q(x), p(x))"],
     "lemma-fails": ["check-main-lemma", "@fork.model", "or(p(x), q(x))"],
     "lemma-bar-violation": ["check-main-lemma", "@flip.model", "p(x)"],
+    "lemma-edge-first": ["check-main-lemma", "@edge.model", "exists y. e(x, y)"],
+    "lemma-edge-last": ["check-main-lemma", "@edge.model", "exists y. e(y, x)"],
+    "lemma-edge-diagonal": ["check-main-lemma", "@edge.model", "e(x, x)"],
+    "lemma-edge-two": ["check-main-lemma", "@edge.model", "imp(e(x, z), p(z))"],
+    "lemma-edge-forall": ["check-main-lemma", "@edge.model", "forall y. imp(e(y, x), p(y))"],
+    "lemma-edge-fork-last": ["check-main-lemma", "@edge-fork.model", "exists y. e(y, x)"],
+    "lemma-edge-fork-two": ["check-main-lemma", "@edge-fork.model", "imp(e(x, z), p(z))"],
     "census-2": ["census", "--arity", "2"],
     "census-3-list": ["census", "--arity", "3", "--list"],
     "relations-corpus": ["report-relations", "--builtins", "or,imp", "--corpus", "6", "--seed", "4"],
@@ -99,6 +123,13 @@ DIGESTS = {
     "decide-kripke-refuted": "e9e5118df5992f83b73474f3d10814e3ccaf900cc0c16f7c5b63e22ef9140889",
     "decide-workers-zero": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "lemma-bar-violation": "f937b6f8f316b99923bd0405547b444390b2b168e45f00c9ee21943ca6092e97",
+    "lemma-edge-diagonal": "5f76d997f2cd1c01c391961a4db5c047bf265f0c9efe2c024efefd9c8c6980aa",
+    "lemma-edge-first": "d839e3c644ed614dc8064e312e27e4dc033c49ac7662de2e4f09d3d83f5f30c5",
+    "lemma-edge-forall": "da5f264c55a3600a5d7a38a8a114ebd163b551e7cf546c50cc833aded8ce4286",
+    "lemma-edge-fork-last": "596368afd8510e4ab3fb67f370d4a7ef2fffa098ca2f8b2af1d3d4c2b57a3c2d",
+    "lemma-edge-fork-two": "1fde26f6d7f82be80f2bda799494315699a0558d1d345e90c3852c66897663a7",
+    "lemma-edge-last": "464a014721d5eed8e7a311303c28eb7312440aca415b03a675005ce42fc2ca31",
+    "lemma-edge-two": "a101dfde891cbd77eaa6a955539a1510045ca8dc97f6877bd4ce4af85172ee7e",
     "lemma-fails": "d34ec489522f9aaa56803751f6635685c6967302b63db430adbc0614ab55167c",
     "lemma-holds": "32f8812bbf919d44490c573e99d6c343748dc5a0467b3956d695fec9de4bbfd8",
     "lemma-open": "6622748e5b5c19d2a6694683f59578c281d671d6d7193f9e34a0dab53db3c02a",

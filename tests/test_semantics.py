@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from kripkebench import semantics
 from kripkebench.construct import complete_to_constant_domain, unravel_strict, unravel_stuttered
 from kripkebench.semantics import (
+    SLICED,
     Evaluator,
     InvalidModelError,
     KripkeModel,
@@ -353,6 +354,29 @@ class TestEvaluatorAgainstNaiveRecursion:
                         assert evaluator.value(w, rho, formula) == naive_value(
                             model, sig, w, rho, formula
                         )
+
+    def test_sliced_labels_are_the_width_1_labels_side_by_side(self):
+        # on constant-domain models, with the sliced variable anywhere in an
+        # atom, repeated, bound again inside, or absent
+        rng = random.Random(31)
+        sig = Signature({"e": 2, "p": 1, "R": 0}, {"or": builtin("or"), "imp": builtin("imp")})
+        for _ in range(80):
+            model = random_model(rng, max_domain=3, predicates=sig.predicates)
+            universe = tuple(sorted({e for d in model.domains.values() for e in d}))
+            model = KripkeModel(
+                model.worlds, model.order, dict.fromkeys(model.worlds, universe), labels=model.labels
+            )
+            width1 = Evaluator(model, sig)
+            sliced = Evaluator.sliced(model, sig)
+            k = len(universe)
+            for _ in range(6):
+                formula = random_formula(rng, sig, 3, ("x", "y"))
+                for y in universe:
+                    label = sliced.label({"x": SLICED, "y": y}, formula)
+                    for j, e in enumerate(universe):
+                        column = width1.label({"x": e, "y": y}, formula)
+                        for i in range(len(model.worlds)):
+                            assert label >> i * k + j & 1 == column >> i & 1
 
     def test_refutation_scan_matches_naive_scan(self):
         # random sequents over x and y are refuted at several worlds and
