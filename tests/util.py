@@ -185,7 +185,28 @@ def reference_completion(tree, signature):
         domains={w: names for w in tree.model.worlds},
         facts=frozenset(facts),
     )
-    return ConstantDomainCompletion(tree=tree, model=completed, functions=functions)
+    return ConstantDomainCompletion(
+        tree=tree, model=completed, functions=functions, blocks=label_blocks(completed)
+    )
+
+
+def label_blocks(model):
+    """The blocks `Evaluator.sliced` reads for a constant-domain model, by
+    their definition: for each predicate and head, the labels of the atoms
+    ending in the domain's j-th element side by side, bit `i * k + j` at
+    world i with k elements. Blocks that are 0 are left out."""
+    elements = model.domains[model.worlds[0]]
+    k = len(elements)
+    blocks = {}
+    for (pred, args), label in model.labels.items():
+        if not args or not label:
+            continue
+        j = elements.index(args[-1])
+        for i in range(len(model.worlds)):
+            if label >> i & 1:
+                key = (pred, args[:-1])
+                blocks[key] = blocks.get(key, 0) | 1 << i * k + j
+    return blocks
 
 
 def reference_model_to_text(model, signature=None):
