@@ -23,6 +23,12 @@ FILES = {
         "worlds: w1 w2\norder: w1 w2\ndomain w1: a1\ndomain w2: a1 a2\n"
         "fact w1: p(a1)\nfact w1: T\nfact w2: p(a1)\nfact w2: q(a2)\nfact w2: T\n"
     ),
+    # the same model with `imp`, for formulas that read the 0-ary T
+    "separating-imp.model": (
+        "pred p 1\npred q 1\npred T 0\nconn imp builtin\n"
+        "worlds: w1 w2\norder: w1 w2\ndomain w1: a1\ndomain w2: a1 a2\n"
+        "fact w1: p(a1)\nfact w1: T\nfact w2: p(a1)\nfact w2: q(a2)\nfact w2: T\n"
+    ),
     "diamond.model": (
         "pred p 1\npred q 1\n"
         "worlds: w0 w1 w2 w3\n"
@@ -90,11 +96,16 @@ CALLS = {
     "unravel-stutter": ["unravel", "--stutter", "3", "@separating.model"],
     "complete-separating": ["complete", "@separating.model"],
     "complete-tree": ["complete", "@tree.model"],
+    "complete-edge": ["complete", "@edge.model"],
     "lemma-holds": ["check-main-lemma", "@separating.model", "forall x. p(x)"],
     "lemma-tree": ["check-main-lemma", "@tree.model", "forall x. imp(p(x), exists y. q(y))"],
     "lemma-open": ["check-main-lemma", "@tree.model", "imp(q(x), p(x))"],
     "lemma-fails": ["check-main-lemma", "@fork.model", "or(p(x), q(x))"],
     "lemma-bar-violation": ["check-main-lemma", "@flip.model", "p(x)"],
+    "lemma-closed-zero-ary": [
+        "check-main-lemma", "@separating-imp.model", "imp(T, exists x. q(x))",
+    ],
+    "lemma-open-zero-ary": ["check-main-lemma", "@separating-imp.model", "imp(T, q(x))"],
     "lemma-edge-first": ["check-main-lemma", "@edge.model", "exists y. e(x, y)"],
     "lemma-edge-last": ["check-main-lemma", "@edge.model", "exists y. e(y, x)"],
     "lemma-edge-diagonal": ["check-main-lemma", "@edge.model", "e(x, x)"],
@@ -113,6 +124,7 @@ DIGESTS = {
     "analyze-file": "e3ac2a4374bad2bc3d6969ad338b80f1c53ff2bdc8bb59120d1c8b1984c7f88f",
     "census-2": "23fc96427fdadc6b99ff7bc30855ea0b133c5e9fe2de235cf55c0b6a68c90c4f",
     "census-3-list": "7ca1f315edf91ae8dfc3095dec2f06f38e0ef3ffe9ac886790cdb31ecc8ef1cc",
+    "complete-edge": "c999cd65d20b2c5efdd9a50228351a615866c82f92a7ad5730ada1596b96e742",
     "complete-separating": "9d0d68338552224f8ea850ecbc78fc8d0a68fc7975c61d7117cb3a7a24c35980",
     "complete-tree": "23e77c274d5d6b5e353b718d2391718fcfb502aacab1921521fe0e09effc9ab0",
     "decide-cd-refuted": "8fae7e356eecc4eb36a98258ddd6c7001a976ad71831fa5fac03a6da36e12786",
@@ -123,6 +135,7 @@ DIGESTS = {
     "decide-kripke-refuted": "e9e5118df5992f83b73474f3d10814e3ccaf900cc0c16f7c5b63e22ef9140889",
     "decide-workers-zero": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "lemma-bar-violation": "f937b6f8f316b99923bd0405547b444390b2b168e45f00c9ee21943ca6092e97",
+    "lemma-closed-zero-ary": "21803bf75e440fa4d34b884b2d62700f02643fef987bc1c35d8754dba6e87617",
     "lemma-edge-diagonal": "5f76d997f2cd1c01c391961a4db5c047bf265f0c9efe2c024efefd9c8c6980aa",
     "lemma-edge-first": "d839e3c644ed614dc8064e312e27e4dc033c49ac7662de2e4f09d3d83f5f30c5",
     "lemma-edge-forall": "da5f264c55a3600a5d7a38a8a114ebd163b551e7cf546c50cc833aded8ce4286",
@@ -132,6 +145,7 @@ DIGESTS = {
     "lemma-edge-two": "a101dfde891cbd77eaa6a955539a1510045ca8dc97f6877bd4ce4af85172ee7e",
     "lemma-fails": "d34ec489522f9aaa56803751f6635685c6967302b63db430adbc0614ab55167c",
     "lemma-holds": "32f8812bbf919d44490c573e99d6c343748dc5a0467b3956d695fec9de4bbfd8",
+    "lemma-open-zero-ary": "1ca0f699840901f8953024995dea7c5d4d515f6e67257982c09065c4e78a92b0",
     "lemma-open": "6622748e5b5c19d2a6694683f59578c281d671d6d7193f9e34a0dab53db3c02a",
     "lemma-tree": "6b9c393f00cd0d7835792b82537c8ee20151d37e1365e088756c961aa0742323",
     "relations-corpus": "f4c8f5bf442f29e65d185445114d8b109dc1c31abb9aef9ad00a836c18030dc4",
