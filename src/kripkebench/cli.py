@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -246,8 +245,8 @@ def cmd_complete(args) -> int:
     model, signature = semantics.load_model(args.model)
     tree = construct.tree_from_model(model)
     completion = construct.complete_to_constant_domain(tree, signature)
-    for name in completion.model.domains[tree.root]:
-        rendered = ", ".join(f"{n}: {e}" for n, e in completion.functions[name].items())
+    for name, function in completion.functions.items():
+        rendered = ", ".join(f"{n}: {e}" for n, e in function.items())
         print(f"# {name} = {{{rendered}}}")
     print(model_to_text(completion.model, signature), end="")
     return 0
@@ -258,10 +257,9 @@ def cmd_check_main_lemma(args) -> int:
     tree = construct.tree_from_model(model)
     formula = parse_formula(args.formula, signature)
     completion = construct.complete_to_constant_domain(tree, signature)
-    # only the JSON form outlives the checker's report
-    report = construct.check_main_lemma(completion, signature, formula).as_json()
-    print(json.dumps(report, indent=2))
-    return 0 if report["status"] == "holds" else 1
+    report = construct.check_main_lemma(completion, signature, formula)
+    print(construct.format_main_lemma(report))
+    return 0 if report.status == "holds" else 1
 
 
 def cmd_census(args) -> int:

@@ -12,7 +12,9 @@ checked explicitly, which is what the main-lemma checker does.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional
 
 from .semantics import SLICED, Evaluator, InvalidModelError, KripkeModel, Labels, bits
@@ -387,15 +389,30 @@ class ConstantDomainCompletion:
     """The completed model: same tree order, one shared domain of choice
     functions named F0, F1, ... in enumeration order.
 
-    `blocks` maps `(pred, head)` to the label of `pred(head..., F_j)` for
-    every j at once, as `Evaluator.sliced` reads it: bit `i * k + j` for
-    node i, with k functions. Blocks that are 0 are left out. They are a
-    cache of the model's labels, so equality ignores them."""
+    Its atom labels are stored as `blocks`, which map `(pred, head)` to the
+    label of `pred(head..., F_j)` for every j, bit `i * k + j` for node i
+    with k functions (blocks that are 0 left out), and `zero_ary`, the
+    labels of the 0-ary atoms that hold somewhere. The labelled `model` is
+    built from them on first read; `check_main_lemma` reads only them."""
 
     tree: TreeModel
-    model: KripkeModel
     functions: dict[str, dict[str, str]]
-    blocks: Labels = field(compare=False, repr=False)
+    blocks: Labels = field(repr=False)
+    zero_ary: Labels = field(repr=False)
+
+    @cached_property
+    def model(self) -> KripkeModel:
+        """The labelled model: each block's rows transposed into k labels."""
+        names = tuple(self.functions)
+        k, worlds = len(names), self.tree.model.worlds
+        labels = dict(self.zero_ary)
+        for (pred, head), block in self.blocks.items():
+            rows = [block >> i * k & (1 << k) - 1 for i in range(len(worlds))]
+            for name, label in zip(names, _columns(rows, k)):
+                if label:
+                    labels[pred, head + (name,)] = label
+        order = self.tree.model.order
+        return KripkeModel(worlds, order, dict.fromkeys(worlds, names), labels=labels)
 
     def function_id(self, function: dict[str, str]) -> str:
         for name, f in self.functions.items():
@@ -416,9 +433,8 @@ def complete_to_constant_domain(
     node, predicate and values of the first arity-1 arguments there, the
     bitset of last arguments that make a non-fact is computed once; a tuple
     holds at a world iff its last argument is in none of these bitsets over
-    the world's up-set. The completed model is built from its atom labels,
-    the transposes of these per-world bitsets; the bitsets themselves, side
-    by side in node order, are the completion's `blocks`.
+    the world's up-set. These per-world bitsets, side by side in node order,
+    are the completion's `blocks`; its model is built from them when read.
 
     Raises ValueError, before any predicate is scanned, when those pairs of
     a node and an argument tuple number more than MAX_COMPLETION_PAIRS."""
@@ -450,7 +466,7 @@ def complete_to_constant_domain(
             values[i][k] = element
             by_value[i][element] = by_value[i].get(element, 0) | 1 << k
     everyone = (1 << len(names)) - 1
-    labels = {}
+    zero_ary = {}
     blocks = {}
     for pred, arity in signature.predicates.items():
         if pred not in with_facts:
@@ -459,7 +475,7 @@ def complete_to_constant_domain(
             bad = ~facts.get((pred, ()), 0)
             label = sum(1 << i for i, mask in enumerate(up) if not mask & bad)
             if label:
-                labels[pred, ()] = label
+                zero_ary[pred, ()] = label
             continue
         bad_last: dict[tuple[int, tuple[str, ...]], int] = {}
         for head in itertools.product(range(len(names)), repeat=arity - 1):
@@ -482,23 +498,12 @@ def complete_to_constant_domain(
                 for i in ups:
                     excluded |= bad_at[i]
                 good.append(everyone & ~excluded)
-            head_names = tuple(names[k] for k in head)
             block = 0
             for i, row in enumerate(good):
                 block |= row << i * len(names)
-            if not block:
-                continue
-            blocks[pred, head_names] = block
-            for name, label in zip(names, _columns(good, len(names))):
-                if label:
-                    labels[pred, head_names + (name,)] = label
-    completed = KripkeModel(
-        tree.model.worlds,
-        tree.model.order,
-        {w: names for w in tree.model.worlds},
-        labels=labels,
-    )
-    return ConstantDomainCompletion(tree, completed, functions, blocks)
+            if block:
+                blocks[pred, tuple(names[k] for k in head)] = block
+    return ConstantDomainCompletion(tree, functions, blocks, zero_ary)
 
 
 def _up_masks(tree: TreeModel) -> list[int]:
@@ -586,33 +591,48 @@ class MainLemmaReport:
     instances: tuple[EquivalenceReport, ...]
     bar_violation: Optional[BarViolation]
 
-    def as_json(self) -> dict:
-        """The report as the `check-main-lemma` command prints it."""
-        report = {
-            "formula": render_formula(self.formula),
-            "node-count": len(self.completion.tree.nodes),
-            "function-count": len(self.completion.functions),
-            "status": self.status,
-            "instances": [
-                {
-                    "node": instance.node,
-                    "assignment": instance.assignment,
-                    "completed-value": instance.completed_value,
-                    "pointwise-condition": instance.pointwise_condition,
-                    "status": instance.status,
-                }
-                for instance in self.instances
-            ],
+
+def format_main_lemma(report: MainLemmaReport) -> str:
+    """The report as `check-main-lemma` prints it: the `json.dumps(...,
+    indent=2)` of its JSON object, with the instances written by one fixed
+    template into the dump of the rest. Each distinct string is quoted by
+    `json.dumps`, so escaping stays the encoder's, and each distinct
+    assignment is written once."""
+    quote = cache(json.dumps)
+    assignments: dict[tuple, str] = {}  # by the assignment's items: its object
+    instances = []
+    for instance in report.instances:
+        items = tuple(instance.assignment.items())
+        assignment = assignments.get(items)
+        if assignment is None:
+            members = ",\n".join(f"        {quote(x)}: {quote(name)}" for x, name in items)
+            assignment = assignments[items] = f"{{\n{members}\n      }}" if items else "{}"
+        condition = "true" if instance.pointwise_condition else "false"
+        instances.append(
+            f'    {{\n      "node": {quote(instance.node)},\n'
+            f'      "assignment": {assignment},\n'
+            f'      "completed-value": {instance.completed_value},\n'
+            f'      "pointwise-condition": {condition},\n'
+            f'      "status": {quote(instance.status)}\n    }}'
+        )
+    rest = {
+        "formula": render_formula(report.formula),
+        "node-count": len(report.completion.tree.nodes),
+        "function-count": len(report.completion.functions),
+        "status": report.status,
+        "instances": [],
+    }
+    violation = report.bar_violation
+    if violation is not None:
+        rest["bar-violation"] = {
+            "subformula": render_formula(violation.subformula),
+            "node": violation.node,
+            "assignment": dict(violation.assignment),
+            "value": violation.value,
         }
-        violation = self.bar_violation
-        if violation is not None:
-            report["bar-violation"] = {
-                "subformula": render_formula(violation.subformula),
-                "node": violation.node,
-                "assignment": dict(violation.assignment),
-                "value": violation.value,
-            }
-        return report
+    listed = "[\n" + ",\n".join(instances) + "\n  ]" if instances else "[]"
+    # quotes inside strings are escaped, so the first match is the key
+    return json.dumps(rest, indent=2).replace('"instances": []', f'"instances": {listed}', 1)
 
 
 def instance_status(
@@ -697,16 +717,18 @@ def check_main_lemma(
     is evaluated. The tree is checked for bar-determinacy once, and one
     evaluator per model serves every instance, the tree's one both the bar
     check and the pointwise condition. On the completed model the last free
-    variable is sliced (`Evaluator.sliced`, fed the completion's blocks):
-    one label per assignment of the other variables gives the value at
-    every node for every function at once, and a closed formula's one label
-    is read at the first function. Each whole assignment gets one mask of
+    variable is sliced (`Evaluator.sliced`, fed the completion's blocks and
+    0-ary labels, so its labelled `model` is never built): one label per
+    assignment of the other variables gives the value at every node for
+    every function at once, and a closed formula's one label is read at the
+    first function. Each whole assignment gets one mask of
     `pointwise_condition`.
     """
     tree = completion.tree
     variables = sorted(free_vars(formula))
+    domain = tuple(completion.functions)  # the completed domain, in its order
     if instances is None:
-        if len(tree.nodes) * len(completion.functions) ** len(variables) > MAX_COUNT:
+        if len(tree.nodes) * len(domain) ** len(variables) > MAX_COUNT:
             raise ValueError(
                 f"the main lemma has more than {MAX_COUNT} instances here"
                 " (nodes times functions to the number of free variables)"
@@ -714,15 +736,15 @@ def check_main_lemma(
         instances = (
             (node, dict(zip(variables, combo)))
             for node in tree.nodes
-            for combo in itertools.product(
-                completion.model.domains[node], repeat=len(variables)
-            )
+            for combo in itertools.product(domain, repeat=len(variables))
         )
     pointwise = Evaluator(tree.model, signature)
     violation = bar_precondition_violation(tree, pointwise, formula)
-    # the column of each name, in the domain order the sliced evaluator reads
-    names = {name: j for j, name in enumerate(completion.model.domains[tree.model.worlds[0]])}
-    completed = Evaluator.sliced(completion.model, signature, completion.blocks)
+    names = {name: j for j, name in enumerate(domain)}  # the column of each name
+    completed = Evaluator.sliced(
+        tree.model.worlds, tree.model.order, domain, signature,
+        completion.blocks, completion.zero_ary,
+    )
     width = len(names)
     position = {n: i for i, n in enumerate(tree.nodes)}
     up = _up_masks(tree)

@@ -8,6 +8,7 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -416,23 +417,24 @@ class Evaluator:
     @classmethod
     def sliced(
         cls,
-        model: KripkeModel,
+        worlds: tuple[str, ...],
+        order: frozenset[tuple[str, str]],
+        elements: tuple[str, ...],
         signature: Signature,
         blocks: Labels,
+        zero_ary: Labels,
     ) -> Evaluator:
-        """An evaluator of a validated constant-domain model with one
-        variable sliced over the domain's k elements: model j of the batch
-        sends it to the j-th element, so bit `i * k + j` of a label is the
-        value at world i with the variable at element j. The variable is the
-        one that `label` assigns to `SLICED`.
+        """An evaluator of the model on these worlds and order whose every
+        domain is `elements`, with one variable sliced over those k
+        elements: model j of the batch sends it to the j-th element, so bit
+        `i * k + j` of a label is the value at world i with the variable at
+        element j. The variable is the one that `label` assigns to `SLICED`.
 
-        `blocks` maps `(pred, head)` to the label of the atom whose
-        arguments are `head` and then the sliced variable, with bit j of a
-        block for the j-th element of the domain; with a block absent that
-        label is 0."""
-        elements = model.domains[model.worlds[0]]
-        frame = Frame(model.worlds, model.order, model.domains, width=len(elements))
-        atoms = _SlicedAtoms(model.labels, elements, blocks)
+        `blocks` maps `(pred, head)` to the label of `pred(head..., x)`, x
+        sliced, and `zero_ary` maps `(pred, ())` to the width-1 label of a
+        0-ary atom; together they are the model's atom labels."""
+        frame = Frame(worlds, order, dict.fromkeys(worlds, elements), width=len(elements))
+        atoms = _SlicedAtoms(len(worlds), elements, blocks, zero_ary)
         return cls.of_frame(CompiledFormulas(signature), frame, atoms)
 
     def value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
@@ -559,41 +561,44 @@ SLICED = object()
 
 
 class _SlicedAtoms:
-    """The atom labels of `Evaluator.sliced`, built on first read from a
-    constant-domain model's width-1 labels and the given blocks. An atom
-    - without the sliced variable has its label spread to whole blocks;
+    """The atom labels of `Evaluator.sliced`, read from the blocks and the
+    0-ary labels on first use. An atom
+    - that is 0-ary has its width-1 label spread to whole blocks;
     - with the sliced variable as its last argument only has its block;
-    - with it elsewhere, or more than once, is read once per element j, and
-      that label spread into bit j of each block.
+    - without the sliced variable is the column of its `(pred, head)` block
+      at its last argument's index, spread to whole blocks;
+    - with it elsewhere, or more than once, reads one such column per
+      element j, placed at bit j of each block.
     `Evaluator` memoizes every atom it reads, so each is built once."""
 
-    def __init__(self, labels: Labels, elements: tuple[str, ...], blocks: Labels):
-        self.labels = labels
-        self.elements = elements
-        self.blocks = blocks
+    def __init__(
+        self, world_count: int, elements: tuple[str, ...], blocks: Labels, zero_ary: Labels
+    ):
         self.width = len(elements)
+        self.index = {e: j for j, e in enumerate(elements)}
+        self.blocks = blocks
+        self.zero_ary = zero_ary
         self.ones = (1 << self.width) - 1
-        self.spreads: dict[int, int] = {}  # width-1 mask -> bit i at bit i * width
+        self.stride = sum(1 << i * self.width for i in range(world_count))  # bit 0 of each block
 
-    def spread(self, mask: int) -> int:
-        got = self.spreads.get(mask)
-        if got is None:
-            got = self.spreads[mask] = sum(
-                1 << i * self.width for i, bit in enumerate(bits(mask)) if bit
-            )
-        return got
+    def column(self, pred: str, args: tuple) -> int:
+        """An atom's width-1 label, bit i at bit `i * width`."""
+        return self.blocks.get((pred, args[:-1]), 0) >> self.index[args[-1]] & self.stride
 
     def get(self, atom: tuple[str, tuple], default: int = 0) -> int:
         pred, args = atom
+        if not args:
+            label = self.zero_ary.get(atom, default)
+            return sum(self.ones << i * self.width for i, bit in enumerate(bits(label)) if bit)
         count = args.count(SLICED)
         if not count:
-            return self.spread(self.labels.get(atom, default)) * self.ones
+            return self.column(pred, args) * self.ones
         if count == 1 and args[-1] is SLICED:
             return self.blocks.get((pred, args[:-1]), default)
         label = 0
-        for j, e in enumerate(self.elements):
+        for e, j in self.index.items():
             reading = tuple(e if a is SLICED else a for a in args)
-            label |= self.spread(self.labels.get((pred, reading), default)) << j
+            label |= self.column(pred, reading) << j
         return label
 
 
@@ -797,9 +802,15 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
 
 def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:
     """The model file of a valid model. Facts come by world, then by
-    predicate, then by argument names compared as strings: each atom is
-    rendered once, in the sorted order of the label keys, and filed under
-    the worlds of its label."""
+    predicate, then by argument names compared as strings.
+
+    Each atom is rendered once and filed under its label, and a world's
+    atoms are sorted as text. Predicates are identifiers, as a `Signature`
+    requires; where no element has a character up to ',' either, that is
+    the order of `(pred, args)`: where two rendered atoms first differ, a
+    name that ends shows '(', ',', ')' or its end against a name
+    character, which sorts after all of them. Otherwise the atoms are
+    sorted by `(pred, args)` itself."""
     lines = [] if signature is None else signature_to_text(signature).splitlines()
     lines.append("worlds: " + " ".join(model.worlds))
     index = {w: i for i, w in enumerate(model.worlds)}
@@ -808,22 +819,28 @@ def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> 
             lines.append(f"order: {a} {b}")
     for w in model.worlds:
         lines.append(f"domain {w}: " + " ".join(model.domains[w]))
-    at: list[list[str]] = [[] for _ in model.worlds]  # per world, its atoms in order
-    spread: dict[int, list[list[str]]] = {}  # label -> the lists of its worlds
     labels = model.labels
-    for pred, args in sorted(labels):
-        mask = labels[pred, args]
-        targets = spread.get(mask)
-        if targets is None:
-            targets = spread[mask] = list(itertools.compress(at, bits(mask)))
-        rendered = f"{pred}({', '.join(args)})" if args else pred
-        for atoms in targets:
-            atoms.append(rendered)
-    for w, atoms in zip(model.worlds, at):
+    as_text = not _BEFORE_NAMES.search("".join(itertools.chain(*model.domains.values())))
+    groups: dict[int, list] = {}  # label -> its atoms, sorted
+    for (pred, args), mask in labels.items():
+        group = groups.get(mask)
+        if group is None:
+            group = groups[mask] = []
+        text = f"{pred}({', '.join(args)})" if args else pred
+        group.append(text if as_text else ((pred, args), text))
+    for group in groups.values():
+        group.sort()  # so that each world sorts a few sorted runs
+    for i, w in enumerate(model.worlds):
+        atoms = sorted(itertools.chain.from_iterable(g for m, g in groups.items() if m >> i & 1))
         if atoms:
             prefix = f"fact {w}: "
-            lines.append(prefix + ("\n" + prefix).join(atoms))
+            texts = atoms if as_text else map(itemgetter(1), atoms)
+            lines.append(prefix + ("\n" + prefix).join(texts))
     return "\n".join(lines) + "\n"
+
+
+# the characters that sort at or before a separator of a rendered atom
+_BEFORE_NAMES = re.compile(r"[\x00-,]")
 
 
 def load_model(path: str) -> tuple[KripkeModel, Signature]:

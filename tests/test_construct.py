@@ -1,5 +1,6 @@
 import importlib.util
 import itertools as it
+import json
 import os
 import random
 import sys
@@ -18,6 +19,7 @@ from kripkebench.construct import (
     constant_domain_pipeline,
     enumerate_choice_functions,
     extend_choice,
+    format_main_lemma,
     instance_status,
     is_upward_closed,
     lift_assignment,
@@ -49,9 +51,11 @@ from util import (
     naive_value,
     random_model,
     label_blocks,
+    label_zero_ary,
     random_tree_facts,
     reference_completion,
     reference_main_lemma,
+    reference_report_json,
 )
 
 
@@ -389,6 +393,8 @@ class TestCompletionMatchesReference:
                 got = complete_to_constant_domain(tree, sig)
                 want = reference_completion(tree, sig)
                 assert got.functions == want.functions
+                assert got.blocks == label_blocks(want.model)
+                assert got.zero_ary == label_zero_ary(want.model)
                 assert got.model.facts == want.model.facts
                 assert got.model == want.model
                 completed_preds |= {pred for _, pred, _ in got.model.facts}
@@ -408,6 +414,7 @@ class TestCompletionMatchesReference:
             tree = make_tree(parents, domains, random_tree_facts(rng, tree, sig.predicates, 0.1))
             got = complete_to_constant_domain(tree, sig)
             want = reference_completion(tree, sig)
+            assert got.blocks == label_blocks(want.model)
             assert got.model == want.model
             assert any(mask >> 8 for mask in got.model.labels.values())
 
@@ -812,6 +819,16 @@ class TestSlicedMainLemma:
         for tree in self.trees(rng, 8):
             completion = complete_to_constant_domain(tree, self.SIG)
             assert completion.blocks == label_blocks(completion.model)
+            assert completion.zero_ary == label_zero_ary(completion.model)
+
+    def test_the_check_leaves_the_completed_model_unbuilt(self):
+        rng = random.Random(2038)
+        for tree in self.trees(rng, 4):
+            completion = complete_to_constant_domain(tree, self.SIG)
+            for text in self.FORMULAS:
+                check_main_lemma(completion, self.SIG, parse_formula(text, self.SIG))
+            assert "model" not in completion.__dict__
+            assert completion.model is completion.model  # built once, on first read
 
     @pytest.mark.parametrize(
         "text, assignment, message",
@@ -841,6 +858,57 @@ class TestSlicedMainLemma:
         formula = parse_formula("e(x, x)", self.SIG)
         with pytest.raises(ValueError, match="unknown world 'n9'"):
             check_main_lemma(completion, self.SIG, formula, [("n9", {"x": "F0"})])
+
+
+class TestMainLemmaWriter:
+    """`format_main_lemma` writes the report by template; it must give the
+    text of `json.dumps(..., indent=2)` on the report's JSON object, as
+    tests/util builds it."""
+
+    def assert_written_as_json(self, report):
+        assert format_main_lemma(report) == json.dumps(reference_report_json(report), indent=2)
+
+    def test_every_digest_model_and_formula(self):
+        from test_output_digests import CALLS, FILES
+
+        calls = [argv for argv in CALLS.values() if argv[0] == "check-main-lemma"]
+        assert len(calls) >= 10
+        for _, model_file, text in calls:
+            model, sig = parse_model_text(FILES[model_file[1:]])
+            completion = complete_to_constant_domain(tree_from_model(model), sig)
+            self.assert_written_as_json(check_main_lemma(completion, sig, parse_formula(text, sig)))
+
+    def test_no_instances_a_closed_formula_and_a_bar_violation(self):
+        sig = TestSlicedMainLemma.SIG
+        # e(a, a) holds at both leaves but not at the root: not bar-determined
+        facts = {("n1", "e", ("a", "a")), ("n2", "e", ("a", "a")), ("n2", "r", ())}
+        completion = complete_to_constant_domain(make_tree((0, 0), facts=facts), sig)
+        empty = check_main_lemma(completion, sig, parse_formula("e(x, x)", sig), instances=[])
+        closed = check_main_lemma(completion, sig, parse_formula("r", sig))
+        violated = check_main_lemma(completion, sig, parse_formula("e(x, x)", sig))
+        assert '"instances": []' in format_main_lemma(empty)
+        assert '"assignment": {}' in format_main_lemma(closed)
+        assert violated.bar_violation is not None
+        for report in (empty, closed, violated):
+            self.assert_written_as_json(report)
+
+    def test_the_sliced_lemma_trees(self):
+        rng = random.Random(2036)
+        sliced = TestSlicedMainLemma()
+        for tree in sliced.trees(rng, 24):
+            completion = complete_to_constant_domain(tree, sliced.SIG)
+            for text in sliced.FORMULAS:
+                formula = parse_formula(text, sliced.SIG)
+                report = check_main_lemma(completion, sliced.SIG, formula)
+                self.assert_written_as_json(report)
+                # explicit instances keep their order and their assignments' order
+                instances = [
+                    (i.node, dict(reversed(i.assignment.items())))
+                    for i in rng.sample(report.instances, min(len(report.instances), 10))
+                ]
+                self.assert_written_as_json(
+                    check_main_lemma(completion, sliced.SIG, formula, instances)
+                )
 
 
 class TestPipeline:

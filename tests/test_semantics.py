@@ -30,6 +30,7 @@ from kripkebench.truthfun import BUILTINS, builtin
 from util import (
     all_tree_shapes,
     label_blocks,
+    label_zero_ary,
     make_tree,
     naive_refutation,
     naive_value,
@@ -368,7 +369,9 @@ class TestEvaluatorAgainstNaiveRecursion:
                 model.worlds, model.order, dict.fromkeys(model.worlds, universe), labels=model.labels
             )
             width1 = Evaluator(model, sig)
-            sliced = Evaluator.sliced(model, sig, label_blocks(model))
+            sliced = Evaluator.sliced(
+                model.worlds, model.order, universe, sig, label_blocks(model), label_zero_ary(model)
+            )
             k = len(universe)
             for _ in range(6):
                 formula = random_formula(rng, sig, 3, ("x", "y"))
@@ -616,6 +619,75 @@ class TestWriterMatchesReference:
         for model in models:
             assert model_to_text(model, sig) == reference_model_to_text(model, sig)
             assert model_to_text(model) == reference_model_to_text(model)
+
+
+# Names that share prefixes and differ in case, for the writer's sort order:
+# `a` before `a0` before `a_`, `F10` before `F2`, `P` before `p` before `p_x`.
+_WORLD_NAMES = ("a", "a_", "a0", "A", "F1", "F10", "F2", "w")
+_ELEMENT_NAMES = ("a", "a_", "a0", "A", "b", "F1", "F10", "F2", "Z", "z_9")
+_PREDICATE_NAMES = ("p", "p_x", "p0", "P", "F1", "q")
+
+
+@st.composite
+def _named_models(draw, element_names=_ELEMENT_NAMES):
+    """A valid model over the given names: a random preorder, domains grown
+    up the order, and random atoms of 0-ary, unary and binary predicates,
+    each made true at one world and every world above it."""
+    unique = {"min_size": 1, "max_size": 4, "unique": True}
+    worlds = tuple(draw(st.lists(st.sampled_from(_WORLD_NAMES), **unique)))
+    elements = draw(st.lists(st.sampled_from(element_names), **unique))
+    predicates = draw(
+        st.dictionaries(st.sampled_from(_PREDICATE_NAMES), st.integers(0, 2), min_size=1)
+    )
+    pairs = draw(st.lists(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds))))
+    order = reflexive_transitive_closure(worlds, pairs)
+    base = {w: set(draw(st.lists(st.sampled_from(elements), min_size=1))) for w in worlds}
+    domains = {
+        w: tuple(e for e in elements if any(e in base[v] for v in worlds if (v, w) in order))
+        for w in worlds
+    }
+    atoms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(worlds),
+                st.sampled_from(sorted(predicates)),
+                st.lists(st.sampled_from(elements), min_size=2, max_size=2),
+            ),
+            max_size=40,
+        )
+    )
+    facts = set()
+    for w, pred, args in atoms:
+        args = tuple(args[: predicates[pred]])
+        if set(args) <= set(domains[w]):
+            facts |= {(v, pred, args) for v in worlds if (w, v) in order}
+    model = KripkeModel(worlds, order, domains, frozenset(facts))
+    assert validate_model(model) == []
+    return model
+
+
+class TestWriterSortOrder:
+    """`model_to_text` sorts rendered atoms as text, which is the order of
+    `(pred, args)` for identifier names; for other names it sorts by
+    `(pred, args)` itself. Either way it must give the reference's text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_named_models())
+    def test_identifier_names(self, model):
+        assert model_to_text(model) == reference_model_to_text(model)
+
+    # '!' and '+' sort before ',', where text order and tuple order part
+    @settings(max_examples=300, deadline=None)
+    @given(_named_models(_ELEMENT_NAMES + ("a!", "a+", "a-")))
+    def test_names_with_characters_before_the_separators(self, model):
+        assert model_to_text(model) == reference_model_to_text(model)
+
+    def test_a_name_before_the_separators_changes_the_text_order(self):
+        # p(a!, b) sorts before p(a, b) as text, after it as a tuple
+        model, _ = parse_model_text(
+            "worlds: w\ndomain w: a a! b\nfact w: p(a, b)\nfact w: p(a!, b)\n"
+        )
+        assert model_to_text(model).endswith("fact w: p(a, b)\nfact w: p(a!, b)\n")
 
 
 # Lines shaped like model-file directives, so that the fuzzer reaches the

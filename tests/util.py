@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from typing import NamedTuple
 
 from kripkebench.construct import (
     BarViolation,
-    ConstantDomainCompletion,
     EquivalenceReport,
     MainLemmaReport,
     TreeModel,
@@ -40,6 +40,7 @@ from kripkebench.syntax import (
     Forall,
     Signature,
     free_vars,
+    render_formula,
     sequent_free_vars,
     signature_to_text,
     subformulas,
@@ -185,9 +186,15 @@ def reference_completion(tree, signature):
         domains={w: names for w in tree.model.worlds},
         facts=frozenset(facts),
     )
-    return ConstantDomainCompletion(
-        tree=tree, model=completed, functions=functions, blocks=label_blocks(completed)
-    )
+    return ReferenceCompletion(functions, completed)
+
+
+class ReferenceCompletion(NamedTuple):
+    """What `reference_completion` gives: the choice functions by name, and
+    the completed model."""
+
+    functions: dict
+    model: KripkeModel
 
 
 def label_blocks(model):
@@ -207,6 +214,18 @@ def label_blocks(model):
                 key = (pred, args[:-1])
                 blocks[key] = blocks.get(key, 0) | 1 << i * k + j
     return blocks
+
+
+def label_zero_ary(model):
+    """The 0-ary labels `Evaluator.sliced` reads, by their definition: for
+    each 0-ary atom that holds somewhere, bit i where it is a fact at world
+    i."""
+    index = {w: i for i, w in enumerate(model.worlds)}
+    labels = {}
+    for w, pred, args in model.facts:
+        if not args:
+            labels[pred, ()] = labels.get((pred, ()), 0) | 1 << index[w]
+    return labels
 
 
 def reference_model_to_text(model, signature=None):
@@ -267,6 +286,37 @@ def reference_main_lemma(completion, signature, formula, instances=None):
             overall = status
         reports.append(EquivalenceReport(node, lifted, status, value, condition, violation))
     return MainLemmaReport(formula, completion, overall, tuple(reports), violation)
+
+
+def reference_report_json(report):
+    """A main-lemma report as the JSON object that `check-main-lemma` prints
+    with `json.dumps(..., indent=2)`: `construct.format_main_lemma` must
+    write the same text."""
+    written = {
+        "formula": render_formula(report.formula),
+        "node-count": len(report.completion.tree.nodes),
+        "function-count": len(report.completion.functions),
+        "status": report.status,
+        "instances": [
+            {
+                "node": instance.node,
+                "assignment": instance.assignment,
+                "completed-value": instance.completed_value,
+                "pointwise-condition": instance.pointwise_condition,
+                "status": instance.status,
+            }
+            for instance in report.instances
+        ],
+    }
+    violation = report.bar_violation
+    if violation is not None:
+        written["bar-violation"] = {
+            "subformula": render_formula(violation.subformula),
+            "node": violation.node,
+            "assignment": dict(violation.assignment),
+            "value": violation.value,
+        }
+    return written
 
 
 def choice_functions_by_masks(tree):
