@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .semantics import SLICED, Evaluator, InvalidModelError, KripkeModel, Labels, bits
@@ -595,18 +595,14 @@ class MainLemmaReport:
 def format_main_lemma(report: MainLemmaReport) -> str:
     """The report as `check-main-lemma` prints it: the `json.dumps(...,
     indent=2)` of its JSON object, with the instances written by one fixed
-    template into the dump of the rest. Each distinct string is quoted by
-    `json.dumps`, so escaping stays the encoder's, and each distinct
-    assignment is written once."""
-    quote = cache(json.dumps)
-    assignments: dict[tuple, str] = {}  # by the assignment's items: its object
+    template into the dump of the rest. Each string is quoted by
+    `json.dumps`, so escaping stays the encoder's."""
+    quote = json.dumps
     instances = []
     for instance in report.instances:
-        items = tuple(instance.assignment.items())
-        assignment = assignments.get(items)
-        if assignment is None:
-            members = ",\n".join(f"        {quote(x)}: {quote(name)}" for x, name in items)
-            assignment = assignments[items] = f"{{\n{members}\n      }}" if items else "{}"
+        pairs = instance.assignment.items()
+        members = ",\n".join(f"        {quote(x)}: {quote(e)}" for x, e in pairs)
+        assignment = f"{{\n{members}\n      }}" if members else "{}"
         condition = "true" if instance.pointwise_condition else "false"
         instances.append(
             f'    {{\n      "node": {quote(instance.node)},\n'

@@ -8,7 +8,6 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -805,12 +804,10 @@ def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> 
     predicate, then by argument names compared as strings.
 
     Each atom is rendered once and filed under its label, and a world's
-    atoms are sorted as text. Predicates are identifiers, as a `Signature`
-    requires; where no element has a character up to ',' either, that is
-    the order of `(pred, args)`: where two rendered atoms first differ, a
-    name that ends shows '(', ',', ')' or its end against a name
-    character, which sorts after all of them. Otherwise the atoms are
-    sorted by `(pred, args)` itself."""
+    atoms are sorted as text. That is the order of `(pred, args)` when
+    every character of a name sorts after ',', and so after '(', ' ' and
+    ')' too, as a predicate's identifier characters do; a model whose
+    element names have other characters sorts by `(pred, args)`."""
     lines = [] if signature is None else signature_to_text(signature).splitlines()
     lines.append("worlds: " + " ".join(model.worlds))
     index = {w: i for i, w in enumerate(model.worlds)}
@@ -820,7 +817,7 @@ def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> 
     for w in model.worlds:
         lines.append(f"domain {w}: " + " ".join(model.domains[w]))
     labels = model.labels
-    as_text = not _BEFORE_NAMES.search("".join(itertools.chain(*model.domains.values())))
+    as_text = min("".join(itertools.chain(*model.domains.values())), default="-") > ","
     groups: dict[int, list] = {}  # label -> its atoms, sorted
     for (pred, args), mask in labels.items():
         group = groups.get(mask)
@@ -837,10 +834,6 @@ def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> 
             texts = atoms if as_text else map(itemgetter(1), atoms)
             lines.append(prefix + ("\n" + prefix).join(texts))
     return "\n".join(lines) + "\n"
-
-
-# the characters that sort at or before a separator of a rendered atom
-_BEFORE_NAMES = re.compile(r"[\x00-,]")
 
 
 def load_model(path: str) -> tuple[KripkeModel, Signature]:
