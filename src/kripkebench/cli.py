@@ -292,6 +292,8 @@ def cmd_report_relations(args) -> int:
     else:
         names = [n.strip() for n in args.builtins.split(",") if n.strip()]
         signature = Signature({"p": 1, "q": 1, "r": 0}, {n: builtin(n) for n in names})
+    if args.corpus and not signature.predicates:
+        raise InvalidSignatureError("corpus sweep needs predicates in the signature")
     report = search.report_relations(signature)
     for connective in report.connectives:
         parts = [
@@ -306,8 +308,6 @@ def cmd_report_relations(args) -> int:
     print(f"constant-domain = classical: {'yes' if report.cds_equals_cls else 'no'}")
     print(f"intuitionistic = classical: {'yes' if report.ils_equals_cls else 'no'}")
     if args.corpus:
-        if not signature.predicates:
-            raise InvalidSignatureError("corpus sweep needs predicates in the signature")
         corpus = search.sequent_corpus(signature, args.seed, args.corpus)
         records = search.check_relations_on_corpus(signature, corpus)
         inconclusive = sum(1 for r in records if r.inconclusive)

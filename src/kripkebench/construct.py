@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .semantics import SLICED, Evaluator, InvalidModelError, KripkeModel, Labels, bits
-from .semantics import require_valid_model, upward_closed_subsets
+from .semantics import CompiledFormulas, Evaluator, Frame, InvalidModelError, KripkeModel
+from .semantics import Labels, bits, require_valid_model, upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
 # the most nodes or order pairs an unraveled tree, choice functions an
@@ -99,15 +99,15 @@ def tree_from_model(model: KripkeModel) -> TreeModel:
 
 def _covering_relation(model: KripkeModel) -> dict[str, tuple[str, ...]]:
     """Each world's immediate successors, in world order: the worlds strictly
-    above it with none strictly between."""
-    above: dict[str, set[str]] = {w: set() for w in model.worlds}
-    for a, b in model.order:
-        if a != b:
-            above[a].add(b)
+    above it with none strictly between. On masks, that is its strict up-set
+    less the strict up-sets of the worlds in it."""
+    above = [mask & ~(1 << i) for i, mask in enumerate(_up_masks(model))]
     covers = {}
-    for w in model.worlds:
-        between = set().union(*(above[u] for u in above[w]))
-        covers[w] = tuple(v for v in model.worlds if v in above[w] and v not in between)
+    for w, mask in zip(model.worlds, above):
+        between = 0
+        for upper in itertools.compress(above, bits(mask)):
+            between |= upper
+        covers[w] = tuple(itertools.compress(model.worlds, bits(mask & ~between)))
     return covers
 
 
@@ -384,6 +384,10 @@ def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
 # --- constant-domain completion ----------------------------------------------
 
 
+# the name that a completion's `get` reads at every function at once
+SLICED = object()
+
+
 @dataclass(frozen=True)
 class ConstantDomainCompletion:
     """The completed model: same tree order, one shared domain of choice
@@ -393,12 +397,52 @@ class ConstantDomainCompletion:
     label of `pred(head..., F_j)` for every j, bit `i * k + j` for node i
     with k functions (blocks that are 0 left out), and `zero_ary`, the
     labels of the 0-ary atoms that hold somewhere. The labelled `model` is
-    built from them on first read; `check_main_lemma` reads only them."""
+    built from them on first read. `check_main_lemma` reads them through
+    `get` instead, so it never builds the model."""
 
     tree: TreeModel
     functions: dict[str, dict[str, str]]
     blocks: Labels = field(repr=False)
     zero_ary: Labels = field(repr=False)
+
+    @cached_property
+    def _slicing(self) -> tuple[dict[str, int], int, int]:
+        """Each name's column, the ones of a block, and bit 0 of every block."""
+        k = len(self.functions)
+        stride = sum(1 << i * k for i in range(len(self.tree.nodes)))
+        return {name: j for j, name in enumerate(self.functions)}, (1 << k) - 1, stride
+
+    def get(self, atom: tuple[str, tuple], default: int = 0) -> int:
+        """The atom's label in the completed model sliced over the functions:
+        bit `i * k + j` is its value at node i when `SLICED` names F_j. An
+        atom
+        - that is 0-ary has its width-1 label spread to whole blocks;
+        - with `SLICED` once, as its last argument, is its block;
+        - without `SLICED` is the column of its `(pred, head)` block at its
+          last argument's index, spread to whole blocks;
+        - with `SLICED` elsewhere, or more than once, reads one such column
+          per name F_j, placed at bit j of each block.
+        So the completion is the atom labels of an `Evaluator.of_frame` of
+        width k, which memoizes each atom it reads."""
+        index, ones, _ = self._slicing
+        pred, args = atom
+        if not args:
+            label = self.zero_ary.get(atom, default)
+            return sum(ones << i * len(index) for i, bit in enumerate(bits(label)) if bit)
+        count = args.count(SLICED)
+        if not count:
+            return self._column(pred, args) * ones
+        if count == 1 and args[-1] is SLICED:
+            return self.blocks.get((pred, args[:-1]), default)
+        label = 0
+        for name, j in index.items():
+            label |= self._column(pred, tuple(name if a is SLICED else a for a in args)) << j
+        return label
+
+    def _column(self, pred: str, args: tuple) -> int:
+        """An atom's width-1 label, bit i at bit `i * k`."""
+        index, _, stride = self._slicing
+        return self.blocks.get((pred, args[:-1]), 0) >> index[args[-1]] & stride
 
     @cached_property
     def model(self) -> KripkeModel:
@@ -454,7 +498,7 @@ def complete_to_constant_domain(
             f" more than {MAX_COMPLETION_PAIRS}"
         )
     position = {n: i for i, n in enumerate(nodes)}
-    up = _up_masks(tree)
+    up = _up_masks(tree.model)
     upsets = [list(itertools.compress(range(len(nodes)), bits(mask))) for mask in up]
     # values[i][k]: the value of function k at node i, None where undefined;
     # by_value[i][e]: the bitset of functions taking value e at node i
@@ -471,11 +515,9 @@ def complete_to_constant_domain(
     for pred, arity in signature.predicates.items():
         if pred not in with_facts:
             continue  # everything stays 0
-        if arity == 0:
-            bad = ~facts.get((pred, ()), 0)
-            label = sum(1 << i for i, mask in enumerate(up) if not mask & bad)
-            if label:
-                zero_ary[pred, ()] = label
+        if arity == 0:  # hereditary: a node's up-set lies in the label iff it does
+            if (pred, ()) in facts:
+                zero_ary[pred, ()] = facts[pred, ()]
             continue
         bad_last: dict[tuple[int, tuple[str, ...]], int] = {}
         for head in itertools.product(range(len(names)), repeat=arity - 1):
@@ -506,11 +548,11 @@ def complete_to_constant_domain(
     return ConstantDomainCompletion(tree, functions, blocks, zero_ary)
 
 
-def _up_masks(tree: TreeModel) -> list[int]:
-    """Each node's up-set as a mask, bit i standing for node i."""
-    position = {n: i for i, n in enumerate(tree.nodes)}
-    up = [0] * len(tree.nodes)
-    for a, b in tree.model.order:
+def _up_masks(model: KripkeModel) -> list[int]:
+    """Each world's up-set as a mask, bit i standing for world i."""
+    position = {w: i for i, w in enumerate(model.worlds)}
+    up = [0] * len(model.worlds)
+    for a, b in model.order:
         up[position[a]] |= 1 << position[b]
     return up
 
@@ -647,25 +689,21 @@ def bar_precondition_violation(
 ) -> Optional[BarViolation]:
     """First subformula instance whose value is not bar-determined: value 1 at
     a node iff its value-1 successor set bars the node. `evaluator` is an
-    evaluator on the tree's model."""
-    leaves = tree.leaves()
-    leaves_above = {
-        node: [leaf for leaf in leaves if (node, leaf) in tree.model.order]
-        for node in tree.nodes
-    }
+    evaluator on the tree's model. Values persist upward (facts are
+    hereditary), so that set bars a node exactly when it holds every leaf
+    above it; one label per assignment gives both, as the leaves' domains
+    hold the node's elements."""
+    up = _up_masks(tree.model)
+    leaves = sum(1 << i for i, mask in enumerate(up) if mask == 1 << i)
     for sub in subformulas(formula):
         variables = sorted(free_vars(sub))
-        for node in tree.nodes:
+        for i, node in enumerate(tree.nodes):
             for combo in itertools.product(tree.model.domains[node], repeat=len(variables)):
                 assignment = dict(zip(variables, combo))
-                value = evaluator.value(node, assignment, sub)
-                # values persist upward (facts are hereditary), so the value-1
-                # set bars the node exactly when it holds every leaf above it
-                barred = all(
-                    evaluator.value(leaf, assignment, sub) == 1
-                    for leaf in leaves_above[node]
-                )
-                if (value == 1) != barred:
+                label = evaluator.label(assignment, sub)
+                value = label >> i & 1
+                barred = not up[i] & leaves & ~label
+                if value != barred:
                     return BarViolation(sub, node, tuple(sorted(assignment.items())), value)
     return None
 
@@ -713,12 +751,12 @@ def check_main_lemma(
     is evaluated. The tree is checked for bar-determinacy once, and one
     evaluator per model serves every instance, the tree's one both the bar
     check and the pointwise condition. On the completed model the last free
-    variable is sliced (`Evaluator.sliced`, fed the completion's blocks and
-    0-ary labels, so its labelled `model` is never built): one label per
-    assignment of the other variables gives the value at every node for
-    every function at once, and a closed formula's one label is read at the
-    first function. Each whole assignment gets one mask of
-    `pointwise_condition`.
+    variable is sliced: the completion itself is the atom labels of a
+    width-k evaluator (see `ConstantDomainCompletion.get`), so its labelled
+    `model` is never built. One label per assignment of the other variables
+    gives the value at every node for every function at once, and a closed
+    formula's one label is read at the first function. Each whole assignment
+    gets one mask of `pointwise_condition`.
     """
     tree = completion.tree
     variables = sorted(free_vars(formula))
@@ -737,13 +775,11 @@ def check_main_lemma(
     pointwise = Evaluator(tree.model, signature)
     violation = bar_precondition_violation(tree, pointwise, formula)
     names = {name: j for j, name in enumerate(domain)}  # the column of each name
-    completed = Evaluator.sliced(
-        tree.model.worlds, tree.model.order, domain, signature,
-        completion.blocks, completion.zero_ary,
-    )
-    width = len(names)
+    worlds, width = tree.model.worlds, len(names)
+    frame = Frame(worlds, tree.model.order, dict.fromkeys(worlds, domain), width=width)
+    completed = Evaluator.of_frame(CompiledFormulas(signature), frame, completion)
     position = {n: i for i, n in enumerate(tree.nodes)}
-    up = _up_masks(tree)
+    up = _up_masks(tree.model)
     sliced: dict[tuple, int] = {}  # by the names of all but the last variable: a label
     # by the assigned names: the label, the bit of the last name in a block,
     # and the pointwise mask

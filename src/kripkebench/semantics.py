@@ -107,21 +107,20 @@ class KripkeModel:
 def reflexive_transitive_closure(
     worlds: Iterable[str], pairs: Iterable[tuple[str, str]]
 ) -> frozenset[tuple[str, str]]:
+    """By Warshall's algorithm on each world's reach mask, bit i standing
+    for the i-th world: once every world that reaches world k also reaches
+    what k reaches, for each k in turn, the masks are closed."""
     worlds = list(worlds)
-    reach = {w: {w} for w in worlds}
+    index = {w: i for i, w in enumerate(worlds)}
+    reach = [1 << i for i in range(len(worlds))]
     for a, b in pairs:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for w in worlds:
-            extra = set()
-            for v in reach[w]:
-                extra |= reach[v]
-            if not extra <= reach[w]:
-                reach[w] |= extra
-                changed = True
-    return frozenset((w, v) for w in worlds for v in reach[w])
+        reach[index[a]] |= 1 << index[b]
+    for k in range(len(worlds)):
+        bit, through = 1 << k, reach[k]
+        reach = [mask | through if mask & bit else mask for mask in reach]
+    return frozenset(
+        (w, v) for w, mask in zip(worlds, reach) for v in itertools.compress(worlds, bits(mask))
+    )
 
 
 def validate_model(model: KripkeModel) -> list[str]:
@@ -401,7 +400,8 @@ class Evaluator:
         cls, compiled: CompiledFormulas, frame: Frame, atoms: Labels
     ) -> Evaluator:
         """An evaluator of `frame.width` models of the frame, where `atoms`
-        maps `(pred, args)` to the label of that atom (0 when absent)."""
+        maps `(pred, args)` to the label of that atom (0 when absent): a
+        dict, or anything with its `get`."""
         evaluator = cls.__new__(cls)
         evaluator._start(compiled, frame, atoms)
         return evaluator
@@ -412,29 +412,6 @@ class Evaluator:
         self._atoms = atoms
         self._nodes = compiled.nodes
         self._memo: dict = {}
-
-    @classmethod
-    def sliced(
-        cls,
-        worlds: tuple[str, ...],
-        order: frozenset[tuple[str, str]],
-        elements: tuple[str, ...],
-        signature: Signature,
-        blocks: Labels,
-        zero_ary: Labels,
-    ) -> Evaluator:
-        """An evaluator of the model on these worlds and order whose every
-        domain is `elements`, with one variable sliced over those k
-        elements: model j of the batch sends it to the j-th element, so bit
-        `i * k + j` of a label is the value at world i with the variable at
-        element j. The variable is the one that `label` assigns to `SLICED`.
-
-        `blocks` maps `(pred, head)` to the label of `pred(head..., x)`, x
-        sliced, and `zero_ary` maps `(pred, ())` to the width-1 label of a
-        0-ary atom; together they are the model's atom labels."""
-        frame = Frame(worlds, order, dict.fromkeys(worlds, elements), width=len(elements))
-        atoms = _SlicedAtoms(len(worlds), elements, blocks, zero_ary)
-        return cls.of_frame(CompiledFormulas(signature), frame, atoms)
 
     def value(self, world: str, assignment: dict[str, str], formula: Formula) -> int:
         """The formula's value at the world in model 0 of the batch."""
@@ -553,52 +530,6 @@ class Evaluator:
             env[a] = saved
         memo[memo_key] = mask
         return mask
-
-
-# the element that `Evaluator.sliced` labels at every element of the domain
-SLICED = object()
-
-
-class _SlicedAtoms:
-    """The atom labels of `Evaluator.sliced`, read from the blocks and the
-    0-ary labels on first use. An atom
-    - that is 0-ary has its width-1 label spread to whole blocks;
-    - with the sliced variable as its last argument only has its block;
-    - without the sliced variable is the column of its `(pred, head)` block
-      at its last argument's index, spread to whole blocks;
-    - with it elsewhere, or more than once, reads one such column per
-      element j, placed at bit j of each block.
-    `Evaluator` memoizes every atom it reads, so each is built once."""
-
-    def __init__(
-        self, world_count: int, elements: tuple[str, ...], blocks: Labels, zero_ary: Labels
-    ):
-        self.width = len(elements)
-        self.index = {e: j for j, e in enumerate(elements)}
-        self.blocks = blocks
-        self.zero_ary = zero_ary
-        self.ones = (1 << self.width) - 1
-        self.stride = sum(1 << i * self.width for i in range(world_count))  # bit 0 of each block
-
-    def column(self, pred: str, args: tuple) -> int:
-        """An atom's width-1 label, bit i at bit `i * width`."""
-        return self.blocks.get((pred, args[:-1]), 0) >> self.index[args[-1]] & self.stride
-
-    def get(self, atom: tuple[str, tuple], default: int = 0) -> int:
-        pred, args = atom
-        if not args:
-            label = self.zero_ary.get(atom, default)
-            return sum(self.ones << i * self.width for i, bit in enumerate(bits(label)) if bit)
-        count = args.count(SLICED)
-        if not count:
-            return self.column(pred, args) * self.ones
-        if count == 1 and args[-1] is SLICED:
-            return self.blocks.get((pred, args[:-1]), default)
-        label = 0
-        for e, j in self.index.items():
-            reading = tuple(e if a is SLICED else a for a in args)
-            label |= self.column(pred, reading) << j
-        return label
 
 
 def eval_formula(

@@ -736,6 +736,14 @@ class TestReportRelationsCommand:
         assert captured.out == ""
         assert captured.err == f"error: --corpus must be at most {cli.MAX_CORPUS}, not {too_many}\n"
 
+    def test_corpus_without_predicates_fails_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "sig.txt"
+        path.write_text("conn or builtin\n")
+        assert main(["report-relations", "--sig", str(path), "--corpus", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: corpus sweep needs predicates in the signature\n"
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, or_seq_file, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from kripkebench import construct
 from kripkebench.construct import (
+    SLICED,
     bar_precondition_violation,
     bars,
     check_choice_function,
@@ -29,7 +30,9 @@ from kripkebench.construct import (
     unravel_stuttered,
 )
 from kripkebench.semantics import (
+    CompiledFormulas,
     Evaluator,
+    Frame,
     InvalidModelError,
     KripkeModel,
     is_constant_domain,
@@ -800,6 +803,10 @@ class TestSlicedMainLemma:
         statuses = set()
         for tree in self.trees(rng, 24):
             completion = complete_to_constant_domain(tree, self.SIG)
+            # tree facts are hereditary, so the completion keeps their 0-ary labels
+            assert completion.zero_ary == {
+                atom: label for atom, label in tree.model.labels.items() if not atom[1]
+            }
             for text in self.FORMULAS:
                 formula = parse_formula(text, self.SIG)
                 want = reference_main_lemma(completion, self.SIG, formula)
@@ -820,6 +827,32 @@ class TestSlicedMainLemma:
             completion = complete_to_constant_domain(tree, self.SIG)
             assert completion.blocks == label_blocks(completion.model)
             assert completion.zero_ary == label_zero_ary(completion.model)
+
+    def test_get_reads_the_width_1_labels_side_by_side(self):
+        # through an evaluator of width k, with the sliced x first, last, in
+        # the middle, repeated, absent or bound again inside an atom, on a
+        # 0-ary atom, and in random formulas
+        rng = random.Random(31)
+        texts = (
+            "e(x, y)", "e(y, x)", "t(y, x, y)", "e(x, x)", "p(y)", "r",
+            "or(p(x), exists x. e(x, x))", "imp(r, forall y. e(y, x))",
+        )
+        for tree in self.trees(rng, 12):
+            completion = complete_to_constant_domain(tree, self.SIG)
+            names = tuple(completion.functions)
+            worlds, k = tree.nodes, len(names)
+            frame = Frame(worlds, tree.model.order, dict.fromkeys(worlds, names), width=k)
+            sliced = Evaluator.of_frame(CompiledFormulas(self.SIG), frame, completion)
+            width1 = Evaluator(completion.model, self.SIG)
+            formulas = [parse_formula(text, self.SIG) for text in texts]
+            formulas += [random_formula(rng, self.SIG, 3, ("x", "y")) for _ in range(4)]
+            for formula in formulas:
+                for y in names:
+                    label = sliced.label({"x": SLICED, "y": y}, formula)
+                    for j, x in enumerate(names):
+                        column = width1.label({"x": x, "y": y}, formula)
+                        for i in range(len(worlds)):
+                            assert label >> i * k + j & 1 == column >> i & 1
 
     def test_the_check_leaves_the_completed_model_unbuilt(self):
         rng = random.Random(2038)

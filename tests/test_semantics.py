@@ -5,10 +5,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kripkebench import semantics
+from kripkebench import construct, semantics
 from kripkebench.construct import complete_to_constant_domain, unravel_strict, unravel_stuttered
 from kripkebench.semantics import (
-    SLICED,
     Evaluator,
     InvalidModelError,
     KripkeModel,
@@ -29,8 +28,7 @@ from kripkebench.truthfun import BUILTINS, builtin
 
 from util import (
     all_tree_shapes,
-    label_blocks,
-    label_zero_ary,
+    closure_by_fixpoint,
     make_tree,
     naive_refutation,
     naive_value,
@@ -159,6 +157,32 @@ class TestValidation:
         started = time.perf_counter()
         assert validate_model(model) == []
         assert time.perf_counter() - started < 2
+
+
+class TestClosure:
+    def test_matches_the_set_fixpoint(self):
+        # random relations on up to 8 worlds, cycles and self-loops included,
+        # and the covers read from each closure
+        rng = random.Random(41)
+        for _ in range(2000):
+            worlds = tuple(f"w{i}" for i in range(rng.randint(0, 8)))
+            pairs = [(a, b) for a in worlds for b in worlds if rng.random() < 0.2]
+            order = reflexive_transitive_closure(worlds, pairs)
+            assert order == closure_by_fixpoint(worlds, pairs)
+            model = KripkeModel(worlds, order, dict.fromkeys(worlds, ("a",)), frozenset())
+            above = {w: {v for v in worlds if (w, v) in order and v != w} for w in worlds}
+            between = {w: set().union(*(above[u] for u in above[w])) for w in worlds}
+            assert construct._covering_relation(model) == {
+                w: tuple(v for v in worlds if v in above[w] - between[w]) for w in worlds
+            }
+
+    def test_long_chain_closes_quickly(self):
+        # the set fixpoint is cubic on a chain
+        worlds = tuple(f"w{i}" for i in range(1000))
+        started = time.perf_counter()
+        order = reflexive_transitive_closure(worlds, zip(worlds, worlds[1:]))
+        assert time.perf_counter() - started < 3
+        assert len(order) == 1000 * 1001 // 2
 
 
 class TestConstantDomain:
@@ -356,31 +380,6 @@ class TestEvaluatorAgainstNaiveRecursion:
                         assert evaluator.value(w, rho, formula) == naive_value(
                             model, sig, w, rho, formula
                         )
-
-    def test_sliced_labels_are_the_width_1_labels_side_by_side(self):
-        # on constant-domain models, with the sliced variable anywhere in an
-        # atom, repeated, bound again inside, or absent
-        rng = random.Random(31)
-        sig = Signature({"e": 2, "p": 1, "R": 0}, {"or": builtin("or"), "imp": builtin("imp")})
-        for _ in range(80):
-            model = random_model(rng, max_domain=3, predicates=sig.predicates)
-            universe = tuple(sorted({e for d in model.domains.values() for e in d}))
-            model = KripkeModel(
-                model.worlds, model.order, dict.fromkeys(model.worlds, universe), labels=model.labels
-            )
-            width1 = Evaluator(model, sig)
-            sliced = Evaluator.sliced(
-                model.worlds, model.order, universe, sig, label_blocks(model), label_zero_ary(model)
-            )
-            k = len(universe)
-            for _ in range(6):
-                formula = random_formula(rng, sig, 3, ("x", "y"))
-                for y in universe:
-                    label = sliced.label({"x": SLICED, "y": y}, formula)
-                    for j, e in enumerate(universe):
-                        column = width1.label({"x": e, "y": y}, formula)
-                        for i in range(len(model.worlds)):
-                            assert label >> i * k + j & 1 == column >> i & 1
 
     def test_refutation_scan_matches_naive_scan(self):
         # random sequents over x and y are refuted at several worlds and

@@ -198,10 +198,11 @@ class ReferenceCompletion(NamedTuple):
 
 
 def label_blocks(model):
-    """The blocks `Evaluator.sliced` reads for a constant-domain model, by
-    their definition: for each predicate and head, the labels of the atoms
-    ending in the domain's j-th element side by side, bit `i * k + j` at
-    world i with k elements. Blocks that are 0 are left out."""
+    """The blocks a `ConstantDomainCompletion` stores for its completed
+    model, by their definition, from any constant-domain model: for each
+    predicate and head, the labels of the atoms ending in the domain's j-th
+    element side by side, bit `i * k + j` at world i with k elements.
+    Blocks that are 0 are left out."""
     elements = model.domains[model.worlds[0]]
     k = len(elements)
     blocks = {}
@@ -217,9 +218,9 @@ def label_blocks(model):
 
 
 def label_zero_ary(model):
-    """The 0-ary labels `Evaluator.sliced` reads, by their definition: for
-    each 0-ary atom that holds somewhere, bit i where it is a fact at world
-    i."""
+    """The 0-ary labels a `ConstantDomainCompletion` stores for its
+    completed model, by their definition: for each 0-ary atom that holds
+    somewhere, bit i where it is a fact at world i."""
     index = {w: i for i, w in enumerate(model.worlds)}
     labels = {}
     for w, pred, args in model.facts:
@@ -336,6 +337,27 @@ def choice_functions_by_masks(tree):
                 for member in block:
                     mapping[member] = element
             yield dict(sorted(mapping.items()))
+
+
+def closure_by_fixpoint(worlds, pairs):
+    """`semantics.reflexive_transitive_closure` by a set fixpoint: each
+    world's reach set grows by the reach sets of its members until none
+    grows. The closure must return the same pairs."""
+    worlds = list(worlds)
+    reach = {w: {w} for w in worlds}
+    for a, b in pairs:
+        reach[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for w in worlds:
+            extra = set()
+            for v in reach[w]:
+                extra |= reach[v]
+            if not extra <= reach[w]:
+                reach[w] |= extra
+                changed = True
+    return frozenset((w, v) for w in worlds for v in reach[w])
 
 
 def validate_model_by_pairs(model):
