@@ -248,7 +248,7 @@ def cmd_complete(args) -> int:
     for name, function in completion.functions.items():
         rendered = ", ".join(f"{n}: {e}" for n, e in function.items())
         print(f"# {name} = {{{rendered}}}")
-    print(model_to_text(completion.model, signature), end="")
+    print(construct.completion_to_text(completion, signature), end="")
     return 0
 
 

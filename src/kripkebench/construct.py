@@ -15,10 +15,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .semantics import CompiledFormulas, Evaluator, Frame, InvalidModelError, KripkeModel
-from .semantics import Labels, bits, require_valid_model, upward_closed_subsets
+from .semantics import Labels, bits, model_header, upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
 
 # the most nodes or order pairs an unraveled tree, choice functions an
@@ -71,16 +72,18 @@ def tree_from_model(model: KripkeModel) -> TreeModel:
     of covers, and each cover is a parent step. The model must already
     pass `validate_model`, as a loaded model does; it is not checked again.
     """
-    for a, b in sorted(model.order):
-        if a != b and (b, a) in model.order:
-            raise InvalidModelError(f"order has a cycle through {a} and {b}")
+    up = _up_masks(model)
+    cycle = _least_cycle(model.worlds, up)
+    if cycle:
+        a, b = cycle
+        raise InvalidModelError(f"order has a cycle through {a} and {b}")
     above_some = {b for a, b in model.order if a != b}
     minima = [w for w in model.worlds if w not in above_some]
     if len(minima) != 1:
         raise InvalidModelError(f"tree needs a unique root, found minima {minima}")
     root = minima[0]
     covered_by: dict[str, list[str]] = {w: [] for w in model.worlds}
-    for v, covers in _covering_relation(model).items():
+    for v, covers in _covering_relation(model.worlds, up).items():
         for w in covers:
             covered_by[w].append(v)
     parent: dict[str, str] = {}
@@ -97,18 +100,29 @@ def tree_from_model(model: KripkeModel) -> TreeModel:
 # --- unraveling --------------------------------------------------------------
 
 
-def _covering_relation(model: KripkeModel) -> dict[str, tuple[str, ...]]:
+def _covering_relation(worlds: tuple[str, ...], up: list[int]) -> dict[str, tuple[str, ...]]:
     """Each world's immediate successors, in world order: the worlds strictly
-    above it with none strictly between. On masks, that is its strict up-set
-    less the strict up-sets of the worlds in it."""
-    above = [mask & ~(1 << i) for i, mask in enumerate(_up_masks(model))]
+    above it with none strictly between. On its up-set masks, that is its
+    strict up-set less the strict up-sets of the worlds in it."""
+    above = [mask & ~(1 << i) for i, mask in enumerate(up)]
     covers = {}
-    for w, mask in zip(model.worlds, above):
+    for w, mask in zip(worlds, above):
         between = 0
         for upper in itertools.compress(above, bits(mask)):
             between |= upper
-        covers[w] = tuple(itertools.compress(model.worlds, bits(mask & ~between)))
+        covers[w] = tuple(itertools.compress(worlds, bits(mask & ~between)))
     return covers
+
+
+def _least_cycle(worlds: tuple[str, ...], up: list[int]) -> Optional[tuple[str, str]]:
+    """The least pair `(a, b)` by name of distinct worlds each above the
+    other in a preorder, from its up-set masks, or None. Two worlds are above
+    each other exactly when their up-sets are equal, since each lies in its
+    own, so the worlds are grouped by up-set and no order pair is sorted."""
+    classes: dict[int, list[str]] = {}
+    for w, mask in zip(worlds, up):
+        classes.setdefault(mask, []).append(w)
+    return min((tuple(sorted(c)[:2]) for c in classes.values() if len(c) > 1), default=None)
 
 
 def _assemble_tree(
@@ -168,18 +182,20 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     upset). Preorders with genuine cycles are rejected; use unravel_stuttered
     for those. A ladder of diamonds doubles the paths per rung, so more than
     MAX_COUNT nodes, or order pairs, raise ValueError, as do order pairs
-    taking more than MAX_NAME_CHARS characters of node names.
-    """
-    require_valid_model(model)
+    taking more than MAX_NAME_CHARS characters of node names. The model
+    must already pass `validate_model`, as a loaded model does; it is not
+    checked again."""
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
-    for a, b in sorted(model.order):
-        if a != b and (b, a) in model.order:
-            raise ValueError(
-                f"order has a cycle through {a} and {b}; strict unraveling needs a"
-                " partial order, use unravel_stuttered instead"
-            )
-    covers = _covering_relation(model)
+    up = _up_masks(model)
+    cycle = _least_cycle(model.worlds, up)
+    if cycle:
+        a, b = cycle
+        raise ValueError(
+            f"order has a cycle through {a} and {b}; strict unraveling needs a"
+            " partial order, use unravel_stuttered instead"
+        )
+    covers = _covering_relation(model.worlds, up)
     chains = [(start,)]
     for chain in chains:  # breadth-first: the list grows while it is read
         chains.extend(chain + (v,) for v in covers[chain[-1]])
@@ -201,10 +217,10 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
     its pairs with the nodes below it. So more than MAX_COUNT order pairs,
     which is at least the node count, raise ValueError, and so does an
     order whose pairs take more than MAX_NAME_CHARS characters of node
-    names, which grow with the chains."""
+    names, which grow with the chains. The model must be valid, as for
+    `unravel_strict`."""
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
-    require_valid_model(model)
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
     chains = [(start,)]
@@ -398,7 +414,7 @@ class ConstantDomainCompletion:
     with k functions (blocks that are 0 left out), and `zero_ary`, the
     labels of the 0-ary atoms that hold somewhere. The labelled `model` is
     built from them on first read. `check_main_lemma` reads them through
-    `get` instead, so it never builds the model."""
+    `get`, and `completion_to_text` directly, so neither builds the model."""
 
     tree: TreeModel
     functions: dict[str, dict[str, str]]
@@ -446,13 +462,17 @@ class ConstantDomainCompletion:
 
     @cached_property
     def model(self) -> KripkeModel:
-        """The labelled model: each block's rows transposed into k labels."""
+        """The labelled model: label j of a block is its bits j, j + k, ...,
+        which are every k-th of its binary digits."""
         names = tuple(self.functions)
         k, worlds = len(names), self.tree.model.worlds
         labels = dict(self.zero_ary)
         for (pred, head), block in self.blocks.items():
-            rows = [block >> i * k & (1 << k) - 1 for i in range(len(worlds))]
-            for name, label in zip(names, _columns(rows, k)):
+            # most significant first: label j's digits, from the last world
+            # down to the first, start at k - 1 - j and recur every k
+            digits = f"{block:0{len(worlds) * k}b}"
+            for j, name in enumerate(names):
+                label = int(digits[k - 1 - j :: k], 2)
                 if label:
                     labels[pred, head + (name,)] = label
         order = self.tree.model.order
@@ -548,6 +568,41 @@ def complete_to_constant_domain(
     return ConstantDomainCompletion(tree, functions, blocks, zero_ary)
 
 
+def completion_to_text(
+    completion: ConstantDomainCompletion, signature: Optional[Signature] = None
+) -> str:
+    """`model_to_text` of the completed model, read from the blocks and 0-ary
+    labels without building the model. Facts come by world and then in text
+    order, which is `(pred, head, last name)` order: names F0, F1, ... and
+    predicates are identifiers, whose characters sort after ',', '(', ')'
+    and ' ', so where two atoms' texts first differ, two names or
+    predicates differ there as strings do, or one ends and its separator
+    sorts first, as the shorter string does. So the atom keys are sorted
+    once, and each row is read in name order (F10 before F2) through one
+    fixed permutation of its columns."""
+    names = tuple(completion.functions)
+    k, worlds = len(names), completion.tree.nodes
+    domains = dict.fromkeys(worlds, names)
+    lines = model_header(worlds, completion.tree.model.order, domains, signature)
+    by_text = sorted(names)
+    # a row's bits in name order, after bit k is set to pad it to k bits
+    in_text_order = itemgetter(*sorted(range(k), key=names.__getitem__), k)
+    pad, ones = 1 << k, (1 << k) - 1
+    blocks, zero_ary = completion.blocks, completion.zero_ary
+    atoms = sorted([*blocks, *zero_ary])
+    for i, w in enumerate(worlds):
+        for atom in atoms:
+            pred, head = atom
+            if atom in zero_ary:
+                if zero_ary[atom] >> i & 1:
+                    lines.append(f"fact {w}: {pred}")
+            elif row := blocks[atom] >> i * k & ones:
+                prefix = f"fact {w}: {pred}({''.join(h + ', ' for h in head)}"
+                held = itertools.compress(by_text, in_text_order(bits(row | pad)))
+                lines.append(prefix + (")\n" + prefix).join(held) + ")")
+    return "\n".join(lines) + "\n"
+
+
 def _up_masks(model: KripkeModel) -> list[int]:
     """Each world's up-set as a mask, bit i standing for world i."""
     position = {w: i for i, w in enumerate(model.worlds)}
@@ -555,22 +610,6 @@ def _up_masks(model: KripkeModel) -> list[int]:
     for a, b in model.order:
         up[position[a]] |= 1 << position[b]
     return up
-
-
-def _columns(rows: list[int], width: int) -> list[int]:
-    """The transpose of a bit matrix: column k has bit i set where row i has
-    bit k set, for k below `width`. Rows go eight at a time into the bytes
-    of one int, whose byte k is then bits i..i+7 of column k."""
-    columns = [0] * width
-    for start in range(0, len(rows), 8):
-        packed = 0
-        for shift, row in enumerate(rows[start : start + 8]):
-            packed |= int.from_bytes(bits(row), "little") << shift
-        columns = [
-            column | byte << start
-            for column, byte in zip(columns, packed.to_bytes(width, "little"))
-        ]
-    return columns
 
 
 def lift_assignment(

@@ -730,40 +730,29 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
     return model, signature
 
 
-def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:
-    """The model file of a valid model. Facts come by world, then by
-    predicate, then by argument names compared as strings.
-
-    Each atom is rendered once and filed under its label, and a world's
-    atoms are sorted as text. That is the order of `(pred, args)` when
-    every character of a name sorts after ',', and so after '(', ' ' and
-    ')' too, as a predicate's identifier characters do; a model whose
-    element names have other characters sorts by `(pred, args)`."""
+def model_header(
+    worlds: tuple[str, ...], order: frozenset, domains: dict, signature: Optional[Signature] = None
+) -> list[str]:
+    """The lines of a model file before its facts: the signature, the
+    worlds, the strict order pairs in world order, and each world's domain."""
     lines = [] if signature is None else signature_to_text(signature).splitlines()
-    lines.append("worlds: " + " ".join(model.worlds))
-    index = {w: i for i, w in enumerate(model.worlds)}
-    for a, b in sorted(model.order, key=lambda p: (index[p[0]], index[p[1]])):
+    lines.append("worlds: " + " ".join(worlds))
+    index = {w: i for i, w in enumerate(worlds)}
+    for a, b in sorted(order, key=lambda p: (index[p[0]], index[p[1]])):
         if a != b:
             lines.append(f"order: {a} {b}")
-    for w in model.worlds:
-        lines.append(f"domain {w}: " + " ".join(model.domains[w]))
-    labels = model.labels
-    as_text = min("".join(itertools.chain(*model.domains.values())), default="-") > ","
-    groups: dict[int, list] = {}  # label -> its atoms, sorted
-    for (pred, args), mask in labels.items():
-        group = groups.get(mask)
-        if group is None:
-            group = groups[mask] = []
-        text = f"{pred}({', '.join(args)})" if args else pred
-        group.append(text if as_text else ((pred, args), text))
-    for group in groups.values():
-        group.sort()  # so that each world sorts a few sorted runs
-    for i, w in enumerate(model.worlds):
-        atoms = sorted(itertools.chain.from_iterable(g for m, g in groups.items() if m >> i & 1))
-        if atoms:
-            prefix = f"fact {w}: "
-            texts = atoms if as_text else map(itemgetter(1), atoms)
-            lines.append(prefix + ("\n" + prefix).join(texts))
+    for w in worlds:
+        lines.append(f"domain {w}: " + " ".join(domains[w]))
+    return lines
+
+
+def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:
+    """The model file of a valid model. Facts come by world, then by
+    predicate, then by argument names compared as strings."""
+    lines = model_header(model.worlds, model.order, model.domains, signature)
+    index = {w: i for i, w in enumerate(model.worlds)}
+    for w, pred, args in sorted(model.facts, key=lambda f: (index[f[0]], f[1], f[2])):
+        lines.append(f"fact {w}: {pred}({', '.join(args)})" if args else f"fact {w}: {pred}")
     return "\n".join(lines) + "\n"
 
 

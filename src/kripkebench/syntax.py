@@ -153,13 +153,6 @@ def _canonical_side(formulas) -> tuple[Formula, ...]:
     return tuple(sorted(set(formulas), key=render_formula))
 
 
-def sequent_free_vars(sequent: Sequent) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for f in sequent.formulas():
-        out |= free_vars(f)
-    return out
-
-
 def render_sequent(sequent: Sequent) -> str:
     left = ", ".join(render_formula(f) for f in sequent.antecedent)
     right = ", ".join(render_formula(f) for f in sequent.succedent)

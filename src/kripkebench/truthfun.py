@@ -104,14 +104,6 @@ class TruthFunction:
         if any(b not in (0, 1) for b in self.table):
             raise ValueError("table entries must be 0 or 1")
 
-    @classmethod
-    def from_bits(cls, bits: str) -> "TruthFunction":
-        """Build from a table bit string; the arity is inferred from its length."""
-        n = len(bits).bit_length() - 1
-        if 1 << n != len(bits):
-            raise ValueError(f"table length {len(bits)} is not a power of two")
-        return cls(n, tuple(int(c) for c in bits))
-
     def __call__(self, a: TruthVector) -> int:
         if len(a) != self.arity:
             raise ValueError(f"arity mismatch: function is {self.arity}-ary, got {len(a)}")
@@ -119,9 +111,6 @@ class TruthFunction:
 
     def table_string(self) -> str:
         return "".join(str(b) for b in self.table)
-
-    def to_json(self) -> str:
-        return json.dumps({"arity": self.arity, "table": self.table_string()})
 
     @classmethod
     def from_json(cls, text: str) -> "TruthFunction":
@@ -180,24 +169,6 @@ def is_monotonic(f: TruthFunction) -> bool:
             if i & j == i and f.table[i] > f.table[j]:
                 return False
     return True
-
-
-def nary_meet_closure(f: TruthFunction, n: int) -> bool:
-    """Whether the meet of any n inputs mapped to 1 is also mapped to 1.
-
-    Brute force over all n-tuples of 1-valued inputs.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    ones = [i for i, bit in enumerate(f.table) if bit]
-    full = (1 << f.arity) - 1
-
-    def rec(depth: int, acc: int) -> bool:
-        if depth == n:
-            return bool(f.table[acc])
-        return all(rec(depth + 1, acc & i) for i in ones)
-
-    return rec(0, full)
 
 
 def enumerate_truth_functions(arity: int) -> Iterator[TruthFunction]:

@@ -33,11 +33,10 @@ from kripkebench.truthfun import (
     builtin,
     enumerate_truth_functions,
     is_supermultiplicative,
-    nary_meet_closure,
 )
 from kripkebench.synthesize import synthesize
 
-from util import all_tree_shapes, make_tree, random_model
+from util import all_tree_shapes, make_tree, nary_meet_closure, random_model
 
 
 def passed(number, message):

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from kripkebench import construct
+from kripkebench.cli import main
 from kripkebench.construct import (
     SLICED,
     bar_precondition_violation,
@@ -17,6 +18,7 @@ from kripkebench.construct import (
     check_choice_function,
     check_main_lemma,
     complete_to_constant_domain,
+    completion_to_text,
     constant_domain_pipeline,
     enumerate_choice_functions,
     extend_choice,
@@ -58,6 +60,7 @@ from util import (
     random_tree_facts,
     reference_completion,
     reference_main_lemma,
+    reference_model_to_text,
     reference_report_json,
 )
 
@@ -151,6 +154,32 @@ class TestUnravelStrict:
     def test_unknown_start(self, separating):
         with pytest.raises(ValueError):
             unravel_strict(separating, "w9")
+
+    def test_names_the_cycle_pair_of_a_scan_of_the_sorted_pairs(self):
+        # the least (a, b) by name with a != b above each other, on random
+        # preorders whose world order is not name order
+        rng = random.Random(43)
+        cyclic = 0
+        names = ["a", "b", "w0", "w1", "w10", "w2", "x_", "Z"]
+        for _ in range(600):
+            worlds = tuple(rng.sample(names, rng.randint(1, 6)))
+            pairs = [(a, b) for a in worlds for b in worlds if rng.random() < 0.2]
+            order = reflexive_transitive_closure(worlds, pairs)
+            model = KripkeModel(worlds, order, dict.fromkeys(worlds, ("a",)), frozenset())
+            want = next(((a, b) for a, b in sorted(order) if a != b and (b, a) in order), None)
+            assert construct._least_cycle(worlds, construct._up_masks(model)) == want
+            if want is None:
+                unravel_strict(model, worlds[0])
+                continue
+            cyclic += 1
+            message = f"order has a cycle through {want[0]} and {want[1]}"
+            with pytest.raises(ValueError) as got:
+                unravel_strict(model, worlds[0])
+            assert str(got.value).startswith(message + ";")
+            with pytest.raises(InvalidModelError) as got:
+                tree_from_model(model)
+            assert str(got.value) == message
+        assert cyclic > 100
 
     def test_values_preserved_on_random_posets(self):
         rng = random.Random(42)
@@ -404,7 +433,7 @@ class TestCompletionMatchesReference:
         assert completed_preds == set(self.PREDICATES)
 
     def test_trees_past_eight_nodes(self):
-        # the completion transposes its per-world bitsets eight worlds at a time
+        # labels of more than eight worlds, wider than one byte
         sig = Signature({"r": 0, "p": 1, "e": 2}, {})
         rng = random.Random(2036)
         for n in (9, 12, 17):
@@ -942,6 +971,55 @@ class TestMainLemmaWriter:
                 self.assert_written_as_json(
                     check_main_lemma(completion, sliced.SIG, formula, instances)
                 )
+
+
+class TestCompletionWriter:
+    """`completion_to_text` writes the completed model from its blocks; it
+    must give the text of `reference_model_to_text` on the built model."""
+
+    SIG = TestSlicedMainLemma.SIG  # 0-ary r, unary p, binary e, ternary t; s keeps no facts
+
+    def trees(self, rng, count):
+        """Random trees of up to four nodes; one in three is a root with two
+        leaves of three elements each, which gives 9 + 1 or 9 + 2 functions."""
+        shapes = list(all_tree_shapes(4))
+        for n in range(count):
+            wide = n % 3 == 0
+            parents = (0, 0) if wide else rng.choice(shapes)
+            domains = {"n0": rng.choice([("a",), ("a", "b")])}
+            for child, parent in enumerate(parents, start=1):
+                menu = [("a", "b", "c")] if wide else [domains[f"n{parent}"], ("a", "b")]
+                domains[f"n{child}"] = rng.choice(menu)
+            tree = make_tree(parents, domains)
+            predicates = {pred: arity for pred, arity in self.SIG.predicates.items() if pred != "s"}
+            facts = random_tree_facts(rng, tree, predicates, rng.choice([0.15, 0.4, 0.7]))
+            yield make_tree(parents, domains, facts)
+
+    def test_every_tree_matches_the_reference(self):
+        rng = random.Random(2040)
+        most, preds = 0, set()
+        for tree in self.trees(rng, 36):
+            completion = complete_to_constant_domain(tree, self.SIG)
+            most = max(most, len(completion.functions))
+            want = reference_model_to_text(completion.model, self.SIG)
+            assert completion_to_text(completion, self.SIG) == want
+            assert completion_to_text(completion) == reference_model_to_text(completion.model)
+            preds |= {pred for _, pred, _ in completion.model.facts}
+        # with 11 functions or more, F10 sorts before F2 and index order is not text order
+        assert most >= 11
+        assert preds == {"r", "p", "e", "t"}
+
+    def test_complete_never_builds_the_completed_model(self, monkeypatch, tmp_path, capsys):
+        from test_output_digests import FILES
+
+        def refuse(self):
+            raise AssertionError("the completed model was built")
+
+        monkeypatch.setattr(construct.ConstantDomainCompletion, "model", property(refuse))
+        path = tmp_path / "wide.model"
+        path.write_text(FILES["wide.model"])
+        assert main(["complete", str(path)]) == 0
+        assert "fact n2: t(F2, F2, F10)\nfact n2: t(F2, F2, F4)\n" in capsys.readouterr().out
 
 
 class TestPipeline:

@@ -67,6 +67,16 @@ FILES = {
         "fact n1: e(a, b)\nfact n3: e(a, b)\nfact n3: e(b, b)\nfact n3: p(b)\n"
         "fact n2: e(a, a)\nfact n2: p(a)\n"
     ),
+    # 11 choice functions, so that F10 sorts between F1 and F2, with a 0-ary,
+    # a unary, a binary and a ternary predicate, and s without facts
+    "wide.model": (
+        "pred r 0\npred p 1\npred e 2\npred t 3\npred s 1\n"
+        "worlds: n0 n1 n2\norder: n0 n1\norder: n0 n2\n"
+        "domain n0: a b\ndomain n1: a b c\ndomain n2: a b c\n"
+        "fact n0: p(a)\nfact n1: p(a)\nfact n2: p(a)\nfact n1: p(c)\nfact n2: r\n"
+        "fact n1: e(a, c)\nfact n1: e(c, c)\nfact n2: e(b, a)\n"
+        "fact n0: t(a, b, a)\nfact n1: t(a, b, a)\nfact n2: t(a, b, a)\nfact n2: t(c, c, b)\n"
+    ),
     "c3.json": '{"arity": 3, "table": "01101001"}',
     "sig.txt": "pred p 1\npred q 1\nconn or builtin\nconn imp builtin\n",
 }
@@ -97,6 +107,7 @@ CALLS = {
     "complete-separating": ["complete", "@separating.model"],
     "complete-tree": ["complete", "@tree.model"],
     "complete-edge": ["complete", "@edge.model"],
+    "complete-wide": ["complete", "@wide.model"],
     "lemma-holds": ["check-main-lemma", "@separating.model", "forall x. p(x)"],
     "lemma-tree": ["check-main-lemma", "@tree.model", "forall x. imp(p(x), exists y. q(y))"],
     "lemma-open": ["check-main-lemma", "@tree.model", "imp(q(x), p(x))"],
@@ -125,6 +136,7 @@ DIGESTS = {
     "census-2": "23fc96427fdadc6b99ff7bc30855ea0b133c5e9fe2de235cf55c0b6a68c90c4f",
     "census-3-list": "7ca1f315edf91ae8dfc3095dec2f06f38e0ef3ffe9ac886790cdb31ecc8ef1cc",
     "complete-edge": "c999cd65d20b2c5efdd9a50228351a615866c82f92a7ad5730ada1596b96e742",
+    "complete-wide": "9e8d65130f29e55a3d06d5f6f91adefaa48b66a66a3f1deb6e08f793e1ee5832",
     "complete-separating": "9d0d68338552224f8ea850ecbc78fc8d0a68fc7975c61d7117cb3a7a24c35980",
     "complete-tree": "23e77c274d5d6b5e353b718d2391718fcfb502aacab1921521fe0e09effc9ab0",
     "decide-cd-refuted": "8fae7e356eecc4eb36a98258ddd6c7001a976ad71831fa5fac03a6da36e12786",

@@ -17,11 +17,12 @@ from kripkebench.syntax import (
     parse_signature,
     render_formula,
     render_sequent,
-    sequent_free_vars,
     signature_to_text,
     subformulas,
 )
 from kripkebench.truthfun import TruthFunction, builtin
+
+from util import sequent_free_vars
 
 
 @pytest.fixture

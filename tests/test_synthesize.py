@@ -11,7 +11,6 @@ from kripkebench.semantics import (
 from kripkebench.semantics import KripkeModel
 from kripkebench.syntax import Atom, Conn, Forall, Signature, render_sequent
 from kripkebench.truthfun import (
-    TruthFunction,
     TruthVector,
     builtin,
     enumerate_truth_functions,
@@ -31,15 +30,17 @@ from kripkebench.synthesize import (
     synthesize,
 )
 
+from util import truth_function_from_bits
+
 
 def vec(*bits):
     return TruthVector.of(*bits)
 
 
 # frozen tables exercising cases C and D, checked against the conditions below
-CASE_C_TABLE = TruthFunction.from_bits("01100011")
-CASE_D_TABLE = TruthFunction.from_bits("01100001")
-CASE_E_TABLE = TruthFunction.from_bits("01101001")
+CASE_C_TABLE = truth_function_from_bits("01100011")
+CASE_D_TABLE = truth_function_from_bits("01100001")
+CASE_E_TABLE = truth_function_from_bits("01101001")
 
 
 class TestWitness:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import replace
 from typing import NamedTuple
@@ -38,15 +39,56 @@ from kripkebench.syntax import (
     Conn,
     Exists,
     Forall,
+    Sequent,
     Signature,
     free_vars,
     render_formula,
-    sequent_free_vars,
     signature_to_text,
     subformulas,
 )
+from kripkebench.truthfun import TruthFunction
 
 DEFAULT_PREDICATES = {"p": 1, "q": 1, "r": 0}
+
+
+def sequent_free_vars(sequent: Sequent) -> frozenset[str]:
+    out: frozenset[str] = frozenset()
+    for f in sequent.formulas():
+        out |= free_vars(f)
+    return out
+
+
+def truth_function_from_bits(bits: str) -> TruthFunction:
+    """A truth function from its table bit string; the arity is inferred from
+    its length."""
+    n = len(bits).bit_length() - 1
+    if 1 << n != len(bits):
+        raise ValueError(f"table length {len(bits)} is not a power of two")
+    return TruthFunction(n, tuple(int(c) for c in bits))
+
+
+def truth_function_to_json(tf: TruthFunction) -> str:
+    """The connective file of a truth function, as `TruthFunction.from_json`
+    reads it."""
+    return json.dumps({"arity": tf.arity, "table": tf.table_string()})
+
+
+def nary_meet_closure(f: TruthFunction, n: int) -> bool:
+    """Whether the meet of any n inputs mapped to 1 is also mapped to 1.
+
+    Brute force over all n-tuples of 1-valued inputs.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    ones = [i for i, bit in enumerate(f.table) if bit]
+    full = (1 << f.arity) - 1
+
+    def rec(depth: int, acc: int) -> bool:
+        if depth == n:
+            return bool(f.table[acc])
+        return all(rec(depth + 1, acc & i) for i in ones)
+
+    return rec(0, full)
 
 
 def random_model(
