@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from . import construct, search, semantics, synthesize
+from . import search, semantics  # construct and synthesize load in the commands that use them
 from .search import SearchBounds, ValidUpToBounds
 from .semantics import InvalidModelError, model_to_text
 from .syntax import (
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     syn = add_parser("synthesize", help="separating sequent for a connective")
     _add_connective_arguments(syn)
-    cd_bounds = synthesize.DEFAULT_CD_BOUNDS
+    cd_bounds = search.DEFAULT_CD_BOUNDS
     syn.add_argument(
         "--cd-bounds",
         nargs=2,
@@ -208,12 +208,13 @@ def cmd_decide(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from . import synthesize
     name, tf = _connective_from_args(args)
     if args.no_cd_check:
         cd_bounds = None
     else:
         worlds, domain = args.cd_bounds
-        cd_bounds = replace(synthesize.DEFAULT_CD_BOUNDS, max_worlds=worlds, max_domain=domain)
+        cd_bounds = replace(search.DEFAULT_CD_BOUNDS, max_worlds=worlds, max_domain=domain)
     certificate = synthesize.synthesize(name, tf, cd_bounds)
     text = synthesize.format_certificate(certificate)
     if args.output:
@@ -225,6 +226,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_unravel(args) -> int:
+    from . import construct
     model, signature = semantics.load_model(args.model)
     start = model.worlds[0] if args.root is None else args.root
     if args.strict:
@@ -242,6 +244,7 @@ def cmd_unravel(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    from . import construct
     model, signature = semantics.load_model(args.model)
     tree = construct.tree_from_model(model)
     completion = construct.complete_to_constant_domain(tree, signature)
@@ -253,6 +256,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_check_main_lemma(args) -> int:
+    from . import construct
     model, signature = semantics.load_model(args.model)
     tree = construct.tree_from_model(model)
     formula = parse_formula(args.formula, signature)

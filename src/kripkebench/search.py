@@ -506,6 +506,8 @@ CORPUS_VARIABLES = ("x", "y")
 # kripke at the large ones
 CORPUS_SMALL_BOUNDS = SearchBounds(2, 2, "tree")
 CORPUS_LARGE_BOUNDS = SearchBounds(3, 2, "poset")
+# the bounds of a synthesized certificate's constant-domain check
+DEFAULT_CD_BOUNDS = SearchBounds(max_worlds=3, max_domain=2, shape="tree")
 
 
 def random_formula(

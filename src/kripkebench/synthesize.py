@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .search import Refuted, SearchBounds, Verdict, decide
+from .search import DEFAULT_CD_BOUNDS, Refuted, SearchBounds, Verdict, decide
 from .semantics import Evaluator, KripkeModel, model_to_text, reflexive_transitive_closure
 from .syntax import (
     Atom,
@@ -34,8 +34,6 @@ from .truthfun import (
 )
 
 ROLE_KEYS = ("p", "q", "T", "R")
-
-DEFAULT_CD_BOUNDS = SearchBounds(max_worlds=3, max_domain=2, shape="tree")
 
 
 def find_witness(tf: TruthFunction) -> tuple[TruthVector, TruthVector]:

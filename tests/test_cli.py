@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kripkebench import cli, construct, search, semantics
+from kripkebench import cli, construct, search, semantics, synthesize
 from kripkebench.cli import main
 from kripkebench.semantics import KripkeModel, parse_model_text
 
@@ -822,18 +822,60 @@ def test_every_option_is_read(name):
     assert dests - read == set()
 
 
-def test_cli_import_loads_no_heavy_or_test_modules():
-    # the package has no runtime dependencies, and setup_s times this import
+def _fresh_interpreter(probe: str, *args: str) -> str:
+    """The stdout of `probe` run by a new interpreter with this package on its path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_loads_no_heavy_or_test_modules():
+    # the package has no runtime dependencies, and setup_s times this import
     probe = (
         "import sys, kripkebench.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in"
         " {'numpy', 'networkx', 'hypothesis', 'pytest', 'multiprocessing'}))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    assert _fresh_interpreter(probe) == "[]\n"
+
+
+def test_construct_and_synthesize_load_only_in_the_commands_that_run_them(
+    or_seq_file, separating_file
+):
+    # each call's exit code and the heavy modules loaded after it, one call
+    # after another in one interpreter, starting from the bare import
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from kripkebench import cli\n"
+        "heavy = ('kripkebench.construct', 'kripkebench.synthesize')\n"
+        "seen = [[None, [m for m in heavy if m in sys.modules]]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    seen.append([code, [m for m in heavy if m in sys.modules]])\n"
+        "print(json.dumps(seen))\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    calls = [
+        ["decide", "--mode", "cd", "--seq", or_seq_file, "--max-worlds", "2"],
+        ["analyze-connective", "--builtin", "or"],
+        ["census", "--arity", "2"],
+        ["synthesize", "--builtin", "xor", "--no-cd-check"],
+        ["complete", separating_file],
+    ]
+    seen = json.loads(_fresh_interpreter(probe, json.dumps(calls)))
+    synthesize_only = ["kripkebench.synthesize"]
+    both = ["kripkebench.construct", "kripkebench.synthesize"]
+    assert seen == [[None, []], [0, []], [0, []], [0, []], [0, synthesize_only], [0, both]]
+
+
+def test_cd_check_bounds_come_from_one_constant():
+    bounds = search.DEFAULT_CD_BOUNDS
+    args = cli._parser().parse_args(["synthesize", "--builtin", "xor"])
+    assert args.cd_bounds == (bounds.max_worlds, bounds.max_domain)
+    default = inspect.signature(synthesize.synthesize).parameters["cd_bounds"].default
+    assert default is bounds
