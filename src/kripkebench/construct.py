@@ -11,12 +11,13 @@ checked explicitly, which is what the main-lemma checker does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .semantics import CompiledFormulas, Evaluator, Frame, InvalidModelError, KripkeModel
 from .semantics import Labels, bits, model_header, upward_closed_subsets
@@ -387,14 +388,15 @@ def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
     for upper in uppers:
         blocks = partition_upward_closed(tree, leaves | upper)
         value_menus = [tree.model.domains[minimum] for minimum, _ in blocks]
+        which = {node: b for b, (_, block) in enumerate(blocks) for node in block}
+        keys = sorted(which)
+        # each key's block value; the extra 0 keeps a lone key's result a tuple
+        pick = itemgetter(*[which[node] for node in keys], 0)
         for values in itertools.product(*value_menus):
-            mapping = {}
-            for (minimum, block), element in zip(blocks, values):
-                mapping.update(dict.fromkeys(block, element))
             produced += 1
             if produced > MAX_COUNT:
                 raise ValueError(too_many)
-            yield dict(sorted(mapping.items()))
+            yield dict(zip(keys, pick(values)))
 
 
 # --- constant-domain completion ----------------------------------------------
@@ -414,12 +416,15 @@ class ConstantDomainCompletion:
     with k functions (blocks that are 0 left out), and `zero_ary`, the
     labels of the 0-ary atoms that hold somewhere. The labelled `model` is
     built from them on first read. `check_main_lemma` reads them through
-    `get`, and `completion_to_text` directly, so neither builds the model."""
+    `get`, and `completion_to_text` directly, so neither builds the model.
+    `by_value[i]` maps each element to the bitset of the functions taking
+    it at node i, bit j for F_j."""
 
     tree: TreeModel
     functions: dict[str, dict[str, str]]
     blocks: Labels = field(repr=False)
     zero_ary: Labels = field(repr=False)
+    by_value: list[dict[str, int]] = field(repr=False, compare=False)
 
     @cached_property
     def _slicing(self) -> tuple[dict[str, int], int, int]:
@@ -497,8 +502,9 @@ def complete_to_constant_domain(
     node, predicate and values of the first arity-1 arguments there, the
     bitset of last arguments that make a non-fact is computed once; a tuple
     holds at a world iff its last argument is in none of these bitsets over
-    the world's up-set. These per-world bitsets, side by side in node order,
-    are the completion's `blocks`; its model is built from them when read.
+    the world's up-set, so the bitsets are ORed up the tree, children first,
+    and the completion's `blocks` are their complements side by side in
+    node order; its model is built from them when read.
 
     Raises ValueError, before any predicate is scanned, when those pairs of
     a node and an argument tuple number more than MAX_COMPLETION_PAIRS."""
@@ -517,19 +523,21 @@ def complete_to_constant_domain(
             f"the completion has {pairs} pairs of a node and an argument tuple,"
             f" more than {MAX_COMPLETION_PAIRS}"
         )
+    k = len(names)
     position = {n: i for i, n in enumerate(nodes)}
     up = _up_masks(tree.model)
-    upsets = [list(itertools.compress(range(len(nodes)), bits(mask))) for mask in up]
-    # values[i][k]: the value of function k at node i, None where undefined;
+    # (child, parent) by index, children first, as a child's up-set is smaller
+    children_first = sorted(tree.parent, key=lambda child: up[position[child]].bit_count())
+    edges = [(position[child], position[tree.parent[child]]) for child in children_first]
+    everyone = (1 << k) - 1
+    # columns[j][i]: the value of F_j at node i, None where undefined;
     # by_value[i][e]: the bitset of functions taking value e at node i
-    values = [[None] * len(names) for _ in nodes]
+    columns = [tuple(map(f.get, nodes)) for f in functions.values()]
     by_value: list[dict[str, int]] = [{} for _ in nodes]
-    for k, function in enumerate(functions.values()):
-        for node, element in function.items():
-            i = position[node]
-            values[i][k] = element
-            by_value[i][element] = by_value[i].get(element, 0) | 1 << k
-    everyone = (1 << len(names)) - 1
+    for j, column in enumerate(columns):
+        for members, element in zip(by_value, column):
+            if element is not None:
+                members[element] = members.get(element, 0) | 1 << j
     zero_ary = {}
     blocks = {}
     for pred, arity in signature.predicates.items():
@@ -539,33 +547,27 @@ def complete_to_constant_domain(
             if (pred, ()) in facts:
                 zero_ary[pred, ()] = facts[pred, ()]
             continue
-        bad_last: dict[tuple[int, tuple[str, ...]], int] = {}
-        for head in itertools.product(range(len(names)), repeat=arity - 1):
-            bad_at = []  # per node: the bitset of last arguments that make a non-fact
-            for i, row in enumerate(values):
-                prefix = tuple(row[k] for k in head)
+        # per node, by the head's values there: the last arguments that make a non-fact
+        bad_last: list[dict[tuple, int]] = [{} for _ in nodes]
+        for head in itertools.product(range(k), repeat=arity - 1):
+            bad_at = [0] * len(nodes)  # per node: the last arguments that make a non-fact
+            prefixes = zip(*[columns[h] for h in head]) if head else [()] * len(nodes)
+            for i, prefix in enumerate(prefixes):
                 if None in prefix:
-                    bad_at.append(0)  # a head function is undefined at node i
-                    continue
-                key = (i, prefix)
-                if key not in bad_last:
-                    bad_last[key] = 0
-                    for element, members in by_value[i].items():
-                        if not facts.get((pred, prefix + (element,)), 0) >> i & 1:
-                            bad_last[key] |= members
-                bad_at.append(bad_last[key])
-            good = []  # per world: the bitset of last arguments that make a fact
-            for ups in upsets:
-                excluded = 0
-                for i in ups:
-                    excluded |= bad_at[i]
-                good.append(everyone & ~excluded)
-            block = 0
-            for i, row in enumerate(good):
-                block |= row << i * len(names)
+                    continue  # a head function is undefined at node i
+                bad = bad_last[i].get(prefix)
+                if bad is None:  # functions with distinct values: the sum is the union
+                    bad = bad_last[i][prefix] = sum(
+                        members for element, members in by_value[i].items()
+                        if not facts.get((pred, prefix + (element,)), 0) >> i & 1
+                    )
+                bad_at[i] = bad
+            for child, parent in edges:  # then: per node, over its up-set
+                bad_at[parent] |= bad_at[child]
+            block = sum((everyone ^ bad) << i * k for i, bad in enumerate(bad_at))
             if block:
-                blocks[pred, tuple(names[k] for k in head)] = block
-    return ConstantDomainCompletion(tree, functions, blocks, zero_ary)
+                blocks[pred, tuple(names[h] for h in head)] = block
+    return ConstantDomainCompletion(tree, functions, blocks, zero_ary, by_value)
 
 
 def completion_to_text(
@@ -579,7 +581,8 @@ def completion_to_text(
     predicates differ there as strings do, or one ends and its separator
     sorts first, as the shorter string does. So the atom keys are sorted
     once, and each row is read in name order (F10 before F2) through one
-    fixed permutation of its columns."""
+    fixed permutation of its columns. Rows repeat across worlds and heads,
+    so each distinct row is read once."""
     names = tuple(completion.functions)
     k, worlds = len(names), completion.tree.nodes
     domains = dict.fromkeys(worlds, names)
@@ -590,6 +593,7 @@ def completion_to_text(
     pad, ones = 1 << k, (1 << k) - 1
     blocks, zero_ary = completion.blocks, completion.zero_ary
     atoms = sorted([*blocks, *zero_ary])
+    decoded: dict[int, tuple[str, ...]] = {}  # by a row: its names, in text order
     for i, w in enumerate(worlds):
         for atom in atoms:
             pred, head = atom
@@ -598,8 +602,10 @@ def completion_to_text(
                     lines.append(f"fact {w}: {pred}")
             elif row := blocks[atom] >> i * k & ones:
                 prefix = f"fact {w}: {pred}({''.join(h + ', ' for h in head)}"
-                held = itertools.compress(by_text, in_text_order(bits(row | pad)))
-                lines.append(prefix + (")\n" + prefix).join(held) + ")")
+                if row not in decoded:
+                    held = itertools.compress(by_text, in_text_order(bits(row | pad)))
+                    decoded[row] = tuple(held)
+                lines.append(prefix + (")\n" + prefix).join(decoded[row]) + ")")
     return "\n".join(lines) + "\n"
 
 
@@ -638,8 +644,8 @@ class BarViolation:
     value: int
 
 
-@dataclass(frozen=True, slots=True)  # a whole-tree check keeps one per instance
-class EquivalenceReport:
+# a tuple, which builds faster than a frozen dataclass: a check makes one per instance
+class EquivalenceReport(NamedTuple):
     """Outcome of one main-lemma instance: a node and an assignment of
     choice-function names to the formula's free variables.
 
@@ -676,14 +682,17 @@ class MainLemmaReport:
 def format_main_lemma(report: MainLemmaReport) -> str:
     """The report as `check-main-lemma` prints it: the `json.dumps(...,
     indent=2)` of its JSON object, with the instances written by one fixed
-    template into the dump of the rest. Each string is quoted by
-    `json.dumps`, so escaping stays the encoder's."""
-    quote = json.dumps
+    template into the dump of the rest. Each distinct string is quoted once
+    by `json.dumps`, so escaping stays the encoder's."""
+    quote = functools.cache(json.dumps)
+    written = {}  # by an assignment's items: its text
     instances = []
     for instance in report.instances:
-        pairs = instance.assignment.items()
-        members = ",\n".join(f"        {quote(x)}: {quote(e)}" for x, e in pairs)
-        assignment = f"{{\n{members}\n      }}" if members else "{}"
+        pairs = tuple(instance.assignment.items())
+        assignment = written.get(pairs)
+        if assignment is None:
+            members = ",\n".join(f"        {quote(x)}: {quote(e)}" for x, e in pairs)
+            assignment = written[pairs] = f"{{\n{members}\n      }}" if members else "{}"
         condition = "true" if instance.pointwise_condition else "false"
         instances.append(
             f'    {{\n      "node": {quote(instance.node)},\n'
@@ -751,27 +760,36 @@ def pointwise_condition(
     completion: ConstantDomainCompletion,
     evaluator: Evaluator,
     formula: Formula,
-    lifted: dict[str, str],
+    head: tuple[str, ...],
 ) -> int:
-    """The mask of the tree's nodes, bit i for node i, where some assigned
-    choice function is undefined or the formula holds with the assignment
-    read pointwise, by `evaluator`, an evaluator on the tree's model. The
-    pointwise condition at a node holds exactly when the node's up-set lies
-    inside this mask. Nodes where the functions take the same elements
-    share one label of the formula under those elements."""
+    """The pointwise side for every function F_j at once, in the completed
+    label's layout: bit `i * k + j` is set where a function named in
+    `head`, the names of all but the last free variable, or F_j is
+    undefined at node i, or the formula holds there with the assignment
+    read pointwise by `evaluator`, an evaluator on the tree's model. A
+    closed formula fills whole blocks where it holds. Each node's functions
+    come grouped by their value there, so a tuple of elements is labelled
+    once."""
     variables = sorted(free_vars(formula))
-    functions = [completion.functions[lifted[var]] for var in variables]
+    heads = [completion.functions[name] for name in head]
+    k = len(completion.functions)
+    ones = (1 << k) - 1
     labels: dict[tuple, int] = {}  # by the elements taken
     mask = 0
-    for i, v in enumerate(completion.tree.nodes):
-        elements = tuple(f.get(v) for f in functions)
-        if None in elements:
-            mask |= 1 << i
-            continue
-        label = labels.get(elements)
-        if label is None:
-            label = labels[elements] = evaluator.label(dict(zip(variables, elements)), formula)
-        mask |= label & 1 << i
+    for i, (v, by_value) in enumerate(zip(completion.tree.nodes, completion.by_value)):
+        elements = tuple(f.get(v) for f in heads)
+        bad = 0  # the functions F_j under which the formula fails at node i
+        if None not in elements:
+            # the last variable's values, each with its functions; a closed
+            # formula has no last variable, and every function shares its value
+            for e, members in by_value.items() if variables else [(None, ones)]:
+                point = elements + (e,)
+                label = labels.get(point)
+                if label is None:
+                    label = labels[point] = evaluator.label(dict(zip(variables, point)), formula)
+                if not label >> i & 1:
+                    bad |= members
+        mask |= (ones ^ bad) << i * k
     return mask
 
 
@@ -789,13 +807,15 @@ def check_main_lemma(
     completed domain; more than MAX_COUNT of them raise ValueError before any
     is evaluated. The tree is checked for bar-determinacy once, and one
     evaluator per model serves every instance, the tree's one both the bar
-    check and the pointwise condition. On the completed model the last free
-    variable is sliced: the completion itself is the atom labels of a
-    width-k evaluator (see `ConstantDomainCompletion.get`), so its labelled
-    `model` is never built. One label per assignment of the other variables
-    gives the value at every node for every function at once, and a closed
-    formula's one label is read at the first function. Each whole assignment
-    gets one mask of `pointwise_condition`.
+    check and the pointwise condition. The last free variable is sliced over
+    the k functions on both sides: one reading per assignment of the other
+    variables gives both sides at every node for every function, bit
+    `i * k + j` at node i with the last variable at F_j. The completed side
+    is one label of a width-k evaluator whose atom labels are the completion
+    itself (see `ConstantDomainCompletion.get`), so its `model` is never
+    built. The pointwise side is the mask of `pointwise_condition`, ANDed
+    over each node's up-set by that evaluator's up-set step. A closed
+    formula's reading is read at the first function.
     """
     tree = completion.tree
     variables = sorted(free_vars(formula))
@@ -806,11 +826,9 @@ def check_main_lemma(
                 f"the main lemma has more than {MAX_COUNT} instances here"
                 " (nodes times functions to the number of free variables)"
             )
-        instances = (
-            (node, dict(zip(variables, combo)))
-            for node in tree.nodes
-            for combo in itertools.product(domain, repeat=len(variables))
-        )
+        # one assignment dict per combination, shared by the nodes
+        combos = [dict(zip(variables, c)) for c in itertools.product(domain, repeat=len(variables))]
+        instances = ((node, lifted) for node in tree.nodes for lifted in combos)
     pointwise = Evaluator(tree.model, signature)
     violation = bar_precondition_violation(tree, pointwise, formula)
     names = {name: j for j, name in enumerate(domain)}  # the column of each name
@@ -818,37 +836,34 @@ def check_main_lemma(
     frame = Frame(worlds, tree.model.order, dict.fromkeys(worlds, domain), width=width)
     completed = Evaluator.of_frame(CompiledFormulas(signature), frame, completion)
     position = {n: i for i, n in enumerate(tree.nodes)}
-    up = _up_masks(tree.model)
-    sliced: dict[tuple, int] = {}  # by the names of all but the last variable: a label
-    # by the assigned names: the label, the bit of the last name in a block,
-    # and the pointwise mask
-    readings: dict[tuple, tuple[int, int, int]] = {}
+    # by the names of all but the last variable: the completed label and the
+    # condition rows, both in the sliced layout
+    readings: dict[tuple, tuple[int, int]] = {}
     reports = []
     overall = "holds"
     for node, lifted in instances:
         i = position.get(node)
         if i is None:
             raise ValueError(f"unknown world {node!r}")
-        key = tuple(lifted.get(x) for x in variables)
-        reading = readings.get(key)
-        if reading is None:
+        key = tuple(map(lifted.get, variables))
+        head, j = key[:-1], names.get(key[-1]) if key else 0
+        reading = readings.get(head)
+        if reading is None or j is None:
             for x in variables:  # as `Evaluator.value` checks an assignment
                 if x not in lifted:
                     raise ValueError(f"unbound free variable {x!r}")
                 if lifted[x] not in names:
                     raise ValueError(f"assignment sends {x!r} to {lifted[x]!r}, not in D({node})")
-            label = sliced.get(key[:-1])
-            if label is None:  # a closed formula's assignment stays empty, read at j = 0
-                rest = dict(zip(variables, key[:-1] + (SLICED,)))
-                label = sliced[key[:-1]] = completed.label(rest, formula)
-            reading = readings[key] = (
-                label,
-                names[key[-1]] if variables else 0,
-                pointwise_condition(completion, pointwise, formula, lifted),
-            )
-        label, j, where = reading
-        value = label >> i * width + j & 1
-        condition = not up[i] & ~where
+            # a closed formula's assignment stays empty
+            label = completed.label(dict(zip(variables, head + (SLICED,))), formula)
+            where = pointwise_condition(completion, pointwise, formula, head)
+            # where no node of the up-set lies outside the mask
+            rows = completed._above_none_of(frame.full ^ where)
+            reading = readings[head] = (label, rows)
+        label, rows = reading
+        bit = i * width + j
+        value = label >> bit & 1
+        condition = rows >> bit & 1 == 1
         status = instance_status(value, condition, violation)
         if overall == "holds":
             overall = status

@@ -61,6 +61,7 @@ from util import (
     reference_completion,
     reference_main_lemma,
     reference_model_to_text,
+    reference_pointwise_condition,
     reference_report_json,
 )
 
@@ -432,6 +433,20 @@ class TestCompletionMatchesReference:
                 completed_preds |= {pred for _, pred, _ in got.model.facts}
         assert completed_preds == set(self.PREDICATES)
 
+    def test_children_listed_before_parents(self):
+        # the completion folds non-facts up the tree from the children, so a
+        # model whose worlds come leaves first must complete the same
+        sig = Signature({"r": 0, "p": 1, "e": 2}, {})
+        rng = random.Random(2037)
+        for parents in all_tree_shapes(5):
+            tree = make_tree(parents)
+            facts = random_tree_facts(rng, tree, sig.predicates, 0.3)
+            worlds = tuple(reversed(tree.nodes))
+            domains = {w: tree.model.domains[w] for w in worlds}
+            tree = tree_from_model(KripkeModel(worlds, tree.model.order, domains, facts))
+            got = complete_to_constant_domain(tree, sig)
+            assert got.blocks == label_blocks(reference_completion(tree, sig).model)
+
     def test_trees_past_eight_nodes(self):
         # labels of more than eight worlds, wider than one byte
         sig = Signature({"r": 0, "p": 1, "e": 2}, {})
@@ -601,9 +616,14 @@ class TestMainLemmaInstances:
                             value = eval_formula(
                                 completion.model, sig, node, lifted, formula
                             )
-                            where = pointwise_condition(completion, tree_eval, formula, lifted)
+                            # bit i * k + j of the mask sliced over the last variable
+                            names = list(completion.functions)
+                            k = len(names)
+                            head = tuple(lifted[x] for x in variables[:-1])
+                            j = names.index(lifted[variables[-1]]) if variables else 0
+                            where = pointwise_condition(completion, tree_eval, formula, head)
                             condition = all(
-                                where >> tree.nodes.index(v) & 1 for v in tree.upset(node)
+                                where >> tree.nodes.index(v) * k + j & 1 for v in tree.upset(node)
                             )
                             assert (value == 1) == condition
                             instances += 1
@@ -714,9 +734,89 @@ class TestMainLemmaChecker:
         report = check_main_lemma(
             completion, separating_sig, parse_formula("p(x)", separating_sig)
         )
-        # one pointwise mask per assignment, read at every node
-        assert calls == {"bar": 1, "pointwise": len(completion.functions)}
+        # one pointwise mask per assignment of all but the last variable,
+        # which is the empty one for p(x), read at every node
+        assert calls == {"bar": 1, "pointwise": 1}
         assert len(report.instances) == len(tree.nodes) * len(completion.functions)
+
+
+class TestSlicedPointwiseCondition:
+    """`pointwise_condition` gives the pointwise side for every function at
+    once: for an assignment of all but the last free variable, its bits
+    `i * k + j` over a node's up-set must say what the per-instance
+    reference of tests/util says at that node, with the last variable at
+    F_j, for every node and every whole assignment."""
+
+    SIG = Signature(
+        {"r": 0, "p": 1, "e": 2},
+        {"imp": builtin("imp"), "or": builtin("or"), "and": builtin("and")},
+    )
+    # two formulas for each count of free variables, 0 to 3; r is 0-ary
+    FORMULAS = (
+        "r",
+        "or(r, exists x. p(x))",
+        "p(x)",
+        "imp(p(x), exists y. e(y, x))",
+        "e(x, y)",
+        "or(e(y, x), imp(p(x), r))",
+        "imp(e(x, y), e(z, x))",
+        "and(or(e(x, z), r), p(y))",
+    )
+    # the domain sizes at depths 0, 1 and 2 or more
+    DOMAIN_SIZES = ((1, 1, 1), (1, 2, 2), (1, 2, 3), (2, 2, 2))
+    # a formula is checked on a tree when nodes times functions to its free
+    # variables, the reference calls, are at most this many
+    MAX_INSTANCES = 1000
+
+    def checked_instances(self, completion, evaluator, formula):
+        """Check every instance against the reference; return their count."""
+        tree = completion.tree
+        names = list(completion.functions)
+        k = len(names)
+        variables = sorted(free_vars(formula))
+        lasts = names if variables else [None]
+        count = 0
+        for head in it.product(names, repeat=max(len(variables) - 1, 0)):
+            mask = construct.pointwise_condition(completion, evaluator, formula, head)
+            assert 0 <= mask < 1 << len(tree.nodes) * k
+            for node in tree.nodes:
+                ups = [tree.nodes.index(v) * k for v in tree.upset(node)]
+                for j, last in enumerate(lasts):
+                    lifted = dict(zip(variables, head + (last,)))
+                    got = all(mask >> u + j & 1 for u in ups)
+                    want = reference_pointwise_condition(
+                        completion, evaluator, formula, node, lifted
+                    )
+                    assert got == want, (tree.parent, tree.model.domains, formula, node, lifted)
+                    count += 1
+        return count
+
+    def test_every_tree_shape_up_to_five_nodes(self):
+        rng = random.Random(2036)
+        formulas = [parse_formula(text, self.SIG) for text in self.FORMULAS]
+        checked = {}  # (free variables, largest domain) -> instances
+        for parents in all_tree_shapes(5):
+            depth = [0]
+            for parent in parents:
+                depth.append(depth[parent] + 1)
+            for sizes in self.DOMAIN_SIZES:
+                domains = {
+                    f"n{i}": ("a", "b", "c")[: sizes[min(d, 2)]] for i, d in enumerate(depth)
+                }
+                tree = make_tree(parents, domains)
+                facts = random_tree_facts(rng, tree, self.SIG.predicates, rng.choice([0.3, 0.6]))
+                tree = make_tree(parents, domains, facts)
+                completion = complete_to_constant_domain(tree, self.SIG)
+                evaluator = Evaluator(tree.model, self.SIG)
+                k = len(completion.functions)
+                for formula in formulas:
+                    count = len(free_vars(formula))
+                    if len(tree.nodes) * k**count > self.MAX_INSTANCES:
+                        continue
+                    done = self.checked_instances(completion, evaluator, formula)
+                    key = (count, max(sizes))
+                    checked[key] = checked.get(key, 0) + done
+        assert sorted(checked) == [(v, d) for v in range(4) for d in (1, 2, 3)]
 
 
 class TestMainLemmaMatchesReference:

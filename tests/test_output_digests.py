@@ -122,6 +122,7 @@ CALLS = {
     "lemma-edge-diagonal": ["check-main-lemma", "@edge.model", "e(x, x)"],
     "lemma-edge-two": ["check-main-lemma", "@edge.model", "imp(e(x, z), p(z))"],
     "lemma-edge-forall": ["check-main-lemma", "@edge.model", "forall y. imp(e(y, x), p(y))"],
+    "lemma-edge-three": ["check-main-lemma", "@edge.model", "imp(e(x, y), e(z, x))"],
     "lemma-edge-fork-last": ["check-main-lemma", "@edge-fork.model", "exists y. e(y, x)"],
     "lemma-edge-fork-two": ["check-main-lemma", "@edge-fork.model", "imp(e(x, z), p(z))"],
     "census-2": ["census", "--arity", "2"],
@@ -153,6 +154,7 @@ DIGESTS = {
     "lemma-edge-forall": "da5f264c55a3600a5d7a38a8a114ebd163b551e7cf546c50cc833aded8ce4286",
     "lemma-edge-fork-last": "596368afd8510e4ab3fb67f370d4a7ef2fffa098ca2f8b2af1d3d4c2b57a3c2d",
     "lemma-edge-fork-two": "1fde26f6d7f82be80f2bda799494315699a0558d1d345e90c3852c66897663a7",
+    "lemma-edge-three": "b82c5bbe736363de98cb0fa06c0848b638540086ef31e89e26358e17bcd31de7",
     "lemma-edge-last": "464a014721d5eed8e7a311303c28eb7312440aca415b03a675005ce42fc2ca31",
     "lemma-edge-two": "a101dfde891cbd77eaa6a955539a1510045ca8dc97f6877bd4ce4af85172ee7e",
     "lemma-fails": "d34ec489522f9aaa56803751f6635685c6967302b63db430adbc0614ab55167c",
