@@ -13,7 +13,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Optional
 
 from . import search, semantics  # construct and synthesize load in the commands that use them
@@ -214,7 +213,7 @@ def cmd_synthesize(args) -> int:
         cd_bounds = None
     else:
         worlds, domain = args.cd_bounds
-        cd_bounds = replace(search.DEFAULT_CD_BOUNDS, max_worlds=worlds, max_domain=domain)
+        cd_bounds = SearchBounds(worlds, domain, search.DEFAULT_CD_BOUNDS.shape)
     certificate = synthesize.synthesize(name, tf, cd_bounds)
     text = synthesize.format_certificate(certificate)
     if args.output:

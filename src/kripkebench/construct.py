@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -22,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .semantics import CompiledFormulas, Evaluator, Frame, InvalidModelError, KripkeModel
 from .semantics import Labels, bits, model_header, upward_closed_subsets
 from .syntax import Formula, Sequent, Signature, free_vars, render_formula, subformulas
+from .truthfun import Frozen
 
 # the most nodes or order pairs an unraveled tree, choice functions an
 # enumeration, or instances a main-lemma check may have
@@ -36,8 +36,7 @@ MAX_COMPLETION_PAIRS = 1_000_000
 MAX_NAME_CHARS = 2_000_000
 
 
-@dataclass(frozen=True)
-class TreeModel:
+class TreeModel(Frozen):
     """A Kripke model whose order is a rooted tree partial order.
 
     `parent` is the covering relation (child -> parent); `last` maps nodes of
@@ -46,11 +45,21 @@ class TreeModel:
     bar-preservation guarantees hold only in the limit.
     """
 
-    model: KripkeModel
-    root: str
-    parent: dict[str, str]
-    last: Optional[dict[str, str]] = None
-    truncated: bool = False
+    __slots__ = ("model", "root", "parent", "last", "truncated")
+
+    def __init__(
+        self,
+        model: KripkeModel,
+        root: str,
+        parent: dict[str, str],
+        last: Optional[dict[str, str]] = None,
+        truncated: bool = False,
+    ):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "last", last)
+        object.__setattr__(self, "truncated", truncated)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -406,8 +415,7 @@ def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
 SLICED = object()
 
 
-@dataclass(frozen=True)
-class ConstantDomainCompletion:
+class ConstantDomainCompletion(Frozen):
     """The completed model: same tree order, one shared domain of choice
     functions named F0, F1, ... in enumeration order.
 
@@ -420,11 +428,27 @@ class ConstantDomainCompletion:
     `by_value[i]` maps each element to the bitset of the functions taking
     it at node i, bit j for F_j."""
 
-    tree: TreeModel
-    functions: dict[str, dict[str, str]]
-    blocks: Labels = field(repr=False)
-    zero_ary: Labels = field(repr=False)
-    by_value: list[dict[str, int]] = field(repr=False, compare=False)
+    def __init__(
+        self,
+        tree: TreeModel,
+        functions: dict[str, dict[str, str]],
+        blocks: Labels,
+        zero_ary: Labels,
+        by_value: list[dict[str, int]],
+    ):
+        self.__dict__.update(
+            tree=tree, functions=functions, blocks=blocks, zero_ary=zero_ary, by_value=by_value
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tree, self.functions, self.blocks, self.zero_ary) == (
+                other.tree, other.functions, other.blocks, other.zero_ary
+            )
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}(tree={self.tree!r}, functions={self.functions!r})"
 
     @cached_property
     def _slicing(self) -> tuple[dict[str, int], int, int]:
@@ -636,15 +660,13 @@ def lift_assignment(
 # --- main-lemma instance checking ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarViolation:
+class BarViolation(NamedTuple):
     subformula: Formula
     node: str
     assignment: tuple[tuple[str, str], ...]
     value: int
 
 
-# a tuple, which builds faster than a frozen dataclass: a check makes one per instance
 class EquivalenceReport(NamedTuple):
     """Outcome of one main-lemma instance: a node and an assignment of
     choice-function names to the formula's free variables.
@@ -664,8 +686,7 @@ class EquivalenceReport(NamedTuple):
     bar_violation: Optional[BarViolation] = None
 
 
-@dataclass(frozen=True)
-class MainLemmaReport:
+class MainLemmaReport(NamedTuple):
     """Outcome of the main lemma for one formula at a list of instances.
 
     status is 'holds' when every instance holds, else the status of the
@@ -874,8 +895,7 @@ def check_main_lemma(
 # --- end-to-end pipeline --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Outcome of refutation-preserving completion of a poset countermodel."""
 
     status: str  # "refuted" | "inconclusive"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .semantics import (
@@ -35,6 +34,7 @@ from .syntax import (
     Signature,
 )
 from .truthfun import (
+    Frozen,
     enumerate_truth_functions,
     is_monotonic,
     is_supermultiplicative,
@@ -59,31 +59,28 @@ class InconsistentVerdictError(RuntimeError):
     """The search and the re-check of its countermodel disagree."""
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_worlds: int
-    max_domain: int
-    shape: str = "poset"
+class SearchBounds(Frozen):
+    __slots__ = ("max_worlds", "max_domain", "shape")
 
-    def __post_init__(self):
-        if self.max_worlds < 1 or self.max_domain < 1:
+    def __init__(self, max_worlds: int, max_domain: int, shape: str = "poset"):
+        if max_worlds < 1 or max_domain < 1:
             raise ValueError("bounds must be at least 1")
-        if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}; known: {', '.join(SHAPES)}")
-        if self.max_worlds * self.max_domain > BUDGET:
+        if shape not in SHAPES:
+            raise ValueError(f"unknown shape {shape!r}; known: {', '.join(SHAPES)}")
+        if max_worlds * max_domain > BUDGET:
             raise ValueError(
-                f"max_worlds * max_domain = {self.max_worlds * self.max_domain}"
-                f" exceeds budget {BUDGET}"
+                f"max_worlds * max_domain = {max_worlds * max_domain} exceeds budget {BUDGET}"
             )
+        object.__setattr__(self, "max_worlds", max_worlds)
+        object.__setattr__(self, "max_domain", max_domain)
+        object.__setattr__(self, "shape", shape)
 
 
-@dataclass(frozen=True)
-class ValidUpToBounds:
+class ValidUpToBounds(NamedTuple):
     bounds: SearchBounds
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(NamedTuple):
     model: KripkeModel
     world: str
     assignment: dict[str, str]
@@ -392,7 +389,7 @@ def decide(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
-    effective = replace(bounds, max_worlds=1) if mode == "classical" else bounds
+    effective = SearchBounds(1, bounds.max_domain, bounds.shape) if mode == "classical" else bounds
     compiled = compile_sequent(signature, sequent)
     search_signature = _restrict_to_sequent(signature, compiled)
     labellings = 0
@@ -427,8 +424,7 @@ def _rechecked(model: KripkeModel, signature: Signature, sequent: Sequent) -> Re
 # --- connective census and logic relations ----------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectiveCensus:
+class ConnectiveCensus(NamedTuple):
     """Truth functions of one arity grouped by (supermultiplicative, monotonic)."""
 
     arity: int
@@ -453,16 +449,14 @@ def classify_connectives(arity: int) -> ConnectiveCensus:
     )
 
 
-@dataclass(frozen=True)
-class ConnectiveProperties:
+class ConnectiveProperties(NamedTuple):
     name: str
     supermultiplicative: bool
     monotonic: bool
     witness: Optional[tuple[str, str]]  # table-violating pair, as bit strings
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """Which of the three validity classes coincide over a signature.
 
     Membership of the intuitionistic class in the constant-domain class is an
@@ -556,8 +550,7 @@ def sequent_corpus(signature: Signature, seed: int, count: int) -> list[Sequent]
     return corpus
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     """Verdict triple for one corpus sequent, with consistency flags."""
 
     sequent: Sequent

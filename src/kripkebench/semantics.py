@@ -8,10 +8,9 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .syntax import (
     Atom,
@@ -26,6 +25,7 @@ from .syntax import (
     signature_to_text,
     strip_comment,
 )
+from .truthfun import Frozen
 
 Fact = tuple[str, str, tuple[str, ...]]
 Labels = dict[tuple[str, tuple[str, ...]], int]  # (pred, args) -> a label
@@ -44,8 +44,7 @@ def bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-@dataclass(frozen=True, init=False)
-class KripkeModel:
+class KripkeModel(Frozen):
     """Worlds with a preorder, per-world domains, and the 1-entries of the
     interpretation as atom labels.
 
@@ -60,12 +59,6 @@ class KripkeModel:
     `worlds` order and per-world element order are significant: they fix the
     canonical enumeration order of counterwitnesses.
     """
-
-    worlds: tuple[str, ...]
-    order: frozenset[tuple[str, str]]
-    domains: dict[str, tuple[str, ...]]
-    # init=False keeps `dataclasses.replace` to the fields above and `facts`
-    labels: Labels = field(init=False)
 
     def __init__(
         self,
@@ -87,10 +80,20 @@ class KripkeModel:
                 i = position.get(w)
                 if i is not None:
                     labels[pred, args] = labels.get((pred, args), 0) | 1 << i
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(worlds=worlds, order=order, domains=domains, labels=labels)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.worlds, self.order, self.domains, self.labels) == (
+                other.worlds, other.order, other.domains, other.labels
+            )
+        return NotImplemented
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(worlds={self.worlds!r}, order={self.order!r},"
+            f" domains={self.domains!r}, labels={self.labels!r})"
+        )
 
     @cached_property
     def facts(self) -> frozenset[Fact]:
@@ -353,16 +356,20 @@ class Frame:
             below[b].add(self.offset[a])
         self.below = tuple((self.offset[w], tuple(below[w])) for w in worlds)
         self.named = tuple(zip(offsets, worlds))
-        # element -> the blocks of the worlds whose domain holds it
-        self.present: dict[str, int] = {}
-        for offset, w in self.named:
-            for e in domains[w]:
-                self.present[e] = self.present.get(e, 0) | self.ones << offset
+        # element -> the blocks of the worlds whose domain holds it: with one
+        # domain at every world, as in a completion, every block
+        first = domains[worlds[0]] if worlds else ()
+        if domains == dict.fromkeys(worlds, first):
+            self.present = dict.fromkeys(first, self.full)
+        else:
+            self.present = {}
+            for offset, w in self.named:
+                for e in domains[w]:
+                    self.present[e] = self.present.get(e, 0) | self.ones << offset
         self.elements = tuple(self.present.items())
 
 
-@dataclass
-class CompiledSequent:
+class CompiledSequent(NamedTuple):
     """A sequent's formulas compiled once, for evaluation on many models."""
 
     formulas: CompiledFormulas

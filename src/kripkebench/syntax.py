@@ -9,9 +9,8 @@ predicates (arguments are variables) and connectives (arguments are formulas),
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .truthfun import TruthFunction, builtin, table_bits
+from .truthfun import Frozen, TruthFunction, builtin, table_bits
 
 RESERVED = ("forall", "exists")
 # the most formulas one parsed formula may nest, itself included; parsing
@@ -32,57 +31,92 @@ class InvalidSignatureError(Exception):
     """A signature file or declaration violates the signature invariants."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Declared predicate symbols (name -> arity) and connectives (name -> table)."""
 
-    predicates: dict[str, int]
-    connectives: dict[str, TruthFunction]
+    __slots__ = ("predicates", "connectives")
 
-    def __post_init__(self):
-        for name in list(self.predicates) + list(self.connectives):
+    def __init__(self, predicates: dict[str, int], connectives: dict[str, TruthFunction]):
+        for name in list(predicates) + list(connectives):
             if not _IDENT.fullmatch(name):
                 raise InvalidSignatureError(f"symbol name {name!r} is not an identifier")
             if name in RESERVED:
                 raise InvalidSignatureError(f"symbol name {name!r} is a reserved token")
-        shared = set(self.predicates) & set(self.connectives)
+        shared = set(predicates) & set(connectives)
         if shared:
             raise InvalidSignatureError(
                 f"names used as both predicate and connective: {sorted(shared)}"
             )
-        for name, arity in self.predicates.items():
+        for name, arity in predicates.items():
             if arity < 0:
                 raise InvalidSignatureError(f"predicate {name!r} has negative arity")
+        object.__setattr__(self, "predicates", predicates)
+        object.__setattr__(self, "connectives", connectives)
 
 
-class Formula:
-    """Base class for formula nodes."""
+class Formula(Frozen):
+    """Base class for formula nodes, each with its own `__eq__` and
+    `__hash__`, as `Frozen`'s but without its loop over the field names."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    pred: str
-    args: tuple[str, ...] = ()
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[str, ...] = ()):
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) == (other.pred, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
 
 
-@dataclass(frozen=True)
 class Conn(Formula):
-    conn: str
-    args: tuple[Formula, ...]
+    __slots__ = ("conn", "args")
+
+    def __init__(self, conn: str, args: tuple[Formula, ...]):
+        object.__setattr__(self, "conn", conn)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.conn, self.args) == (other.conn, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.conn, self.args))
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Quantifier(Formula):
+    """Base of `Forall` and `Exists`, which differ only in their class."""
+
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.body))
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Forall(Quantifier):
+    __slots__ = ()
+
+
+class Exists(Quantifier):
+    __slots__ = ()
 
 
 def free_vars(formula: Formula) -> frozenset[str]:
@@ -133,17 +167,15 @@ def render_formula(formula: Formula) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Frozen):
     """A pair of formula sets; duplicates collapse and sides are kept in
     canonical (rendered-text) order for deterministic output."""
 
-    antecedent: tuple[Formula, ...]
-    succedent: tuple[Formula, ...]
+    __slots__ = ("antecedent", "succedent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "antecedent", _canonical_side(self.antecedent))
-        object.__setattr__(self, "succedent", _canonical_side(self.succedent))
+    def __init__(self, antecedent: tuple[Formula, ...], succedent: tuple[Formula, ...]):
+        object.__setattr__(self, "antecedent", _canonical_side(antecedent))
+        object.__setattr__(self, "succedent", _canonical_side(succedent))
 
     def formulas(self) -> tuple[Formula, ...]:
         return self.antecedent + self.succedent

@@ -9,8 +9,7 @@ bounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .search import DEFAULT_CD_BOUNDS, Refuted, SearchBounds, Verdict, decide
 from .semantics import Evaluator, KripkeModel, model_to_text, reflexive_transitive_closure
@@ -45,8 +44,7 @@ def find_witness(tf: TruthFunction) -> tuple[TruthVector, TruthVector]:
     return witness
 
 
-@dataclass(frozen=True)
-class StarVectors:
+class StarVectors(NamedTuple):
     """The witness pair with joint-zero positions raised to 1."""
 
     a_star: TruthVector
@@ -226,8 +224,7 @@ def separating_countermodel(names: Optional[dict[str, str]] = None) -> KripkeMod
     )
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     connective: str
     truth_function: TruthFunction
     case: str

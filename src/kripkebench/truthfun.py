@@ -7,22 +7,54 @@ full output table indexed by the input vector read as a binary number
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 ENUMERATION_ARITY_CAP = 4
 
 
-@dataclass(frozen=True)
-class TruthVector:
+class Frozen:
+    """Base of the package's value classes, whose fields are the names in
+    the `__slots__` of their classes. An instance takes no attribute
+    assignment: its `__init__` sets each field once, by `object.__setattr__`.
+    It equals only instances of its own class with equal fields, hashes as
+    the tuple of its fields (so a dict field makes it unhashable), and its
+    repr is `Class(name=value, ...)`."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        classes = reversed(type(self).__mro__)
+        return {n: getattr(self, n) for c in classes for n in c.__dict__.get("__slots__", ())}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._asdict() == other._asdict()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({shown})"
+
+
+class TruthVector(Frozen):
     """A fixed-length sequence of bits."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"truth vector entries must be 0 or 1: {self.bits!r}")
+    def __init__(self, bits: tuple[int, ...]):
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"truth vector entries must be 0 or 1: {bits!r}")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def of(cls, *bits: int) -> "TruthVector":
@@ -83,26 +115,24 @@ def tv_join(a: TruthVector, b: TruthVector) -> TruthVector:
     return TruthVector(tuple(max(x, y) for x, y in zip(a.bits, b.bits)))
 
 
-@dataclass(frozen=True)
-class TruthFunction:
+class TruthFunction(Frozen):
     """An n-ary function from bit vectors to bits, stored as its table.
 
     table[i] is the output on the input whose binary encoding is i; arity 0
     (a constant) is permitted and has a one-entry table.
     """
 
-    arity: int
-    table: tuple[int, ...]
+    __slots__ = ("arity", "table")
 
-    def __post_init__(self):
-        if self.arity < 0:
+    def __init__(self, arity: int, table: tuple[int, ...]):
+        if arity < 0:
             raise ValueError("arity must be nonnegative")
-        if len(self.table) != 1 << self.arity:
-            raise ValueError(
-                f"table length {len(self.table)} does not match arity {self.arity}"
-            )
-        if any(b not in (0, 1) for b in self.table):
+        if len(table) != 1 << arity:
+            raise ValueError(f"table length {len(table)} does not match arity {arity}")
+        if any(b not in (0, 1) for b in table):
             raise ValueError("table entries must be 0 or 1")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, a: TruthVector) -> int:
         if len(a) != self.arity:
@@ -114,6 +144,8 @@ class TruthFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "TruthFunction":
+        import json  # here, so that importing the CLI does not load it
+
         try:
             data = json.loads(text)
         except RecursionError:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import inspect
 import io
 import json
@@ -871,6 +872,35 @@ def test_construct_and_synthesize_load_only_in_the_commands_that_run_them(
     synthesize_only = ["kripkebench.synthesize"]
     both = ["kripkebench.construct", "kripkebench.synthesize"]
     assert seen == [[None, []], [0, []], [0, []], [0, []], [0, synthesize_only], [0, both]]
+
+
+def test_cli_loads_no_dataclasses_inspect_or_json(or_seq_file, separating_file):
+    # setup_s times the bare import, and `dataclasses` alone pulls in
+    # `inspect`, `ast`, `dis` and `tokenize`; the value classes are plain
+    # classes and named tuples, and neither the import nor a search or a
+    # connective report reads `json`
+    calls = [
+        ["decide", "--mode", "cd", "--seq", or_seq_file, "--max-worlds", "2"],
+        ["decide", "--mode", "kripke", "--seq", or_seq_file, "--max-worlds", "2"],
+        ["analyze-connective", "--builtin", "or"],
+        ["synthesize", "--builtin", "xor", "--no-cd-check"],
+        ["complete", separating_file],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from kripkebench import cli\n"
+        "heavy = ('dataclasses', 'inspect', 'json')\n"
+        "seen = [[None, [m for m in heavy if m in sys.modules]]]\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    seen.append([code, [m for m in heavy if m in sys.modules]])\n"
+        "print(seen)\n"
+    )
+    seen = ast.literal_eval(_fresh_interpreter(probe))
+    assert [code for code, _ in seen] == [None, 0, 1, 0, 0, 0]
+    assert [loaded for _, loaded in seen[:4]] == [[]] * 4
+    assert all("dataclasses" not in loaded for _, loaded in seen)
 
 
 def test_cd_check_bounds_come_from_one_constant():

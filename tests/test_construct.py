@@ -5,7 +5,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -13,6 +12,7 @@ from kripkebench import construct
 from kripkebench.cli import main
 from kripkebench.construct import (
     SLICED,
+    TreeModel,
     bar_precondition_violation,
     bars,
     check_choice_function,
@@ -61,6 +61,7 @@ from util import (
     reference_completion,
     reference_main_lemma,
     reference_model_to_text,
+    reference_frame_fields,
     reference_pointwise_condition,
     reference_report_json,
 )
@@ -86,6 +87,34 @@ def diamond():
         domains={w: ("a",) for w in worlds},
         facts=frozenset({("t", "p", ("a",))}),
     )
+
+
+def bench_workloads(monkeypatch):
+    """The benchmark's `workloads` module, loaded without writing bytecode."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(bench, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def completion_workload_trees(workloads):
+    """The seven trees of the `completion` workload, each with the signature
+    of its model file; the two diamonds unravelled from their first world,
+    as `unravel --strict` does."""
+    texts = workloads._fixed_models()
+    assert len(texts) == 7
+    for key, text in texts.items():
+        model, parsed = parse_model_text(text)
+        if key.startswith("d"):
+            yield unravel_strict(model, model.worlds[0]), parsed
+        else:
+            yield tree_from_model(model), parsed
 
 
 def formulas_up_to_depth_two(sig):
@@ -421,7 +450,8 @@ class TestCompletionMatchesReference:
                 domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b")])
             tree = make_tree(parents, domains)
             facts = random_tree_facts(rng, tree, self.PREDICATES, rng.choice([0.15, 0.4]))
-            tree = replace(tree, model=replace(tree.model, facts=facts))
+            model = KripkeModel(tree.model.worlds, tree.model.order, tree.model.domains, facts)
+            tree = TreeModel(model, tree.root, tree.parent, tree.last, tree.truncated)
             for sig in signatures:
                 got = complete_to_constant_domain(tree, sig)
                 want = reference_completion(tree, sig)
@@ -865,30 +895,28 @@ class TestMainLemmaMatchesReference:
         assert statuses == {"holds", "fails", "precondition-failed"}
 
     def test_completion_workload_trees(self, monkeypatch):
-        # the seven trees of the benchmark's `completion` workload, the two
-        # diamonds unravelled from their first world as `unravel --strict` does
-        bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-        monkeypatch.syspath_prepend(bench)
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", os.path.join(bench, "workloads.py")
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-        spec.loader.exec_module(workloads)
+        workloads = bench_workloads(monkeypatch)
         rng = random.Random(2035)
-        texts = workloads._fixed_models()
-        assert len(texts) == 7
-        for key, text in texts.items():
-            model, parsed = parse_model_text(text)
+        for tree, parsed in completion_workload_trees(workloads):
             sig = Signature({**parsed.predicates, "q": 1}, {**parsed.connectives, **self.CONNECTIVES})
-            if key.startswith("d"):
-                tree = unravel_strict(model, model.worlds[0])
-            else:
-                tree = tree_from_model(model)
             completion = complete_to_constant_domain(tree, sig)
             formulas = self.FORMULAS + (workloads.LEMMA_FORMULA,)
             self.assert_same_reports(completion, sig, formulas, rng)
+
+    def test_width_k_frame_equals_the_general_loop(self, monkeypatch):
+        # the frame `check_main_lemma` labels the completion on, every node
+        # holding all k functions, and each tree's own width-1 frame
+        for tree, parsed in completion_workload_trees(bench_workloads(monkeypatch)):
+            names = tuple(complete_to_constant_domain(tree, parsed).functions)
+            worlds, order = tree.nodes, tree.model.order
+            for domains, width in (
+                (dict.fromkeys(worlds, names), len(names)),
+                (tree.model.domains, 1),
+            ):
+                frame = Frame(worlds, order, domains, width)
+                fields = ("offset", "below", "named", "present", "elements")
+                got = {key: getattr(frame, key) for key in fields}
+                assert got == reference_frame_fields(worlds, order, domains, width)
 
 
 class TestSlicedMainLemma:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import replace
 from typing import NamedTuple
 
 from kripkebench.construct import (
@@ -22,6 +21,7 @@ from kripkebench.construct import (
 )
 from kripkebench.search import (
     Refuted,
+    SearchBounds,
     ValidUpToBounds,
     _chain_orders,
     _nonempty_subsets,
@@ -636,6 +636,29 @@ def sharing_evaluator(formulas, model) -> Evaluator:
     return Evaluator.of_frame(formulas, frame, model.labels)
 
 
+def reference_frame_fields(worlds, order, domains, width=1) -> dict:
+    """`Frame`'s `offset`, `below`, `named`, `present` and `elements` by the
+    general loop over every world and every element of its domain."""
+    ones = (1 << width) - 1
+    offsets = [i * width for i in range(len(worlds))]
+    offset = dict(zip(worlds, offsets))
+    below = {w: {o} for w, o in offset.items()}
+    for a, b in order:
+        below[b].add(offset[a])
+    named = tuple(zip(offsets, worlds))
+    present = {}
+    for o, w in named:
+        for e in domains[w]:
+            present[e] = present.get(e, 0) | ones << o
+    return {
+        "offset": offset,
+        "below": tuple((offset[w], tuple(below[w])) for w in worlds),
+        "named": named,
+        "present": present,
+        "elements": tuple(present.items()),
+    }
+
+
 def naive_refutation(model, sig, sequent):
     """First (world, assignment) where `naive_value` gives the sequent value 0,
     scanning worlds in declaration order, variables sorted and elements in
@@ -656,7 +679,7 @@ def naive_decide(sig, sequent, mode, bounds):
     unreduced `reference_enumerate_models` stream that the naive scan
     refutes."""
     if mode == "classical":
-        bounds = replace(bounds, max_worlds=1)
+        bounds = SearchBounds(1, bounds.max_domain, bounds.shape)
     used = {
         f.pred for g in sequent.formulas() for f in subformulas(g) if isinstance(f, Atom)
     }
