@@ -53,6 +53,12 @@ MAX_MODELS = 1_000_000
 # the most max_worlds * max_domain a search may take; the caps above count
 # frames and models, not the orders and domains built before a frame is
 BUDGET = 16
+# the most models the frame streams kept between `decide` calls hold in all.
+# A frame counts as its models plus FRAME_MODELS for its own fixed cost: a
+# frame takes 2-10 KB, and its labels a few bytes a model, so the streams
+# take a few MB at most
+STREAM_MODELS = 1 << 20
+FRAME_MODELS = 1 << 10
 
 
 class InconsistentVerdictError(RuntimeError):
@@ -171,13 +177,24 @@ def _nonempty_subsets(universe: tuple[str, ...]) -> list[tuple[str, ...]]:
 
 
 class SlottedFrame(NamedTuple):
-    """One frame of the search stream and the fact slots over it.
+    """One frame of the search stream, the fact slots over it, and the atom
+    labels that label its models in chunks.
 
     Each slot is `(pred, args, options)`, where the options are the
     upward-closed sets of world indices at which the fact may hold, in
     enumeration order. The frame's models are the `itertools.product` of the
     slots' options, `size` of them, and model m of that product is the m-th
     model of the frame in `enumerate_models`.
+
+    The models come in chunks of `inner`, at most the CHUNK_BITS in force
+    when the frame's stream began: chunk c holds models [c * inner, (c + 1) *
+    inner), and `chunks[c]` maps each atom `(pred, args)` to its label over
+    `labelled`, the frame at width `inner`. The leading slots are fixed per
+    chunk, and the trailing ones vary within it. An atom's label on a
+    varying slot is periodic: with `stride` the product of the sizes of the
+    slots after it, option o fills bits [o * stride, (o + 1) * stride) of
+    each period, and one multiplication repeats that period across the
+    block. The chunks share the labels of the varying slots.
     """
 
     worlds: tuple[str, ...]
@@ -185,6 +202,48 @@ class SlottedFrame(NamedTuple):
     domains: dict[str, tuple[str, ...]]
     slots: tuple[tuple[str, tuple[str, ...], tuple[frozenset[int], ...]], ...]
     size: int
+    labelled: Frame
+    inner: int
+    chunks: tuple[dict[tuple[str, tuple[str, ...]], int], ...]
+
+
+def _slotted_frame(worlds, order, domains, slots, size, chunk_bits) -> SlottedFrame:
+    split, inner = 0, size
+    while inner > chunk_bits:
+        inner //= len(slots[split][2])
+        split += 1
+    labelled = Frame(worlds, order, domains, inner)
+    ones = labelled.ones
+    offsets = [offset for offset, _ in labelled.named]
+    varying: dict[tuple[str, tuple[str, ...]], int] = {}
+    stride = 1
+    for pred, args, options in reversed(slots[split:]):
+        period = stride * len(options)
+        repeat = ones // ((1 << period) - 1)
+        unit = (1 << stride) - 1
+        periods = [0] * len(offsets)
+        for o, chosen in enumerate(options):
+            for i in chosen:
+                periods[i] |= unit << (o * stride)
+        label = 0
+        for offset, bits in zip(offsets, periods):
+            label |= repeat * bits << offset
+        varying[pred, args] = label
+        stride = period
+    leading = slots[:split]
+    chunks = []
+    for choice in itertools.product(*(options for _, _, options in leading)):
+        atoms = varying
+        if choice:
+            atoms = dict(varying)
+            for (pred, args, _), chosen in zip(leading, choice):
+                atoms[pred, args] = sum(ones << offsets[i] for i in chosen)
+        chunks.append(atoms)
+    return SlottedFrame(worlds, order, domains, slots, size, labelled, inner, tuple(chunks))
+
+
+def _past_cap(cap: int, counted: str) -> ValueError:
+    return ValueError(f"the search has more than {cap} {counted}; lower the bounds")
 
 
 def enumerate_frames(
@@ -192,7 +251,7 @@ def enumerate_frames(
 ) -> Iterator[SlottedFrame]:
     """Deterministic stream of the frames within the bounds that can carry
     a first countermodel, with one domain at every world when
-    `constant_domain`, each with its fact slots.
+    `constant_domain`, each with its fact slots and chunk labels.
 
     Worlds are w0..w{n-1}, elements a0..a{m-1}; orders, domain assignments,
     and interpretations are enumerated in a fixed construction order, and
@@ -221,10 +280,25 @@ def enumerate_frames(
     A preorder's least worlds need not include w0, so `any-preorder` keeps
     all its orders.
 
+    The stream is a function of the signature's predicates, the bounds,
+    `constant_domain` and CHUNK_BITS alone: no sequent is read here, and
+    connectives act only through their truth tables when a formula is
+    labelled. So `decide` builds each stream at most once per process,
+    lazily, as far as some call has read it, and shares it between calls,
+    keyed by those four (`_FrameStreams`). Nothing writes to a frame once it
+    is built, and `decode_model` gives each model its own domains dict. The
+    kept streams hold at most STREAM_MODELS models in all, each frame
+    counting FRAME_MODELS more for its own cost; the least recently read
+    are dropped to make room, and a stream that alone passes the budget is
+    read through and not kept. A stream whose build raised is dropped.
+
     Raises ValueError before the stream passes MAX_FRAMES frames or
     MAX_MODELS models. Models are counted slot by slot, so a frame past the
-    cap is never built to the end.
+    cap is never built to the end. `decide` counts the caps again per call,
+    on cached and new frames alike, so a cached stream is refused at the
+    same frame, with the same message.
     """
+    chunk_bits = CHUNK_BITS
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
     prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
     subsets = [] if constant_domain else _nonempty_subsets(universe)
@@ -250,9 +324,7 @@ def enumerate_frames(
             for combo in domain_choices:
                 frames += 1
                 if frames > MAX_FRAMES:
-                    raise ValueError(
-                        f"the search has more than {MAX_FRAMES} frames; lower the bounds"
-                    )
+                    raise _past_cap(MAX_FRAMES, "frames")
                 held = [set(domain) for domain in combo]
                 # a slot's arguments lie in some domain, so in their union
                 elements = tuple(e for e in universe if any(e in h for h in held))
@@ -271,12 +343,94 @@ def enumerate_frames(
                         slots.append((pred, args, options))
                         size *= len(options)
                         if models + size > MAX_MODELS:
-                            raise ValueError(
-                                f"the search has more than {MAX_MODELS} models; lower the bounds"
-                            )
+                            raise _past_cap(MAX_MODELS, "models")
                 models += size
                 domains = {worlds[i]: combo[i] for i in range(n)}
-                yield SlottedFrame(worlds, order, domains, tuple(slots), size)
+                yield _slotted_frame(worlds, order, domains, tuple(slots), size, chunk_bits)
+
+
+class _Stream:
+    """A frame stream as far as it is built: its frames, the models they
+    count as (see STREAM_MODELS), and the builder that extends it, None
+    once the stream has ended."""
+
+    __slots__ = ("frames", "held", "builder")
+
+    def __init__(self, builder: Iterator[SlottedFrame]):
+        self.frames: list[SlottedFrame] = []
+        self.held = 0
+        self.builder: Optional[Iterator[SlottedFrame]] = builder
+
+
+class _FrameStreams:
+    """The frame streams built in this process, by key, least recently read
+    first, holding at most STREAM_MODELS models in all."""
+
+    def __init__(self):
+        self.streams: dict[tuple, _Stream] = {}
+        self.held = 0
+
+    def clear(self) -> None:
+        self.streams.clear()
+        self.held = 0
+
+    def read(
+        self, signature: Signature, bounds: SearchBounds, constant_domain: bool
+    ) -> Iterator[SlottedFrame]:
+        """The frames of `enumerate_frames`, built once while held. Raises
+        ValueError, and drops the stream, where the builder would: past
+        MAX_FRAMES frames or MAX_MODELS models of this read."""
+        key = (tuple(signature.predicates.items()), bounds, constant_domain, CHUNK_BITS)
+        stream = self.streams.pop(key, None)
+        if stream is None:
+            stream = _Stream(enumerate_frames(signature, bounds, constant_domain))
+        self.streams[key] = stream
+        frames = models = 0
+        while True:
+            if frames < len(stream.frames):
+                frame = stream.frames[frames]
+            elif stream.builder is None:
+                return
+            else:
+                try:
+                    frame = next(stream.builder, None)
+                except BaseException:
+                    # a builder that raised has ended: never serve it truncated
+                    self._drop(key, stream)
+                    raise
+                if frame is None:
+                    stream.builder = None
+                    return
+                self._hold(key, stream, frame)
+            frames += 1
+            models += frame.size
+            if frames > MAX_FRAMES:
+                self._drop(key, stream)
+                raise _past_cap(MAX_FRAMES, "frames")
+            if models > MAX_MODELS:
+                self._drop(key, stream)
+                raise _past_cap(MAX_MODELS, "models")
+            yield frame
+
+    def _hold(self, key: tuple, stream: _Stream, frame: SlottedFrame) -> None:
+        if self.streams.get(key) is not stream:
+            return  # dropped: read through, keeping nothing
+        stream.frames.append(frame)
+        stream.held += frame.size + FRAME_MODELS
+        self.held += frame.size + FRAME_MODELS
+        # the least recently read streams go first, and this one last
+        for other in list(self.streams):
+            if self.held <= STREAM_MODELS:
+                break
+            self._drop(other, self.streams[other])
+
+    def _drop(self, key: tuple, stream: _Stream) -> None:
+        if self.streams.get(key) is stream:
+            del self.streams[key]
+            self.held -= stream.held
+
+
+_streams = _FrameStreams()
 
 
 def enumerate_models(
@@ -291,13 +445,13 @@ def enumerate_models(
 
 def decode_model(frame: SlottedFrame, index: int) -> KripkeModel:
     """Model `index` of the frame's slot product, whose last slot varies
-    fastest."""
+    fastest. The model has its own domains dict, since frames are shared."""
     labels = {}
     for pred, args, options in reversed(frame.slots):
         index, choice = divmod(index, len(options))
         if options[choice]:
             labels[pred, args] = sum(1 << i for i in options[choice])
-    return KripkeModel(frame.worlds, frame.order, frame.domains, labels=labels)
+    return KripkeModel(frame.worlds, frame.order, dict(frame.domains), labels=labels)
 
 
 def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[int]:
@@ -315,51 +469,10 @@ def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[in
 
 
 def _chunks(frame: SlottedFrame, compiled: CompiledFormulas) -> Iterator[tuple[int, Evaluator]]:
-    """The frame's models in chunks of at most CHUNK_BITS, in product order,
-    each as the index of its first model and an evaluator of the chunk.
-
-    The leading slots are fixed per chunk, and the trailing ones vary within
-    it. An atom's block on a varying slot is periodic: with `stride` the
-    product of the sizes of the slots after it, option o fills bits
-    [o * stride, (o + 1) * stride) of each period, and one multiplication
-    repeats that period across the block.
-    """
-    split, inner = _chunk_split(frame)
-    labelled = Frame(frame.worlds, frame.order, frame.domains, inner)
-    ones = labelled.ones
-    offsets = [offset for offset, _ in labelled.named]
-    varying: dict[tuple[str, tuple[str, ...]], int] = {}
-    stride = 1
-    for pred, args, options in reversed(frame.slots[split:]):
-        period = stride * len(options)
-        repeat = ones // ((1 << period) - 1)
-        unit = (1 << stride) - 1
-        periods = [0] * len(offsets)
-        for o, chosen in enumerate(options):
-            for i in chosen:
-                periods[i] |= unit << (o * stride)
-        label = 0
-        for offset, bits in zip(offsets, periods):
-            label |= repeat * bits << offset
-        varying[pred, args] = label
-        stride = period
-    leading = frame.slots[:split]
-    for chunk, choice in enumerate(itertools.product(*(options for _, _, options in leading))):
-        atoms = varying
-        if choice:
-            atoms = dict(varying)
-            for (pred, args, _), chosen in zip(leading, choice):
-                atoms[pred, args] = sum(ones << offsets[i] for i in chosen)
-        yield chunk * inner, Evaluator.of_frame(compiled, labelled, atoms)
-
-
-def _chunk_split(frame: SlottedFrame) -> tuple[int, int]:
-    """How many leading slots each chunk fixes, and how many models it holds."""
-    split, inner = 0, frame.size
-    while inner > CHUNK_BITS:
-        inner //= len(frame.slots[split][2])
-        split += 1
-    return split, inner
+    """The frame's chunks in product order, each as the index of its first
+    model and an evaluator of the chunk."""
+    for chunk, atoms in enumerate(frame.chunks):
+        yield chunk * frame.inner, Evaluator.of_frame(compiled, frame.labelled, atoms)
 
 
 def _restrict_to_sequent(signature: Signature, compiled: CompiledSequent) -> Signature:
@@ -393,9 +506,9 @@ def decide(
     compiled = compile_sequent(signature, sequent)
     search_signature = _restrict_to_sequent(signature, compiled)
     labellings = 0
-    for frame in enumerate_frames(search_signature, effective, mode == "cd"):
-        elements = len({e for domain in frame.domains.values() for e in domain})
-        labellings += frame.size // _chunk_split(frame)[1] * elements ** len(compiled.slots)
+    for frame in _streams.read(search_signature, effective, mode == "cd"):
+        elements = len(frame.labelled.present)
+        labellings += len(frame.chunks) * elements ** len(compiled.slots)
         if labellings > MAX_MODELS:
             raise ValueError(
                 f"the search labels more than {MAX_MODELS} assignments; lower the bounds"

@@ -322,6 +322,29 @@ class TestDecide:
         assert captured.out == ""
         assert captured.err == f"error: the search has more than {cap}; lower the bounds\n"
 
+    @pytest.mark.parametrize("cap, unit", [("MAX_FRAMES", "frames"), ("MAX_MODELS", "models")])
+    def test_a_search_past_its_caps_is_refused_again(
+        self, tmp_path, capsys, monkeypatch, cap, unit
+    ):
+        # the frame stream kept by the first, passing call is refused at the
+        # same frame as a new one, and a refused stream is not kept
+        path = tmp_path / "valid.seq"
+        path.write_text("pred p 1\nsequent: forall x. p(x) => exists x. p(x)\n")
+        argv = [
+            "decide", "--mode", "kripke", "--seq", str(path),
+            "--max-worlds", "3", "--max-domain", "1",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(search, cap, 3)
+        results = []
+        for _ in range(2):
+            results.append((main(argv), capsys.readouterr()))
+        assert results[0] == results[1]
+        code, captured = results[0]
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: the search has more than 3 {unit}; lower the bounds\n"
+
     @pytest.mark.parametrize("count, seconds", [(14, 5), (20, 1)])
     def test_assignments_past_the_cap_are_usage_error(self, tmp_path, capsys, count, seconds):
         # 3^count assignments of the free variables at the frame of three

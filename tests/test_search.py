@@ -665,3 +665,125 @@ class TestBitSlicedSearch:
         monkeypatch.setattr(search, "MAX_MODELS", sum(sizes) - 1)
         with pytest.raises(ValueError, match=f"more than {sum(sizes) - 1} models"):
             decide(sig, s, "kripke", bounds)
+
+
+class TestFrameStreamCache:
+    """`decide` builds each frame stream once per process, keyed by the
+    search signature's predicates, the bounds, the mode and CHUNK_BITS."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        search._streams.clear()
+        yield
+        search._streams.clear()
+
+    def test_warm_cold_and_naive_verdicts_agree(self, monkeypatch):
+        # the keys interleave, so a warm read finds its stream part-built by
+        # earlier reads and extends it. The naive search of the unreduced
+        # stream takes about 5 s at (2, 2) over the grid, but 320 s at
+        # (3, 2, poset), so at 3 worlds the cold cache is the reference.
+        sig = _corpus_signature()
+        bounds = [
+            SearchBounds(worlds, 2, shape)
+            for worlds in (2, 3)
+            for shape in ("tree", "poset", "chain")
+        ]
+        calls = [
+            (s, mode, b)
+            for s in sequent_corpus(sig, 2024, 40)
+            for mode in ("kripke", "cd", "classical")
+            for b in bounds
+        ]
+        cold = []
+        for s, mode, b in calls:
+            search._streams.clear()
+            cold.append(decide(sig, s, mode, b))
+        search._streams.clear()
+        warm = [decide(sig, s, mode, b) for s, mode, b in calls]
+        assert warm == cold
+        for (s, mode, b), verdict in zip(calls, cold):
+            if b.max_worlds == 2:
+                assert verdict == naive_decide(sig, s, mode, b)
+        assert 0 < sum(isinstance(v, Refuted) for v in warm) < len(calls)
+        monkeypatch.setattr(search, "CHUNK_BITS", 3)
+        s, mode, b = calls[0]
+        assert decide(sig, s, mode, b) == cold[0] == naive_decide(sig, s, mode, b)
+        (narrow,) = [stream for key, stream in search._streams.streams.items() if key[-1] == 3]
+        assert narrow.frames and all(frame.inner <= 3 for frame in narrow.frames)
+
+    def test_each_stream_is_built_once(self, monkeypatch):
+        # a refuted call leaves its stream part-built; a valid call on the
+        # same key reads that part and extends it with the same builder
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return enumerate_frames(*args)
+
+        monkeypatch.setattr(search, "enumerate_frames", counting)
+        sig = Signature({"p": 1}, {"not": builtin("not")})
+        bounds = SearchBounds(3, 2, "poset")
+        refuted = parse_sequent("not(not(p(x))) => p(x)", sig)
+        valid = parse_sequent("forall x. p(x) => exists x. p(x)", sig)
+        first = decide(sig, refuted, "kripke", bounds)
+        assert isinstance(first, Refuted)
+        (stream,) = search._streams.streams.values()
+        assert 0 < len(stream.frames) < 14 and stream.builder is not None
+        assert isinstance(decide(sig, valid, "kripke", bounds), ValidUpToBounds)
+        assert len(stream.frames) == 14 and stream.builder is None
+        assert decide(sig, refuted, "kripke", bounds) == first
+        assert len(built) == 1
+
+    def test_returned_domains_are_the_models_own(self):
+        sig = Signature({"p": 1}, {"not": builtin("not")})
+        s = parse_sequent("not(not(p(x))) => p(x)", sig)
+        bounds = SearchBounds(2, 2, "poset")
+        want = naive_decide(sig, s, "kripke", bounds)
+        first = decide(sig, s, "kripke", bounds)
+        assert first == want
+        first.model.domains.clear()
+        again = decide(sig, s, "kripke", bounds)
+        assert again == want
+        assert again.model.domains is not first.model.domains
+
+    def test_streams_hold_at_most_the_budget(self, monkeypatch):
+        sig = _corpus_signature()
+        small = parse_sequent("forall x. p(x) => exists x. p(x)", sig)
+        large = parse_sequent("r, forall x. and(p(x), q(x)) => and(r, exists x. q(x))", sig)
+        bounds = SearchBounds(3, 2, "poset")
+        small_held = sum(
+            frame.size + search.FRAME_MODELS
+            for frame in enumerate_frames(Signature({"p": 1}, {}), bounds)
+        )
+        monkeypatch.setattr(search, "STREAM_MODELS", small_held)
+        assert isinstance(decide(sig, small, "kripke", bounds), ValidUpToBounds)
+        assert search._streams.held == small_held
+        # the larger stream alone passes the budget: the smaller is dropped
+        # to make room, and then the larger one too, read through unkept
+        assert isinstance(decide(sig, large, "kripke", bounds), ValidUpToBounds)
+        assert search._streams.streams == {} and search._streams.held == 0
+        monkeypatch.setattr(search, "STREAM_MODELS", 3 * small_held)
+        assert isinstance(decide(sig, small, "kripke", bounds), ValidUpToBounds)
+        held = search._streams.held
+        assert isinstance(decide(sig, large, "kripke", bounds), ValidUpToBounds)
+        # the larger stream fits beside the smaller one within the budget
+        assert held < search._streams.held <= search.STREAM_MODELS
+        assert len(search._streams.streams) == 2
+
+    @pytest.mark.parametrize("cap", ["MAX_FRAMES", "MAX_MODELS"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_refused_search_holds_nothing(self, monkeypatch, cap, warm):
+        # cold, the builder refuses; warm, the reader refuses at the same
+        # frame with the same message
+        sig = Signature({"p": 1}, {})
+        s = parse_sequent("forall x. p(x) => exists x. p(x)", sig)
+        bounds = SearchBounds(3, 1, "poset")
+        if warm:
+            assert isinstance(decide(sig, s, "kripke", bounds), ValidUpToBounds)
+            assert search._streams.streams
+        monkeypatch.setattr(search, cap, 3)
+        unit = "frames" if cap == "MAX_FRAMES" else "models"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^the search has more than 3 {unit}; "):
+                decide(sig, s, "kripke", bounds)
+            assert search._streams.streams == {} and search._streams.held == 0
