@@ -15,8 +15,8 @@ import functools
 import itertools
 import json
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .semantics import CompiledFormulas, Evaluator, Frame, InvalidModelError, KripkeModel
 from .semantics import Labels, bits, model_header, upward_closed_subsets
@@ -70,7 +70,8 @@ class TreeModel(Frozen):
         return tuple(n for n in self.nodes if n not in withchild)
 
     def upset(self, node: str) -> frozenset[str]:
-        return frozenset(v for v in self.nodes if (node, v) in self.model.order)
+        mask = self.model.up[self.nodes.index(node)]
+        return frozenset(itertools.compress(self.nodes, bits(mask)))
 
 
 def tree_from_model(model: KripkeModel) -> TreeModel:
@@ -82,35 +83,30 @@ def tree_from_model(model: KripkeModel) -> TreeModel:
     of covers, and each cover is a parent step. The model must already
     pass `validate_model`, as a loaded model does; it is not checked again.
     """
-    up = _up_masks(model)
-    cycle = _least_cycle(model.worlds, up)
+    cycle = _least_cycle(model.worlds, model.up)
     if cycle:
         a, b = cycle
         raise InvalidModelError(f"order has a cycle through {a} and {b}")
-    above_some = {b for a, b in model.order if a != b}
-    minima = [w for w in model.worlds if w not in above_some]
+    above_some = functools.reduce(or_, (mask & ~(1 << i) for i, mask in enumerate(model.up)), 0)
+    minima = [w for i, w in enumerate(model.worlds) if not above_some >> i & 1]
     if len(minima) != 1:
         raise InvalidModelError(f"tree needs a unique root, found minima {minima}")
     root = minima[0]
     covered_by: dict[str, list[str]] = {w: [] for w in model.worlds}
-    for v, covers in _covering_relation(model.worlds, up).items():
+    for v, covers in _covering_relation(model.worlds, model.up).items():
         for w in covers:
             covered_by[w].append(v)
-    parent: dict[str, str] = {}
     for w in model.worlds:
-        if w == root:
-            continue
-        predecessors = covered_by[w]
-        if len(predecessors) != 1:
-            raise InvalidModelError(f"world {w} has {len(predecessors)} covering predecessors")
-        parent[w] = predecessors[0]
+        if w != root and len(covered_by[w]) != 1:
+            raise InvalidModelError(f"world {w} has {len(covered_by[w])} covering predecessors")
+    parent = {w: covered_by[w][0] for w in model.worlds if w != root}
     return TreeModel(model=model, root=root, parent=parent)
 
 
 # --- unraveling --------------------------------------------------------------
 
 
-def _covering_relation(worlds: tuple[str, ...], up: list[int]) -> dict[str, tuple[str, ...]]:
+def _covering_relation(worlds: tuple[str, ...], up: Sequence[int]) -> dict[str, tuple[str, ...]]:
     """Each world's immediate successors, in world order: the worlds strictly
     above it with none strictly between. On its up-set masks, that is its
     strict up-set less the strict up-sets of the worlds in it."""
@@ -124,7 +120,7 @@ def _covering_relation(worlds: tuple[str, ...], up: list[int]) -> dict[str, tupl
     return covers
 
 
-def _least_cycle(worlds: tuple[str, ...], up: list[int]) -> Optional[tuple[str, str]]:
+def _least_cycle(worlds: tuple[str, ...], up: Sequence[int]) -> Optional[tuple[str, str]]:
     """The least pair `(a, b)` by name of distinct worlds each above the
     other in a preorder, from its up-set masks, or None. Two worlds are above
     each other exactly when their up-sets are equal, since each lies in its
@@ -147,14 +143,13 @@ def _assemble_tree(
         )
     worlds = tuple(node_name[c] for c in chains)
     parent = {node_name[c]: node_name[c[:-1]] for c in chains if len(c) > 1}
-    order = set()
+    # a node lies above the nodes on its chain; `along` sums their names
+    along = {(): 0}
     name_chars = 0
     for c in chains:
         name = node_name[c]
-        for k in range(1, len(c) + 1):
-            lower = node_name[c[:k]]
-            order.add((lower, name))
-            name_chars += len(lower) + len(name)
+        along[c] = along[c[:-1]] + len(name)
+        name_chars += along[c] + len(c) * len(name)
     if name_chars > MAX_NAME_CHARS:
         raise ValueError(
             f"the unraveled tree's order takes more than {MAX_NAME_CHARS}"
@@ -174,7 +169,12 @@ def _assemble_tree(
             label |= nodes
         if label:
             labels[atom] = label
-    tree_model = KripkeModel(worlds, frozenset(order), domains, labels=labels)
+    # children come after their parents, and join them once whole
+    index = {c: k for k, c in enumerate(chains)}
+    up = [1 << k for k in range(len(chains))]
+    for k in range(len(chains) - 1, 0, -1):
+        up[index[chains[k][:-1]]] |= up[k]
+    tree_model = KripkeModel(worlds, up, domains, labels=labels)
     return TreeModel(
         model=tree_model,
         root=node_name[chains[0]],
@@ -197,15 +197,14 @@ def unravel_strict(model: KripkeModel, start: str) -> TreeModel:
     checked again."""
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
-    up = _up_masks(model)
-    cycle = _least_cycle(model.worlds, up)
+    cycle = _least_cycle(model.worlds, model.up)
     if cycle:
         a, b = cycle
         raise ValueError(
             f"order has a cycle through {a} and {b}; strict unraveling needs a"
             " partial order, use unravel_stuttered instead"
         )
-    covers = _covering_relation(model.worlds, up)
+    covers = _covering_relation(model.worlds, model.up)
     chains = [(start,)]
     for chain in chains:  # breadth-first: the list grows while it is read
         chains.extend(chain + (v,) for v in covers[chain[-1]])
@@ -233,11 +232,12 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
         raise ValueError("length bound must be at least 1")
     if start not in model.domains:
         raise ValueError(f"unknown start world {start!r}")
+    up = dict(zip(model.worlds, model.up))
     chains = [(start,)]
     pairs = 1
     for chain in chains:  # breadth-first: the list grows while it is read
         if len(chain) < length_bound:
-            successors = model.successors(chain[-1])
+            successors = tuple(itertools.compress(model.worlds, bits(up[chain[-1]])))
             chains.extend(chain + (v,) for v in successors)
             pairs += (len(chain) + 1) * len(successors)
         if pairs > MAX_COUNT:
@@ -256,24 +256,20 @@ def is_upward_closed(tree: TreeModel, nodes: frozenset[str]) -> bool:
 
 
 def bars(tree: TreeModel, node: str, barrier: frozenset[str]) -> bool:
-    """Whether every maximal chain from the node meets the barrier set."""
+    """Whether every maximal chain from the node meets the barrier set: in
+    a tree, whether every leaf above the node lies above some barrier node
+    above the node."""
     if node not in tree.model.domains:
         raise ValueError(f"unknown node {node!r}")
-    for leaf in tree.leaves():
-        if (node, leaf) not in tree.model.order:
-            continue
-        current = leaf
-        hit = False
-        while True:
-            if current in barrier:
-                hit = True
-                break
-            if current == node:
-                break
-            current = tree.parent[current]
-        if not hit:
-            return False
-    return True
+    up = tree.model.up
+    above = up[tree.nodes.index(node)]
+    met = leaves = 0
+    for i, (n, mask) in enumerate(zip(tree.nodes, up)):
+        if above >> i & 1 and n in barrier:
+            met |= mask
+        if mask == 1 << i:
+            leaves |= mask
+    return not above & leaves & ~met
 
 
 def partition_upward_closed(
@@ -290,8 +286,8 @@ def partition_upward_closed(
     if not is_upward_closed(tree, nodes):
         raise ValueError("input set is not upward-closed")
     return [
-        (n, tree.upset(n))
-        for n in tree.nodes
+        (n, frozenset(itertools.compress(tree.nodes, bits(mask))))
+        for n, mask in zip(tree.nodes, tree.model.up)
         if n in nodes and tree.parent.get(n) not in nodes
     ]
 
@@ -317,8 +313,9 @@ def check_choice_function(tree: TreeModel, function: dict[str, str]) -> list[str
         if function[node] not in tree.model.domains[node]:
             violations.append(f"value {function[node]} at {node} is outside its domain")
     for node in sorted(dom):
+        above = tree.upset(node)
         for other in sorted(dom):
-            if (node, other) in tree.model.order and function[node] != function[other]:
+            if other in above and function[node] != function[other]:
                 violations.append(
                     f"values differ along a branch: {node}->{function[node]},"
                     f" {other}->{function[other]}"
@@ -356,13 +353,11 @@ def extend_choice(
     for m in minima:
         if pins[m] not in tree.model.domains[m]:
             raise ValueError(f"pin {pins[m]!r} at {m} is outside its domain")
+    # neither below a block minimum nor in a block, which holds its up-set
+    lowest = sum(1 << tree.nodes.index(m) for m in minima)
+    above = frozenset().union(*(block for _, block in blocks))
     incomparable = frozenset(
-        u
-        for u in tree.nodes
-        if all(
-            (u, m) not in tree.model.order and (m, u) not in tree.model.order
-            for m in minima
-        )
+        u for u, mask in zip(tree.nodes, tree.model.up) if not mask & lowest and u not in above
     )
     mapping: dict[str, str] = {}
     for minimum, block in blocks:
@@ -386,16 +381,17 @@ def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
     domain gives a function and more than MAX_COUNT domains raise
     ValueError before any function is built.
     """
+    nodes = tree.nodes
     leaves = frozenset(tree.leaves())
-    internal = tuple(n for n in tree.nodes if n not in leaves)
+    internal = tuple(i for i, n in enumerate(nodes) if n not in leaves)
     too_many = f"more than {MAX_COUNT} choice functions"
     try:
-        uppers = upward_closed_subsets(internal, tree.model.order, MAX_COUNT)
+        uppers = upward_closed_subsets(internal, tree.model.up, MAX_COUNT)
     except ValueError:
         raise ValueError(too_many) from None
     produced = 0
     for upper in uppers:
-        blocks = partition_upward_closed(tree, leaves | upper)
+        blocks = partition_upward_closed(tree, leaves.union(itertools.compress(nodes, bits(upper))))
         value_menus = [tree.model.domains[minimum] for minimum, _ in blocks]
         which = {node: b for b, (_, block) in enumerate(blocks) for node in block}
         keys = sorted(which)
@@ -504,8 +500,8 @@ class ConstantDomainCompletion(Frozen):
                 label = int(digits[k - 1 - j :: k], 2)
                 if label:
                     labels[pred, head + (name,)] = label
-        order = self.tree.model.order
-        return KripkeModel(worlds, order, dict.fromkeys(worlds, names), labels=labels)
+        up = self.tree.model.up
+        return KripkeModel(worlds, up, dict.fromkeys(worlds, names), labels=labels)
 
     def function_id(self, function: dict[str, str]) -> str:
         for name, f in self.functions.items():
@@ -549,7 +545,7 @@ def complete_to_constant_domain(
         )
     k = len(names)
     position = {n: i for i, n in enumerate(nodes)}
-    up = _up_masks(tree.model)
+    up = tree.model.up
     # (child, parent) by index, children first, as a child's up-set is smaller
     children_first = sorted(tree.parent, key=lambda child: up[position[child]].bit_count())
     edges = [(position[child], position[tree.parent[child]]) for child in children_first]
@@ -610,7 +606,7 @@ def completion_to_text(
     names = tuple(completion.functions)
     k, worlds = len(names), completion.tree.nodes
     domains = dict.fromkeys(worlds, names)
-    lines = model_header(worlds, completion.tree.model.order, domains, signature)
+    lines = model_header(worlds, completion.tree.model.up, domains, signature)
     by_text = sorted(names)
     # a row's bits in name order, after bit k is set to pad it to k bits
     in_text_order = itemgetter(*sorted(range(k), key=names.__getitem__), k)
@@ -631,15 +627,6 @@ def completion_to_text(
                     decoded[row] = tuple(held)
                 lines.append(prefix + (")\n" + prefix).join(decoded[row]) + ")")
     return "\n".join(lines) + "\n"
-
-
-def _up_masks(model: KripkeModel) -> list[int]:
-    """Each world's up-set as a mask, bit i standing for world i."""
-    position = {w: i for i, w in enumerate(model.worlds)}
-    up = [0] * len(model.worlds)
-    for a, b in model.order:
-        up[position[a]] |= 1 << position[b]
-    return up
 
 
 def lift_assignment(
@@ -762,7 +749,7 @@ def bar_precondition_violation(
     hereditary), so that set bars a node exactly when it holds every leaf
     above it; one label per assignment gives both, as the leaves' domains
     hold the node's elements."""
-    up = _up_masks(tree.model)
+    up = tree.model.up
     leaves = sum(1 << i for i, mask in enumerate(up) if mask == 1 << i)
     for sub in subformulas(formula):
         variables = sorted(free_vars(sub))
@@ -854,7 +841,7 @@ def check_main_lemma(
     violation = bar_precondition_violation(tree, pointwise, formula)
     names = {name: j for j, name in enumerate(domain)}  # the column of each name
     worlds, width = tree.model.worlds, len(names)
-    frame = Frame(worlds, tree.model.order, dict.fromkeys(worlds, domain), width=width)
+    frame = Frame(worlds, tree.model.up, dict.fromkeys(worlds, domain), width=width)
     completed = Evaluator.of_frame(CompiledFormulas(signature), frame, completion)
     position = {n: i for i, n in enumerate(tree.nodes)}
     # by the names of all but the last variable: the completed label and the

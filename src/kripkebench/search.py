@@ -18,6 +18,7 @@ from .semantics import (
     Evaluator,
     Frame,
     KripkeModel,
+    bits,
     compile_sequent,
     find_refutation,  # unused here; a seam the benchmark tracer wraps (ROADMAP item 1)
     refuting_points,
@@ -95,58 +96,63 @@ class Refuted(NamedTuple):
 Verdict = Union[ValidUpToBounds, Refuted]
 
 
-def _chain_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
-    yield frozenset((i, j) for i in range(n) for j in range(i, n))
+# Each order generator yields the up-set masks of the orders on worlds
+# 0..n-1, bit j of mask i set where world j lies above world i.
 
 
-def _tree_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+def _chain_orders(n: int) -> Iterator[tuple[int, ...]]:
+    full = (1 << n) - 1
+    yield tuple(full >> i << i for i in range(n))
+
+
+def _tree_orders(n: int) -> Iterator[tuple[int, ...]]:
     # rooted at 0; node i > 0 picks a parent with a smaller index
     for parents in itertools.product(*(range(i) for i in range(1, n))):
-        ancestors: list[set[int]] = [{0}]
-        for i in range(1, n):
-            ancestors.append(ancestors[parents[i - 1]] | {i})
-        yield frozenset((a, i) for i in range(n) for a in ancestors[i])
+        up = [1 << i for i in range(n)]
+        for i in range(n - 1, 0, -1):  # children join their parents once whole
+            up[parents[i - 1]] |= up[i]
+        yield tuple(up)
 
 
-def _posets(worlds: range) -> Iterator[frozenset[tuple[int, int]]]:
-    # strict parts drawn from index-increasing pairs only: every finite
-    # partial order relabels to one whose indexing is a linear extension.
-    # Worlds join from the top; each picks its strict up-set among the
-    # up-closed sets of the order above it, in increasing mask order. This
-    # yields exactly the transitive masks over those pairs, in increasing
-    # order, since the pairs of higher worlds are the more significant bits.
-    def extend(i: int, strict: frozenset[tuple[int, int]]):
-        if i < worlds.start:
-            yield strict
+def _posets(n: int) -> Iterator[tuple[int, ...]]:
+    # the partial orders on 0..n-1 whose indexing is a linear extension, to
+    # which every finite partial order relabels. Worlds join from the top,
+    # each picking its strict up-set among the up-closed sets above it in
+    # increasing mask order, so the orders come in increasing order of their
+    # strict pairs, those of higher worlds the more significant bits.
+    up = [1 << i for i in range(n)]
+
+    def extend(i: int):
+        if i < 0:
+            yield tuple(up)
             return
-        for up in upward_closed_subsets(tuple(range(i + 1, worlds.stop)), strict):
-            yield from extend(i - 1, strict | {(i, j) for j in up})
+        for above in upward_closed_subsets(tuple(range(i + 1, n)), up):
+            up[i] = 1 << i | above
+            yield from extend(i - 1)
 
-    yield from extend(worlds.stop - 1, frozenset())
+    yield from extend(n - 1)
 
 
-def _poset_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+def _poset_orders(n: int) -> Iterator[tuple[int, ...]]:
     # rooted at 0: the posets on 1..n-1 in their order, with 0 below them all
-    root = frozenset((0, j) for j in range(n))
-    reflexive = frozenset((i, i) for i in range(1, n))
-    for strict in _posets(range(1, n)):
-        yield strict | root | reflexive
+    full = (1 << n) - 1
+    for up in _posets(n - 1):
+        yield (full,) + tuple(mask << 1 for mask in up)
 
 
-def _preorder_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+def _preorder_orders(n: int) -> Iterator[tuple[int, ...]]:
     # the transitive sets of strict pairs, in increasing mask order over the
     # pairs (i, j), i != j, in lexicographic order. Pairs are decided from
     # the most significant bit down, each left out before it is put in. A
     # branch lives while the transitive closure of its chosen pairs holds no
     # left-out pair; then that closure completes it, so no branch dies late.
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    reflexive = frozenset((i, i) for i in range(n))
 
     # reach[i]: the worlds the chosen pairs lead to from i, as a bitmask;
     # out[i]: the same for the left-out pairs
     def extend(k: int, reach: tuple[int, ...], out: tuple[int, ...]):
         if k < 0:
-            yield frozenset((i, j) for i, j in pairs if reach[i] >> j & 1) | reflexive
+            yield tuple(r | 1 << i for i, r in enumerate(reach))
             return
         a, b = pairs[k]
         if not reach[a] >> b & 1:
@@ -180,11 +186,12 @@ class SlottedFrame(NamedTuple):
     """One frame of the search stream, the fact slots over it, and the atom
     labels that label its models in chunks.
 
-    Each slot is `(pred, args, options)`, where the options are the
-    upward-closed sets of world indices at which the fact may hold, in
-    enumeration order. The frame's models are the `itertools.product` of the
-    slots' options, `size` of them, and model m of that product is the m-th
-    model of the frame in `enumerate_models`.
+    `up` holds the order's up-set masks. Each slot is `(pred, args,
+    options)`, where the options are the upward-closed sets of worlds at
+    which the fact may hold, as masks over world indices, in enumeration
+    order. The frame's models are the `itertools.product` of the slots'
+    options, `size` of them, and model m of that product is the m-th model
+    of the frame in `enumerate_models`.
 
     The models come in chunks of `inner`, at most the CHUNK_BITS in force
     when the frame's stream began: chunk c holds models [c * inner, (c + 1) *
@@ -198,21 +205,21 @@ class SlottedFrame(NamedTuple):
     """
 
     worlds: tuple[str, ...]
-    order: frozenset[tuple[str, str]]
+    up: tuple[int, ...]
     domains: dict[str, tuple[str, ...]]
-    slots: tuple[tuple[str, tuple[str, ...], tuple[frozenset[int], ...]], ...]
+    slots: tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]
     size: int
     labelled: Frame
     inner: int
     chunks: tuple[dict[tuple[str, tuple[str, ...]], int], ...]
 
 
-def _slotted_frame(worlds, order, domains, slots, size, chunk_bits) -> SlottedFrame:
+def _slotted_frame(worlds, up, domains, slots, size, chunk_bits) -> SlottedFrame:
     split, inner = 0, size
     while inner > chunk_bits:
         inner //= len(slots[split][2])
         split += 1
-    labelled = Frame(worlds, order, domains, inner)
+    labelled = Frame(worlds, up, domains, inner)
     ones = labelled.ones
     offsets = [offset for offset, _ in labelled.named]
     varying: dict[tuple[str, tuple[str, ...]], int] = {}
@@ -223,11 +230,13 @@ def _slotted_frame(worlds, order, domains, slots, size, chunk_bits) -> SlottedFr
         unit = (1 << stride) - 1
         periods = [0] * len(offsets)
         for o, chosen in enumerate(options):
-            for i in chosen:
-                periods[i] |= unit << (o * stride)
+            while chosen:  # each world of the option, lowest first
+                low = chosen & -chosen
+                periods[low.bit_length() - 1] |= unit << (o * stride)
+                chosen ^= low
         label = 0
-        for offset, bits in zip(offsets, periods):
-            label |= repeat * bits << offset
+        for offset, pattern in zip(offsets, periods):
+            label |= repeat * pattern << offset
         varying[pred, args] = label
         stride = period
     leading = slots[:split]
@@ -237,9 +246,9 @@ def _slotted_frame(worlds, order, domains, slots, size, chunk_bits) -> SlottedFr
         if choice:
             atoms = dict(varying)
             for (pred, args, _), chosen in zip(leading, choice):
-                atoms[pred, args] = sum(ones << offsets[i] for i in chosen)
+                atoms[pred, args] = sum(ones << o for i, o in enumerate(offsets) if chosen >> i & 1)
         chunks.append(atoms)
-    return SlottedFrame(worlds, order, domains, slots, size, labelled, inner, tuple(chunks))
+    return SlottedFrame(worlds, up, domains, slots, size, labelled, inner, tuple(chunks))
 
 
 def _past_cap(cap: int, counted: str) -> ValueError:
@@ -305,19 +314,19 @@ def enumerate_frames(
     frames = models = 0
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        for index_order in _ORDER_GENERATORS[bounds.shape](n):
-            order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
+        for up in _ORDER_GENERATORS[bounds.shape](n):
             if constant_domain:
                 domain_choices: Iterator = ((d,) * n for d in prefixes)
             else:
+                # per world, the worlds strictly above it
+                above = [
+                    tuple(itertools.compress(range(n), bits(mask & ~(1 << a))))
+                    for a, mask in enumerate(up)
+                ]
                 domain_choices = (
                     combo
                     for combo in itertools.product(prefixes, *[subsets] * (n - 1))
-                    if all(
-                        set(combo[a]) <= set(combo[b])
-                        for (a, b) in index_order
-                        if a != b
-                    )
+                    if all(set(combo[a]) <= set(combo[b]) for a in range(n) for b in above[a])
                 )
             # upward-closed subsets of the worlds where a slot is defined
             closed: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
@@ -338,7 +347,7 @@ def enumerate_frames(
                         options = closed.get(valid)
                         if options is None:
                             options = closed[valid] = tuple(
-                                upward_closed_subsets(valid, index_order)
+                                upward_closed_subsets(valid, up)
                             )
                         slots.append((pred, args, options))
                         size *= len(options)
@@ -346,7 +355,7 @@ def enumerate_frames(
                             raise _past_cap(MAX_MODELS, "models")
                 models += size
                 domains = {worlds[i]: combo[i] for i in range(n)}
-                yield _slotted_frame(worlds, order, domains, tuple(slots), size, chunk_bits)
+                yield _slotted_frame(worlds, up, domains, tuple(slots), size, chunk_bits)
 
 
 class _Stream:
@@ -450,8 +459,8 @@ def decode_model(frame: SlottedFrame, index: int) -> KripkeModel:
     for pred, args, options in reversed(frame.slots):
         index, choice = divmod(index, len(options))
         if options[choice]:
-            labels[pred, args] = sum(1 << i for i in options[choice])
-    return KripkeModel(frame.worlds, frame.order, dict(frame.domains), labels=labels)
+            labels[pred, args] = options[choice]
+    return KripkeModel(frame.worlds, frame.up, dict(frame.domains), labels=labels)
 
 
 def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[int]:

@@ -8,9 +8,9 @@ everything unstated is 0.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar
+from functools import cached_property, reduce
+from operator import and_, itemgetter, or_
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
     Atom,
@@ -29,7 +29,6 @@ from .truthfun import Frozen
 
 Fact = tuple[str, str, tuple[str, ...]]
 Labels = dict[tuple[str, tuple[str, ...]], int]  # (pred, args) -> a label
-T = TypeVar("T")
 
 
 class InvalidModelError(Exception):
@@ -48,13 +47,14 @@ class KripkeModel(Frozen):
     """Worlds with a preorder, per-world domains, and the 1-entries of the
     interpretation as atom labels.
 
-    `labels` maps each atom `(pred, args)` that holds somewhere to the mask
-    of the worlds where it holds, bit i standing for `worlds[i]`; no mask is
-    0. These are the atom labels `Evaluator` reads. A model is built from
-    `facts`, `(world, pred, args)` triples, or from `labels`. `facts` is a
-    view: the triples given, or else derived from the labels when first
-    read. A fact at an undeclared world has no bit, so only `facts` keeps
-    it, for `validate_model` to report.
+    The order is stored as up-set masks: `up[i]` is the mask of the worlds
+    above `worlds[i]`, bit j standing for `worlds[j]`. `labels` maps each
+    atom `(pred, args)` that holds somewhere to the mask of the worlds where
+    it holds; no mask is 0. A model is built from `facts`, `(world, pred,
+    args)` triples, or from `labels`. `order`, the pairs `(a, b)` with b
+    above a, and `facts` are views built when first read, `facts` from the
+    labels unless it was given. A fact at an undeclared world has no bit, so
+    only `facts` keeps it, for `validate_model` to report.
 
     `worlds` order and per-world element order are significant: they fix the
     canonical enumeration order of counterwitnesses.
@@ -63,7 +63,7 @@ class KripkeModel(Frozen):
     def __init__(
         self,
         worlds: tuple[str, ...],
-        order: frozenset[tuple[str, str]],
+        up: tuple[int, ...],
         domains: dict[str, tuple[str, ...]],
         facts: Optional[Iterable[Fact]] = None,
         *,
@@ -80,19 +80,27 @@ class KripkeModel(Frozen):
                 i = position.get(w)
                 if i is not None:
                     labels[pred, args] = labels.get((pred, args), 0) | 1 << i
-        self.__dict__.update(worlds=worlds, order=order, domains=domains, labels=labels)
+        self.__dict__.update(worlds=worlds, up=tuple(up), domains=domains, labels=labels)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.worlds, self.order, self.domains, self.labels) == (
-                other.worlds, other.order, other.domains, other.labels
+            return (self.worlds, self.up, self.domains, self.labels) == (
+                other.worlds, other.up, other.domains, other.labels
             )
         return NotImplemented
 
     def __repr__(self):
         return (
-            f"{type(self).__name__}(worlds={self.worlds!r}, order={self.order!r},"
+            f"{type(self).__name__}(worlds={self.worlds!r}, up={self.up!r},"
             f" domains={self.domains!r}, labels={self.labels!r})"
+        )
+
+    @cached_property
+    def order(self) -> frozenset[tuple[str, str]]:
+        return frozenset(
+            (w, v)
+            for w, mask in zip(self.worlds, self.up)
+            for v in itertools.compress(self.worlds, bits(mask))
         )
 
     @cached_property
@@ -103,33 +111,29 @@ class KripkeModel(Frozen):
             for w in itertools.compress(self.worlds, bits(mask))
         )
 
-    def successors(self, world: str) -> tuple[str, ...]:
-        return tuple(v for v in self.worlds if (world, v) in self.order)
-
 
 def reflexive_transitive_closure(
     worlds: Iterable[str], pairs: Iterable[tuple[str, str]]
-) -> frozenset[tuple[str, str]]:
-    """By Warshall's algorithm on each world's reach mask, bit i standing
-    for the i-th world: once every world that reaches world k also reaches
-    what k reaches, for each k in turn, the masks are closed."""
-    worlds = list(worlds)
+) -> tuple[int, ...]:
+    """The up-set masks of the least preorder holding the pairs, bit i
+    standing for the i-th world. By Warshall's algorithm on each world's
+    reach mask: once every world that reaches world k also reaches what k
+    reaches, for each k in turn, the masks are closed."""
     index = {w: i for i, w in enumerate(worlds)}
-    reach = [1 << i for i in range(len(worlds))]
+    reach = [1 << i for i in range(len(index))]
     for a, b in pairs:
         reach[index[a]] |= 1 << index[b]
-    for k in range(len(worlds)):
+    for k in range(len(reach)):
         bit, through = 1 << k, reach[k]
         reach = [mask | through if mask & bit else mask for mask in reach]
-    return frozenset(
-        (w, v) for w, mask in zip(worlds, reach) for v in itertools.compress(worlds, bits(mask))
-    )
+    return tuple(reach)
 
 
 def validate_model(model: KripkeModel) -> list[str]:
-    """All invariant violations, as human-readable strings; empty means valid."""
+    """All invariant violations, as human-readable strings; empty means valid.
+    Each kind comes in sorted order of the names it mentions."""
     violations: list[str] = []
-    worlds = model.worlds
+    worlds, up = model.worlds, model.up
     if not worlds:
         violations.append("the model declares no worlds")
     world_set = set(worlds)
@@ -139,26 +143,19 @@ def validate_model(model: KripkeModel) -> list[str]:
         violations.append("domains must be declared for exactly the declared worlds")
         return violations
 
-    ordered_pairs = sorted(model.order)
-    for a, b in ordered_pairs:
-        if a not in world_set or b not in world_set:
-            violations.append(f"order pair ({a}, {b}) mentions an undeclared world")
-    for w in worlds:
-        if (w, w) not in model.order:
+    positions = range(len(worlds))
+    for i, w in enumerate(worlds):
+        if not up[i] >> i & 1:
             violations.append(f"order is not reflexive at {w}")
-    # each name's up-set as a mask, bits in sorted name order; a <= b lacks
-    # the d of up[b] & ~up[a]
-    names = sorted({x for pair in ordered_pairs for x in pair})
-    index = {x: i for i, x in enumerate(names)}
-    up = dict.fromkeys(names, 0)
-    for a, b in ordered_pairs:
-        up[a] |= 1 << index[b]
-    for a, b in ordered_pairs:
-        missing = up[b] & ~up[a]
-        while missing:
-            d = names[(missing & -missing).bit_length() - 1]
-            violations.append(f"order is not transitive: {a} <= {b} <= {d}")
-            missing &= missing - 1
+    # a <= b <= d without a <= d: d lies in up[b] but not in up[a]
+    broken = []
+    for i, mask in enumerate(up):
+        if reduce(or_, itertools.compress(up, bits(mask)), 0) & ~mask:
+            for j in itertools.compress(positions, bits(mask)):
+                for k in itertools.compress(positions, bits(up[j] & ~mask)):
+                    broken.append((worlds[i], worlds[j], worlds[k]))
+    for a, b, d in sorted(broken):
+        violations.append(f"order is not transitive: {a} <= {b} <= {d}")
 
     domain_sets = {w: set(model.domains[w]) for w in worlds}
     for w in worlds:
@@ -166,10 +163,19 @@ def validate_model(model: KripkeModel) -> list[str]:
             violations.append(f"domain of {w} is empty")
         if len(domain_sets[w]) != len(model.domains[w]):
             violations.append(f"domain of {w} lists duplicate elements")
-    for a, b in ordered_pairs:
-        if a in domain_sets and b in domain_sets and not domain_sets[a] <= domain_sets[b]:
-            missing = sorted(domain_sets[a] - domain_sets[b])
-            violations.append(f"domain not monotone: {missing} in D({a}) but not D({b})")
+    # a <= b with D(a) not within D(b): b lies outside the worlds holding D(a)
+    holding: dict[str, int] = {}
+    for i, w in enumerate(worlds):
+        for e in domain_sets[w]:
+            holding[e] = holding.get(e, 0) | 1 << i
+    shrinking = []
+    for i, w in enumerate(worlds):
+        within = reduce(and_, map(holding.get, domain_sets[w]), -1)
+        for j in itertools.compress(positions, bits(up[i] & ~within)):
+            shrinking.append((w, worlds[j]))
+    for a, b in sorted(shrinking):
+        missing = sorted(domain_sets[a] - domain_sets[b])
+        violations.append(f"domain not monotone: {missing} in D({a}) but not D({b})")
 
     arities: dict[str, int] = {}
     for w, pred, args in sorted(model.facts):
@@ -183,15 +189,14 @@ def validate_model(model: KripkeModel) -> list[str]:
             if e not in domain_sets[w]:
                 violations.append(f"fact {pred}{args} at {w} uses {e} outside D({w})")
     # heredity: each stored 1-entry must persist at every successor
-    successors = {w: model.successors(w) for w in worlds}
-    for w, pred, args in sorted(model.facts):
-        if w not in world_set:
-            continue
-        for v in successors[w]:
-            if (v, pred, args) not in model.facts:
-                violations.append(
-                    f"heredity violated: {pred}{args} is 1 at {w} but 0 at {v} >= {w}"
-                )
+    lost = []
+    for (pred, args), label in model.labels.items():
+        for i in itertools.compress(positions, bits(label)):
+            if up[i] & ~label:
+                lost.append((worlds[i], pred, args, up[i] & ~label))
+    for w, pred, args, missing in sorted(lost):
+        for v in itertools.compress(worlds, bits(missing)):
+            violations.append(f"heredity violated: {pred}{args} is 1 at {w} but 0 at {v} >= {w}")
     return violations
 
 
@@ -209,39 +214,36 @@ def is_constant_domain(model: KripkeModel) -> bool:
 
 
 def upward_closed_subsets(
-    candidates: tuple[T, ...], order: frozenset[tuple[T, T]], max_count: Optional[int] = None
-) -> list[frozenset[T]]:
-    """The subsets of `candidates` closed upward under `order` within them,
-    in increasing order of their masks over candidate positions.
+    candidates: tuple[int, ...], up: Sequence[int], max_count: Optional[int] = None
+) -> list[int]:
+    """The subsets of the worlds at `candidates`, increasing positions, that
+    are closed upward within them under the order with up-set masks `up`,
+    as masks over world positions, in increasing order.
 
     Positions are placed from the highest down, each left out before it is
-    put in, which keeps mask order. Position k may be left out when no
+    put in, which keeps mask order. Position p may be left out when no
     chosen position lies below it in the order, and put in when every
     placed position above it in the order is chosen; in a transitive order
     one of the two always holds, so no partial set is dropped. So the family
     never shrinks as positions are placed, and past `max_count` (at least 1)
     partial sets it raises ValueError before it is built to the end.
     """
+    inside = sum(1 << p for p in candidates)
     masks = [0]
-    for k in range(len(candidates) - 1, -1, -1):
-        w = candidates[k]
-        above = below = 0
-        for j, v in enumerate(candidates):
-            if j != k:
-                above |= ((w, v) in order) << j
-                below |= ((v, w) in order) << j
+    for p in reversed(candidates):
+        bit = 1 << p
+        above = up[p] & inside
+        below = sum(1 << q for q in candidates if q != p and up[q] & bit)
         grown = []
         for chosen in masks:
             if not below & chosen:
                 grown.append(chosen)
-            if not (above & ~chosen) >> (k + 1):
-                grown.append(chosen | 1 << k)
+            if not (above & ~chosen) >> (p + 1):
+                grown.append(chosen | bit)
         masks = grown
         if max_count is not None and len(masks) > max_count:
             raise ValueError(f"more than {max_count} upward-closed sets")
-    return [
-        frozenset(v for j, v in enumerate(candidates) if mask >> j & 1) for mask in masks
-    ]
+    return masks
 
 
 # --- compiled evaluation ------------------------------------------------------
@@ -328,8 +330,8 @@ class CompiledFormulas:
 
 
 class Frame:
-    """A frame's worlds, order and domains, with what labelling `width`
-    models of it at once derives from them alone.
+    """A frame's worlds, up-set masks and domains, with what labelling
+    `width` models of it at once derives from them alone.
 
     A frame holds, per world, the offset of its block and the offsets of the
     worlds below it, and, per element, the blocks of the worlds whose domain
@@ -340,7 +342,7 @@ class Frame:
     def __init__(
         self,
         worlds: tuple[str, ...],
-        order: frozenset[tuple[str, str]],
+        up: Sequence[int],
         domains: dict[str, tuple[str, ...]],
         width: int = 1,
     ):
@@ -351,10 +353,11 @@ class Frame:
         self.offset = dict(zip(worlds, offsets))
         # per world, its offset and the offsets of the worlds below it, which
         # the up-set step shifts the world's block to
-        below = {w: {offset} for w, offset in self.offset.items()}
-        for a, b in order:
-            below[b].add(self.offset[a])
-        self.below = tuple((self.offset[w], tuple(below[w])) for w in worlds)
+        below: list[list[int]] = [[] for _ in worlds]
+        for offset, mask in zip(offsets, up):
+            for lower in itertools.compress(below, bits(mask)):
+                lower.append(offset)
+        self.below = tuple(zip(offsets, map(tuple, below)))
         self.named = tuple(zip(offsets, worlds))
         # element -> the blocks of the worlds whose domain holds it: with one
         # domain at every world, as in a completion, every block
@@ -399,7 +402,7 @@ class Evaluator:
 
     def __init__(self, model: KripkeModel, signature: Signature):
         # at width 1 a model's labels are its atom labels
-        frame = Frame(model.worlds, model.order, model.domains)
+        frame = Frame(model.worlds, model.up, model.domains)
         self._start(CompiledFormulas(signature), frame, model.labels)
 
     @classmethod
@@ -571,9 +574,8 @@ def refuting_points(
     polynomial.
     """
     facts = model.facts
-    up: dict[str, list[str]] = {w: [] for w in model.worlds}
-    for a, b in model.order:
-        up[a].append(b)
+    worlds = model.worlds
+    up = {w: list(itertools.compress(worlds, bits(mask))) for w, mask in zip(worlds, model.up)}
     free: dict[int, tuple[str, ...]] = {}  # by id of subformula, found in one walk
     memo: dict[tuple, bool] = {}
 
@@ -725,7 +727,7 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
 
     model = KripkeModel(
         worlds=tuple(worlds),
-        order=reflexive_transitive_closure(worlds, pairs),
+        up=reflexive_transitive_closure(worlds, pairs),
         domains={w: tuple(domains.get(w, ())) for w in worlds},
         facts=frozenset(facts),
     )
@@ -738,16 +740,16 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
 
 
 def model_header(
-    worlds: tuple[str, ...], order: frozenset, domains: dict, signature: Optional[Signature] = None
+    worlds: tuple[str, ...], up: Sequence[int], domains: dict, signature: Optional[Signature] = None
 ) -> list[str]:
     """The lines of a model file before its facts: the signature, the
-    worlds, the strict order pairs in world order, and each world's domain."""
+    worlds, the strict order pairs in world order, read from the up-set
+    masks, and each world's domain."""
     lines = [] if signature is None else signature_to_text(signature).splitlines()
     lines.append("worlds: " + " ".join(worlds))
-    index = {w: i for i, w in enumerate(worlds)}
-    for a, b in sorted(order, key=lambda p: (index[p[0]], index[p[1]])):
-        if a != b:
-            lines.append(f"order: {a} {b}")
+    for i, (a, mask) in enumerate(zip(worlds, up)):
+        prefix = f"order: {a} "
+        lines.extend(prefix + b for b in itertools.compress(worlds, bits(mask & ~(1 << i))))
     for w in worlds:
         lines.append(f"domain {w}: " + " ".join(domains[w]))
     return lines
@@ -756,7 +758,7 @@ def model_header(
 def model_to_text(model: KripkeModel, signature: Optional[Signature] = None) -> str:
     """The model file of a valid model. Facts come by world, then by
     predicate, then by argument names compared as strings."""
-    lines = model_header(model.worlds, model.order, model.domains, signature)
+    lines = model_header(model.worlds, model.up, model.domains, signature)
     index = {w: i for i, w in enumerate(model.worlds)}
     for w, pred, args in sorted(model.facts, key=lambda f: (index[f[0]], f[1], f[2])):
         lines.append(f"fact {w}: {pred}({', '.join(args)})" if args else f"fact {w}: {pred}")

@@ -210,7 +210,7 @@ def separating_countermodel(names: Optional[dict[str, str]] = None) -> KripkeMod
     worlds = ("w1", "w2")
     return KripkeModel(
         worlds=worlds,
-        order=reflexive_transitive_closure(worlds, [("w1", "w2")]),
+        up=reflexive_transitive_closure(worlds, [("w1", "w2")]),
         domains={"w1": ("a1",), "w2": ("a1", "a2")},
         facts=frozenset(
             {

@@ -36,7 +36,7 @@ from kripkebench.truthfun import (
 )
 from kripkebench.synthesize import synthesize
 
-from util import all_tree_shapes, make_tree, nary_meet_closure, random_model
+from util import all_tree_shapes, make_tree, nary_meet_closure, random_model, successors
 
 
 def passed(number, message):
@@ -151,7 +151,7 @@ def test_06_heredity_on_seeded_models():
         pairs = [
             (w, v)
             for w in model.worlds
-            for v in model.successors(w)
+            for v in successors(model, w)
             if w != v
         ]
         for formula in formulas:
@@ -176,7 +176,7 @@ def test_07_unraveling_preserves_values_on_seeded_posets():
     for _ in range(100):
         model = random_model(rng, max_worlds=4, max_domain=2)
         # start where the up-set is largest so the unraveled tree is nontrivial
-        start = max(model.worlds, key=lambda w: len(model.successors(w)))
+        start = max(model.worlds, key=lambda w: len(successors(model, w)))
         tree = unravel_strict(model, start)
         multi_node_trees += len(tree.nodes) > 1
         source = Evaluator(model, signature)

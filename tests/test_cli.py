@@ -377,7 +377,7 @@ class TestDecide:
             search,
             "decode_model",
             lambda frame, index: KripkeModel(
-                frame.worlds, frame.order, frame.domains, frozenset()
+                frame.worlds, frame.up, frame.domains, frozenset()
             ),
         )
         code = main(

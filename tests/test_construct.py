@@ -64,6 +64,7 @@ from util import (
     reference_frame_fields,
     reference_pointwise_condition,
     reference_report_json,
+    up_masks,
 )
 
 
@@ -81,7 +82,7 @@ def diamond():
     worlds = ("r", "m1", "m2", "t")
     return KripkeModel(
         worlds=worlds,
-        order=reflexive_transitive_closure(
+        up=reflexive_transitive_closure(
             worlds, [("r", "m1"), ("r", "m2"), ("m1", "t"), ("m2", "t")]
         ),
         domains={w: ("a",) for w in worlds},
@@ -159,7 +160,7 @@ class TestUnravelStrict:
 
     def test_one_world(self):
         model = KripkeModel(
-            worlds=("w",), order=frozenset({("w", "w")}), domains={"w": ("a",)},
+            worlds=("w",), up=(1,), domains={"w": ("a",)},
             facts=frozenset(),
         )
         tree = unravel_strict(model, "w")
@@ -174,7 +175,7 @@ class TestUnravelStrict:
         worlds = ("w0", "w1")
         cyclic = KripkeModel(
             worlds=worlds,
-            order=reflexive_transitive_closure(worlds, [("w0", "w1"), ("w1", "w0")]),
+            up=reflexive_transitive_closure(worlds, [("w0", "w1"), ("w1", "w0")]),
             domains={w: ("a",) for w in worlds},
             facts=frozenset(),
         )
@@ -194,10 +195,11 @@ class TestUnravelStrict:
         for _ in range(600):
             worlds = tuple(rng.sample(names, rng.randint(1, 6)))
             pairs = [(a, b) for a in worlds for b in worlds if rng.random() < 0.2]
-            order = reflexive_transitive_closure(worlds, pairs)
-            model = KripkeModel(worlds, order, dict.fromkeys(worlds, ("a",)), frozenset())
+            up = reflexive_transitive_closure(worlds, pairs)
+            model = KripkeModel(worlds, up, dict.fromkeys(worlds, ("a",)), frozenset())
+            order = model.order
             want = next(((a, b) for a, b in sorted(order) if a != b and (b, a) in order), None)
-            assert construct._least_cycle(worlds, construct._up_masks(model)) == want
+            assert construct._least_cycle(worlds, model.up) == want
             if want is None:
                 unravel_strict(model, worlds[0])
                 continue
@@ -261,7 +263,7 @@ class TestUnravelStuttered:
         worlds = ("w0", "w1")
         cyclic = KripkeModel(
             worlds=worlds,
-            order=reflexive_transitive_closure(worlds, [("w0", "w1"), ("w1", "w0")]),
+            up=reflexive_transitive_closure(worlds, [("w0", "w1"), ("w1", "w0")]),
             domains={w: ("a",) for w in worlds},
             facts=frozenset(),
         )
@@ -450,7 +452,7 @@ class TestCompletionMatchesReference:
                 domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b")])
             tree = make_tree(parents, domains)
             facts = random_tree_facts(rng, tree, self.PREDICATES, rng.choice([0.15, 0.4]))
-            model = KripkeModel(tree.model.worlds, tree.model.order, tree.model.domains, facts)
+            model = KripkeModel(tree.model.worlds, tree.model.up, tree.model.domains, facts)
             tree = TreeModel(model, tree.root, tree.parent, tree.last, tree.truncated)
             for sig in signatures:
                 got = complete_to_constant_domain(tree, sig)
@@ -473,7 +475,8 @@ class TestCompletionMatchesReference:
             facts = random_tree_facts(rng, tree, sig.predicates, 0.3)
             worlds = tuple(reversed(tree.nodes))
             domains = {w: tree.model.domains[w] for w in worlds}
-            tree = tree_from_model(KripkeModel(worlds, tree.model.order, domains, facts))
+            up = up_masks(worlds, tree.model.order)
+            tree = tree_from_model(KripkeModel(worlds, up, domains, facts))
             got = complete_to_constant_domain(tree, sig)
             assert got.blocks == label_blocks(reference_completion(tree, sig).model)
 
@@ -539,7 +542,7 @@ class TestMainLemmaInstances:
     def test_flip_at_leaf_fails_precondition_at_root(self):
         model = KripkeModel(
             worlds=("r", "l"),
-            order=reflexive_transitive_closure(("r", "l"), [("r", "l")]),
+            up=reflexive_transitive_closure(("r", "l"), [("r", "l")]),
             domains={"r": ("a",), "l": ("a",)},
             facts=frozenset({("l", "p", ("a",))}),
         )
@@ -913,7 +916,7 @@ class TestMainLemmaMatchesReference:
                 (dict.fromkeys(worlds, names), len(names)),
                 (tree.model.domains, 1),
             ):
-                frame = Frame(worlds, order, domains, width)
+                frame = Frame(worlds, tree.model.up, domains, width)
                 fields = ("offset", "below", "named", "present", "elements")
                 got = {key: getattr(frame, key) for key in fields}
                 assert got == reference_frame_fields(worlds, order, domains, width)
@@ -998,7 +1001,7 @@ class TestSlicedMainLemma:
             completion = complete_to_constant_domain(tree, self.SIG)
             names = tuple(completion.functions)
             worlds, k = tree.nodes, len(names)
-            frame = Frame(worlds, tree.model.order, dict.fromkeys(worlds, names), width=k)
+            frame = Frame(worlds, tree.model.up, dict.fromkeys(worlds, names), width=k)
             sliced = Evaluator.of_frame(CompiledFormulas(self.SIG), frame, completion)
             width1 = Evaluator(completion.model, self.SIG)
             formulas = [parse_formula(text, self.SIG) for text in texts]
@@ -1155,7 +1158,7 @@ class TestPipeline:
         sig = Signature({"p": 0, "q": 0}, {})
         model = KripkeModel(
             worlds=("w0", "w1"),
-            order=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
+            up=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
             domains={"w0": ("a",), "w1": ("a",)},
             facts=frozenset({("w0", "p", ()), ("w1", "p", ())}),
         )
@@ -1169,7 +1172,7 @@ class TestPipeline:
         sig = Signature({"p": 0}, {"not": builtin("not")})
         model = KripkeModel(
             worlds=("w0", "w1"),
-            order=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
+            up=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
             domains={"w0": ("a",), "w1": ("a",)},
             facts=frozenset({("w1", "p", ())}),
         )
@@ -1181,7 +1184,7 @@ class TestPipeline:
     def test_rejects_non_refuting_point(self):
         sig = Signature({"p": 0}, {})
         model = KripkeModel(
-            worlds=("w0",), order=frozenset({("w0", "w0")}),
+            worlds=("w0",), up=(1,),
             domains={"w0": ("a",)}, facts=frozenset({("w0", "p", ())}),
         )
         with pytest.raises(ValueError):
@@ -1216,7 +1219,7 @@ class TestTreeFromModel:
     def test_rejects_forest(self):
         model = KripkeModel(
             worlds=("w0", "w1"),
-            order=frozenset({("w0", "w0"), ("w1", "w1")}),
+            up=(1, 2),
             domains={"w0": ("a",), "w1": ("a",)},
             facts=frozenset(),
         )
@@ -1233,7 +1236,8 @@ class TestTreeFromModel:
             for mask in range(1 << len(pairs)):
                 strict = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
                 order = frozenset([(w, w) for w in worlds] + strict)
-                model = KripkeModel(worlds, order, {w: ("a",) for w in worlds}, frozenset())
+                up = up_masks(worlds, order)
+                model = KripkeModel(worlds, up, {w: ("a",) for w in worlds}, frozenset())
                 if validate_model(model):
                     continue  # not a preorder: `tree_from_model` takes valid models
                 try:

@@ -37,6 +37,7 @@ from util import (
     is_canonical,
     naive_decide,
     naive_refutation,
+    order_pairs,
     poset_orders_by_masks,
     preorder_orders_by_masks,
     reference_enumerate_models,
@@ -151,18 +152,17 @@ class TestEnumeration:
     def test_posets_by_extension_equal_the_mask_scan(self):
         counts = []
         for n in range(1, 6):
-            reflexive = frozenset((i, i) for i in range(n))
-            got = [strict | reflexive for strict in search._posets(range(n))]
+            got = [order_pairs(range(n), up) for up in search._posets(n)]
             assert got == list(poset_orders_by_masks(n))
             rooted = [o for o in got if all((0, j) in o for j in range(n))]
-            assert list(search._poset_orders(n)) == rooted
+            assert [order_pairs(range(n), up) for up in search._poset_orders(n)] == rooted
             counts.append((len(got), len(rooted)))
         assert counts == [(1, 1), (2, 1), (7, 2), (40, 7), (357, 40)]
 
     def test_preorders_by_extension_equal_the_mask_scan(self):
         counts = []
         for n in range(1, 5):
-            got = list(search._preorder_orders(n))
+            got = [order_pairs(range(n), up) for up in search._preorder_orders(n)]
             assert got == list(preorder_orders_by_masks(n))
             counts.append(len(got))
         assert counts == [1, 4, 29, 355]
@@ -171,16 +171,37 @@ class TestEnumeration:
     def test_upward_closed_subsets_equal_the_mask_scan(self, shape):
         # every order of the shape up to 4 worlds, every set of candidates
         for n in range(1, 5):
-            for order in search._ORDER_GENERATORS[shape](n):
+            for up in search._ORDER_GENERATORS[shape](n):
+                order = order_pairs(range(n), up)
                 for size in range(n + 1):
                     for candidates in itertools.combinations(range(n), size):
-                        want = upward_closed_subsets_by_masks(candidates, order)
-                        assert upward_closed_subsets(candidates, order) == want
+                        want = [
+                            sum(1 << i for i in chosen)
+                            for chosen in upward_closed_subsets_by_masks(candidates, order)
+                        ]
+                        assert upward_closed_subsets(candidates, up) == want
                         # the bound admits the whole family and no less
-                        assert upward_closed_subsets(candidates, order, len(want)) == want
+                        assert upward_closed_subsets(candidates, up, len(want)) == want
                         if len(want) > 1:
                             with pytest.raises(ValueError):
-                                upward_closed_subsets(candidates, order, len(want) - 1)
+                                upward_closed_subsets(candidates, up, len(want) - 1)
+
+    @pytest.mark.parametrize(
+        "shape, counts",
+        [
+            ("chain", [1, 1, 1, 1, 1, 1]),
+            ("tree", [1, 1, 2, 6, 24, 120]),  # (n - 1)!
+            # the naturally labelled posets on n - 1 points, OEIS A006455
+            ("poset", [1, 1, 2, 7, 40, 357]),
+            # the preorders on n points, OEIS A000798
+            ("any-preorder", [1, 4, 29, 355, 6942]),
+        ],
+    )
+    def test_order_counts_match_cited_sequences(self, shape, counts):
+        # at n = 1, 2, ... worlds, each order yielded once
+        for n, count in enumerate(counts, start=1):
+            orders = list(search._ORDER_GENERATORS[shape](n))
+            assert len(orders) == len(set(orders)) == count
 
 
 class TestDecide:
@@ -317,6 +338,19 @@ class TestCensus:
                 direct += 1
         assert census.count(True, True) + census.count(True, False) == direct
         assert sum(census.count(sm, mono) for sm in (True, False) for mono in (True, False)) == 256
+
+    @pytest.mark.parametrize(
+        "arity, supermultiplicative, monotone, both",
+        [(0, 2, 2, 2), (1, 4, 3, 3), (2, 14, 6, 5), (3, 122, 20, 9), (4, 4960, 168, 17)],
+    )
+    def test_counts_match_closed_forms(self, arity, supermultiplicative, monotone, both):
+        # supermultiplicative: twice the Moore families on an n-set (OEIS
+        # A102896); monotone: the Dedekind numbers (OEIS A000372); both:
+        # 2^n + 1, the constant 0 and the principal filters
+        census = classify_connectives(arity)
+        assert census.count(True, True) + census.count(True, False) == supermultiplicative
+        assert census.count(True, True) + census.count(False, True) == monotone
+        assert census.count(True, True) == both
 
 
 class TestRelations:
@@ -590,7 +624,7 @@ class TestBitSlicedSearch:
             search,
             "decode_model",
             lambda frame, index: KripkeModel(
-                frame.worlds, frame.order, frame.domains, frozenset()
+                frame.worlds, frame.up, frame.domains, frozenset()
             ),
         )
         with pytest.raises(InconsistentVerdictError, match="scalar evaluator validates"):
@@ -600,7 +634,7 @@ class TestBitSlicedSearch:
             search,
             "decode_model",
             lambda frame, index: KripkeModel(
-                frame.worlds, frame.order, frame.domains, frozenset({("w0", "p", ())})
+                frame.worlds, frame.up, frame.domains, frozenset({("w0", "p", ())})
             ),
         )
         with pytest.raises(InconsistentVerdictError, match="heredity violated"):

@@ -33,10 +33,13 @@ from util import (
     naive_refutation,
     naive_value,
     one_world_model,
+    order_pairs,
     random_model,
     random_tree_facts,
     reference_model_to_text,
     sharing_evaluator,
+    successors,
+    up_masks,
     validate_model_by_pairs,
 )
 
@@ -57,7 +60,7 @@ def chain(*facts_by_world, domain=("a",)):
     worlds = tuple(f"w{i}" for i in range(n))
     return KripkeModel(
         worlds=worlds,
-        order=reflexive_transitive_closure(
+        up=reflexive_transitive_closure(
             worlds, [(worlds[i], worlds[i + 1]) for i in range(n - 1)]
         ),
         domains={w: domain for w in worlds},
@@ -74,7 +77,7 @@ class TestValidation:
     def test_domain_monotonicity_violation(self):
         model = KripkeModel(
             worlds=("w0", "w1"),
-            order=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
+            up=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
             domains={"w0": ("a", "b"), "w1": ("a",)},
             facts=frozenset(),
         )
@@ -83,7 +86,7 @@ class TestValidation:
     def test_heredity_violation(self):
         model = KripkeModel(
             worlds=("w0", "w1"),
-            order=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
+            up=reflexive_transitive_closure(("w0", "w1"), [("w0", "w1")]),
             domains={"w0": ("a",), "w1": ("a",)},
             facts=frozenset({("w0", "p", ())}),
         )
@@ -92,7 +95,7 @@ class TestValidation:
     def test_empty_domain_and_bad_fact(self):
         model = KripkeModel(
             worlds=("w0",),
-            order=frozenset({("w0", "w0")}),
+            up=(1,),
             domains={"w0": ()},
             facts=frozenset({("w0", "p", ("ghost",))}),
         )
@@ -103,7 +106,7 @@ class TestValidation:
     def test_missing_reflexivity_and_transitivity(self):
         model = KripkeModel(
             worlds=("w0", "w1", "w2"),
-            order=frozenset({("w0", "w1"), ("w1", "w2")}),
+            up=up_masks(("w0", "w1", "w2"), [("w0", "w1"), ("w1", "w2")]),
             domains={w: ("a",) for w in ("w0", "w1", "w2")},
             facts=frozenset(),
         )
@@ -114,7 +117,7 @@ class TestValidation:
     def test_inconsistent_predicate_arity(self):
         model = KripkeModel(
             worlds=("w0",),
-            order=frozenset({("w0", "w0")}),
+            up=(1,),
             domains={"w0": ("a",)},
             facts=frozenset({("w0", "p", ()), ("w0", "p", ("a",))}),
         )
@@ -126,16 +129,17 @@ class TestValidation:
     )
 
     def test_validation_matches_the_pair_scan_on_random_relations(self):
-        # relations that need not be orders, with undeclared worlds, duplicate
-        # or missing domain elements, stray facts and mixed arities
+        # relations that need not be orders, facts and domains at undeclared
+        # worlds, duplicate or missing domain elements and mixed arities
         rng = random.Random(2026)
         seen = set()
         for _ in range(600):
             worlds = tuple(f"w{i}" for i in range(rng.randint(1, 5)))
             names = worlds + ("u",)
-            order = frozenset((a, b) for a in names for b in names if rng.random() < 0.3)
+            pairs = [(a, b) for a in worlds for b in worlds if rng.random() < 0.3]
+            up = up_masks(worlds, pairs)
             if rng.random() < 0.5:
-                order = reflexive_transitive_closure(worlds, [p for p in order if "u" not in p])
+                up = reflexive_transitive_closure(worlds, pairs)
             domains = {w: tuple(rng.choices("abc", k=rng.randint(0, 3))) for w in worlds}
             if rng.random() < 0.05:
                 domains["u"] = ("a",)
@@ -143,7 +147,7 @@ class TestValidation:
                 (rng.choice(names), rng.choice("pq"), tuple(rng.choices("abc", k=rng.randint(0, 2))))
                 for _ in range(rng.randint(0, 8))
             )
-            model = KripkeModel(worlds, order, domains, facts)
+            model = KripkeModel(worlds, up, domains, facts)
             violations = validate_model(model)
             assert violations == validate_model_by_pairs(model)
             seen |= {kind for kind in self.VIOLATION_KINDS for v in violations if kind in v}
@@ -152,8 +156,8 @@ class TestValidation:
     def test_long_chain_validates_quickly(self):
         # a walk over each successor of each order pair is cubic on a chain
         worlds = tuple(f"w{i}" for i in range(600))
-        order = frozenset((a, b) for i, a in enumerate(worlds) for b in worlds[i:])
-        model = KripkeModel(worlds, order, {w: ("a",) for w in worlds}, frozenset())
+        up = tuple((1 << 600) - (1 << i) for i in range(600))
+        model = KripkeModel(worlds, up, {w: ("a",) for w in worlds}, frozenset())
         started = time.perf_counter()
         assert validate_model(model) == []
         assert time.perf_counter() - started < 2
@@ -167,12 +171,12 @@ class TestClosure:
         for _ in range(2000):
             worlds = tuple(f"w{i}" for i in range(rng.randint(0, 8)))
             pairs = [(a, b) for a in worlds for b in worlds if rng.random() < 0.2]
-            order = reflexive_transitive_closure(worlds, pairs)
+            up = reflexive_transitive_closure(worlds, pairs)
+            model = KripkeModel(worlds, up, dict.fromkeys(worlds, ("a",)), frozenset())
+            order = model.order
             assert order == closure_by_fixpoint(worlds, pairs)
-            model = KripkeModel(worlds, order, dict.fromkeys(worlds, ("a",)), frozenset())
             above = {w: {v for v in worlds if (w, v) in order and v != w} for w in worlds}
             between = {w: set().union(*(above[u] for u in above[w])) for w in worlds}
-            up = construct._up_masks(model)
             assert construct._covering_relation(worlds, up) == {
                 w: tuple(v for v in worlds if v in above[w] - between[w]) for w in worlds
             }
@@ -181,9 +185,9 @@ class TestClosure:
         # the set fixpoint is cubic on a chain
         worlds = tuple(f"w{i}" for i in range(1000))
         started = time.perf_counter()
-        order = reflexive_transitive_closure(worlds, zip(worlds, worlds[1:]))
+        up = reflexive_transitive_closure(worlds, zip(worlds, worlds[1:]))
         assert time.perf_counter() - started < 3
-        assert len(order) == 1000 * 1001 // 2
+        assert sum(mask.bit_count() for mask in up) == 1000 * 1001 // 2
 
 
 class TestConstantDomain:
@@ -355,7 +359,7 @@ class TestHeredity:
             for _ in range(8):
                 formula = random_formula(rng, sig, 3, ("x",))
                 for w in model.worlds:
-                    for v in model.successors(w):
+                    for v in successors(model, w):
                         for a in model.domains[w]:
                             rho = {"x": a}
                             assert evaluator.value(w, rho, formula) <= evaluator.value(
@@ -451,8 +455,8 @@ class TestEvaluatorAgainstNaiveRecursion:
     def test_refuting_points_bounded_on_nested_quantifiers(self):
         # without the memo the recursion grows about 5x per quantifier here
         worlds = tuple(f"w{i}" for i in range(8))
-        chain_order = reflexive_transitive_closure(worlds, zip(worlds, worlds[1:]))
-        model = KripkeModel(worlds, chain_order, {w: ("a", "b") for w in worlds}, frozenset())
+        chain_up = reflexive_transitive_closure(worlds, zip(worlds, worlds[1:]))
+        model = KripkeModel(worlds, chain_up, {w: ("a", "b") for w in worlds}, frozenset())
         sig = Signature({"p": 1, "r": 0}, {"imp": builtin("imp")})
         body = "imp(p(x1), p(x1))"
         for i in range(7, 0, -1):
@@ -467,21 +471,21 @@ class TestEvaluatorAgainstNaiveRecursion:
         rng = random.Random(37)
         sig = full_sig()
         worlds = ("w0", "w1")
-        order = reflexive_transitive_closure(worlds, [("w0", "w1")])
+        up = reflexive_transitive_closure(worlds, [("w0", "w1")])
         growing = {"w0": ("a0",), "w1": ("a0", "a1")}
         constant = {"w0": ("a0", "a1"), "w1": ("a0", "a1")}
         facts = frozenset({("w0", "p", ("a0",)), ("w1", "p", ("a0",)), ("w1", "q", ("a1",))})
         shared = dict(growing)
         models = [
-            KripkeModel(worlds, order, growing, facts),
-            KripkeModel(worlds, order, constant, facts),  # equal order, other domains
+            KripkeModel(worlds, up, growing, facts),
+            KripkeModel(worlds, up, constant, facts),  # equal order, other domains
             KripkeModel(  # equal contents, distinct objects
-                tuple(list(worlds)), frozenset(set(order)), dict(growing), frozenset(facts)
+                tuple(list(worlds)), tuple(list(up)), dict(growing), frozenset(facts)
             ),
             random_model(rng),
-            KripkeModel(worlds, order, growing, facts | {("w1", "r", ())}),
+            KripkeModel(worlds, up, growing, facts | {("w1", "r", ())}),
             random_model(rng, allow_cycles=True),
-            KripkeModel(worlds, order, shared, facts),
+            KripkeModel(worlds, up, shared, facts),
         ]
 
         def side():
@@ -545,6 +549,12 @@ class TestModelFiles:
             parse_model_text("worlds: w0\ndomain w0: a\nfact w1: p(a)\n")
         with pytest.raises(InvalidModelError):
             parse_model_text("worlds: w0\ndomain w0: a\nnonsense: x\n")
+
+    def test_order_pair_at_undeclared_world_rejected(self):
+        # a model stores up-set masks, which have no bit for such a world
+        message = r"^order pair \(w0, u\) mentions an undeclared world$"
+        with pytest.raises(InvalidModelError, match=message):
+            parse_model_text("worlds: w0\norder: w0 u\ndomain w0: a\n")
 
     def test_declared_arity_enforced(self):
         with pytest.raises(InvalidModelError):
@@ -641,7 +651,8 @@ def _named_models(draw, element_names=_ELEMENT_NAMES):
         st.dictionaries(st.sampled_from(_PREDICATE_NAMES), st.integers(0, 2), min_size=1)
     )
     pairs = draw(st.lists(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds))))
-    order = reflexive_transitive_closure(worlds, pairs)
+    up = reflexive_transitive_closure(worlds, pairs)
+    order = order_pairs(worlds, up)
     base = {w: set(draw(st.lists(st.sampled_from(elements), min_size=1))) for w in worlds}
     domains = {
         w: tuple(e for e in elements if any(e in base[v] for v in worlds if (v, w) in order))
@@ -662,7 +673,7 @@ def _named_models(draw, element_names=_ELEMENT_NAMES):
         args = tuple(args[: predicates[pred]])
         if set(args) <= set(domains[w]):
             facts |= {(v, pred, args) for v in worlds if (w, v) in order}
-    model = KripkeModel(worlds, order, domains, frozenset(facts))
+    model = KripkeModel(worlds, up, domains, frozenset(facts))
     assert validate_model(model) == []
     return model
 

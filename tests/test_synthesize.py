@@ -30,7 +30,7 @@ from kripkebench.synthesize import (
     synthesize,
 )
 
-from util import truth_function_from_bits
+from util import successors, truth_function_from_bits
 
 
 def vec(*bits):
@@ -189,7 +189,7 @@ class TestBiconditional:
                     continue
                 agree_above = all(
                     evaluator.value(v, {}, Atom("A")) == evaluator.value(v, {}, Atom("B"))
-                    for v in model.successors(w)
+                    for v in successors(model, w)
                 )
                 assert (evaluator.value(w, {}, formula) == 1) == agree_above
                 checked += 1
@@ -209,7 +209,7 @@ class TestBiconditional:
         worlds = ("w0", "w1")
         model = KripkeModel(
             worlds=worlds,
-            order=reflexive_transitive_closure(worlds, [("w0", "w1")]),
+            up=reflexive_transitive_closure(worlds, [("w0", "w1")]),
             domains={w: ("a",) for w in worlds},
             facts=frozenset(
                 {("w0", "T", ()), ("w1", "T", ()), ("w1", "A", ()), ("w0", "B", ()), ("w1", "B", ())}

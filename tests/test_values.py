@@ -46,7 +46,7 @@ FIELDS = {
     "Forall": ("var", "body"),
     "Exists": ("var", "body"),
     "Sequent": ("antecedent", "succedent"),
-    "KripkeModel": ("worlds", "order", "domains", "labels"),
+    "KripkeModel": ("worlds", "up", "domains", "labels"),
     "TreeModel": ("model", "root", "parent", "last", "truncated"),
     "ConstantDomainCompletion": ("tree", "functions"),
     "BarViolation": ("subformula", "node", "assignment", "value"),
@@ -71,7 +71,7 @@ UNHASHABLE = {
 # the repr of the small values, whose sets have at most one member, so
 # that it does not depend on how strings hash
 MODEL = (
-    "KripkeModel(worlds=('w',), order=frozenset({('w', 'w')}), domains={'w': ('a',)},"
+    "KripkeModel(worlds=('w',), up=(1,), domains={'w': ('a',)},"
     " labels={('p', ('a',)): 1})"
 )
 TREE = f"TreeModel(model={MODEL}, root='w', parent={{}}, last=None, truncated=False)"
@@ -125,7 +125,7 @@ def build() -> dict:
     sig = Signature({"p": 1, "q": 0}, {"or": TruthFunction(2, (0, 1, 1, 1))})
     px = Atom("p", ("x",))
     bounds = SearchBounds(2, 1, "tree")
-    model = KripkeModel(("w",), frozenset({("w", "w")}), {"w": ("a",)}, [("w", "p", ("a",))])
+    model = KripkeModel(("w",), (1,), {"w": ("a",)}, [("w", "p", ("a",))])
     sequent = Sequent((px,), (Atom("q"),))
     tree = tree_from_model(model)
     completion = complete_to_constant_domain(tree, sig)
@@ -211,9 +211,9 @@ def test_formula_nodes_compare_by_class():
 
 def test_equality_reads_every_compared_field():
     model = VALUES["KripkeModel"]
-    labelled = KripkeModel(model.worlds, model.order, model.domains, labels=dict(model.labels))
+    labelled = KripkeModel(model.worlds, model.up, model.domains, labels=dict(model.labels))
     assert labelled == model
-    assert KripkeModel(model.worlds, model.order, {"w": ("a", "b")}, labels=model.labels) != model
+    assert KripkeModel(model.worlds, model.up, {"w": ("a", "b")}, labels=model.labels) != model
     assert SearchBounds(2, 1, "tree") != SearchBounds(2, 1, "poset")
     assert Sequent((Atom("q"),), ()) != Sequent((), (Atom("q"),))
     # the completion's by_value is left out of its equality

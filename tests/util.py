@@ -91,6 +91,28 @@ def nary_meet_closure(f: TruthFunction, n: int) -> bool:
     return rec(0, full)
 
 
+def up_masks(worlds, pairs):
+    """The up-set masks of the relation `pairs` on `worlds`, not closed:
+    bit j of mask i is set where `(worlds[i], worlds[j])` is a pair."""
+    index = {w: i for i, w in enumerate(worlds)}
+    up = [0] * len(worlds)
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    return tuple(up)
+
+
+def order_pairs(worlds, up):
+    """The pairs `(a, b)` of the relation with up-set masks `up`."""
+    return frozenset(
+        (a, b) for a, mask in zip(worlds, up) for j, b in enumerate(worlds) if mask >> j & 1
+    )
+
+
+def successors(model, world):
+    """The worlds above `world` in the model's order, in world order."""
+    return tuple(v for v in model.worlds if (world, v) in model.order)
+
+
 def random_model(
     rng: random.Random,
     max_worlds: int = 4,
@@ -111,7 +133,8 @@ def random_model(
     if allow_cycles and n >= 2 and rng.random() < 0.25:
         i = rng.randrange(n - 1)
         pairs.append((f"w{i + 1}", f"w{i}"))
-    order = reflexive_transitive_closure(worlds, pairs)
+    up = reflexive_transitive_closure(worlds, pairs)
+    order = order_pairs(worlds, up)
     universe = tuple(f"a{k}" for k in range(max_domain))
     base = {
         w: {rng.choice(universe)} | {e for e in universe if rng.random() < 0.4}
@@ -133,7 +156,7 @@ def random_model(
                 for v in worlds:
                     if (w, v) in order:
                         facts.add((v, pred, args))
-    model = KripkeModel(worlds, order, domains, frozenset(facts))
+    model = KripkeModel(worlds, up, domains, frozenset(facts))
     assert not validate_model(model), "generator produced an invalid model"
     return model
 
@@ -143,7 +166,7 @@ def one_world_model(domain, facts, world="w0") -> KripkeModel:
     (pred, args) pairs over `domain`."""
     return KripkeModel(
         worlds=(world,),
-        order=frozenset({(world, world)}),
+        up=(1,),
         domains={world: tuple(domain)},
         facts=frozenset((world, pred, args) for pred, args in facts),
     )
@@ -162,12 +185,12 @@ def make_tree(
     nodes = tuple(f"n{i}" for i in range(n))
     parent = {f"n{i + 1}": f"n{parents[i]}" for i in range(len(parents))}
     pairs = [(p, c) for c, p in parent.items()]
-    order = reflexive_transitive_closure(nodes, pairs)
+    up = reflexive_transitive_closure(nodes, pairs)
     if domains is None:
         domains = {
             node: ("a",) if node == "n0" else ("a", "b") for node in nodes
         }
-    model = KripkeModel(nodes, order, domains, facts)
+    model = KripkeModel(nodes, up, domains, facts)
     return TreeModel(model=model, root="n0", parent=parent)
 
 
@@ -190,7 +213,7 @@ def random_tree_facts(
         for args in itertools.product(universe, repeat=arity):
             for node in model.worlds:
                 if set(args) <= set(model.domains[node]) and rng.random() < rate:
-                    facts |= {(v, pred, args) for v in model.successors(node)}
+                    facts |= {(v, pred, args) for v in successors(model, node)}
     return frozenset(facts)
 
 
@@ -224,7 +247,7 @@ def reference_completion(tree, signature):
                     facts.add((w, pred, combo))
     completed = KripkeModel(
         worlds=tree.model.worlds,
-        order=tree.model.order,
+        up=tree.model.up,
         domains={w: names for w in tree.model.worlds},
         facts=frozenset(facts),
     )
@@ -500,8 +523,8 @@ def upward_closed_subsets_by_masks(candidates, order):
 
 
 REFERENCE_ORDERS = {
-    "chain": _chain_orders,
-    "tree": _tree_orders,
+    "chain": lambda n: (order_pairs(range(n), up) for up in _chain_orders(n)),
+    "tree": lambda n: (order_pairs(range(n), up) for up in _tree_orders(n)),
     "poset": poset_orders_by_masks,
     "any-preorder": preorder_orders_by_masks,
 }
@@ -518,7 +541,7 @@ def reference_enumerate_models(signature, bounds, constant_domain=False):
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         for index_order in REFERENCE_ORDERS[bounds.shape](n):
-            order = frozenset((worlds[a], worlds[b]) for a, b in index_order)
+            up = up_masks(range(n), index_order)
             if constant_domain:
                 domain_choices = ((d,) * n for d in subsets)
             else:
@@ -550,9 +573,7 @@ def reference_enumerate_models(signature, bounds, constant_domain=False):
                         for (pred, args, _), chosen in zip(slots, choice)
                         for i in chosen
                     )
-                    yield KripkeModel(
-                        worlds=worlds, order=order, domains=domains, facts=facts
-                    )
+                    yield KripkeModel(worlds=worlds, up=up, domains=domains, facts=facts)
 
 
 def is_canonical(model, shape):
@@ -566,36 +587,49 @@ def is_canonical(model, shape):
     )
 
 
-def naive_value(model, sig, world, assignment, formula):
-    """Direct recursion on the four clauses: no memo, no sharing.
+def naive_evaluator(model, sig):
+    """`naive_value` on one model, as a function of (world, assignment,
+    formula): each world's successors and the fact set are built once per
+    model, and each value is the direct recursion on the four clauses, with
+    no memo and no sharing.
 
     Kept independent of the program's evaluator on purpose.
     """
-    successors = [v for v in model.worlds if (world, v) in model.order]
-    if isinstance(formula, Atom):
-        args = tuple(assignment[x] for x in formula.args)
-        return 1 if (world, formula.pred, args) in model.facts else 0
-    if isinstance(formula, Conn):
-        tf = sig.connectives[formula.conn]
-        for v in successors:
-            index = 0
-            for arg in formula.args:
-                index = 2 * index + naive_value(model, sig, v, assignment, arg)
-            if tf.table[index] == 0:
-                return 0
-        return 1
-    if isinstance(formula, Forall):
-        for v in successors:
-            for a in model.domains[v]:
-                if naive_value(model, sig, v, {**assignment, formula.var: a}, formula.body) == 0:
+    facts = model.facts
+    above = {w: successors(model, w) for w in model.worlds}
+
+    def value(world, assignment, formula):
+        if isinstance(formula, Atom):
+            args = tuple(assignment[x] for x in formula.args)
+            return 1 if (world, formula.pred, args) in facts else 0
+        if isinstance(formula, Conn):
+            tf = sig.connectives[formula.conn]
+            for v in above[world]:
+                index = 0
+                for arg in formula.args:
+                    index = 2 * index + value(v, assignment, arg)
+                if tf.table[index] == 0:
                     return 0
-        return 1
-    if isinstance(formula, Exists):
-        for a in model.domains[world]:
-            if naive_value(model, sig, world, {**assignment, formula.var: a}, formula.body) == 1:
-                return 1
-        return 0
-    raise TypeError
+            return 1
+        if isinstance(formula, Forall):
+            for v in above[world]:
+                for a in model.domains[v]:
+                    if value(v, {**assignment, formula.var: a}, formula.body) == 0:
+                        return 0
+            return 1
+        if isinstance(formula, Exists):
+            for a in model.domains[world]:
+                if value(world, {**assignment, formula.var: a}, formula.body) == 1:
+                    return 1
+            return 0
+        raise TypeError
+
+    return value
+
+
+def naive_value(model, sig, world, assignment, formula):
+    """Direct recursion on the four clauses: no memo, no sharing."""
+    return naive_evaluator(model, sig)(world, assignment, formula)
 
 
 def shifted_above_none_of(evaluator, bad):
@@ -616,15 +650,14 @@ def naive_bar_violation(tree, sig, formula):
     instance, value 1 iff the value-1 part of the node's up-set, computed by
     `naive_value`, bars the node."""
     model = tree.model
+    naive = naive_evaluator(model, sig)
     for sub in subformulas(formula):
         variables = sorted(free_vars(sub))
         for node in tree.nodes:
             for combo in itertools.product(model.domains[node], repeat=len(variables)):
                 rho = dict(zip(variables, combo))
-                value = naive_value(model, sig, node, rho, sub)
-                one_set = frozenset(
-                    v for v in tree.upset(node) if naive_value(model, sig, v, rho, sub) == 1
-                )
+                value = naive(node, rho, sub)
+                one_set = frozenset(v for v in tree.upset(node) if naive(v, rho, sub) == 1)
                 if (value == 1) != bars(tree, node, one_set):
                     return BarViolation(sub, node, tuple(sorted(rho.items())), value)
     return None
@@ -632,13 +665,14 @@ def naive_bar_violation(tree, sig, formula):
 
 def sharing_evaluator(formulas, model) -> Evaluator:
     """A width-1 evaluator of the model over shared compiled formulas."""
-    frame = Frame(model.worlds, model.order, model.domains)
+    frame = Frame(model.worlds, model.up, model.domains)
     return Evaluator.of_frame(formulas, frame, model.labels)
 
 
 def reference_frame_fields(worlds, order, domains, width=1) -> dict:
     """`Frame`'s `offset`, `below`, `named`, `present` and `elements` by the
-    general loop over every world and every element of its domain."""
+    general loop over every order pair, every world and every element of its
+    domain; the offsets below a world come in world order."""
     ones = (1 << width) - 1
     offsets = [i * width for i in range(len(worlds))]
     offset = dict(zip(worlds, offsets))
@@ -652,7 +686,7 @@ def reference_frame_fields(worlds, order, domains, width=1) -> dict:
             present[e] = present.get(e, 0) | ones << o
     return {
         "offset": offset,
-        "below": tuple((offset[w], tuple(below[w])) for w in worlds),
+        "below": tuple((offset[w], tuple(sorted(below[w]))) for w in worlds),
         "named": named,
         "present": present,
         "elements": tuple(present.items()),
@@ -664,11 +698,12 @@ def naive_refutation(model, sig, sequent):
     scanning worlds in declaration order, variables sorted and elements in
     declaration order."""
     variables = sorted(sequent_free_vars(sequent))
+    naive = naive_evaluator(model, sig)
     for w in model.worlds:
         for combo in itertools.product(model.domains[w], repeat=len(variables)):
             rho = dict(zip(variables, combo))
-            if all(naive_value(model, sig, w, rho, f) == 1 for f in sequent.antecedent) and all(
-                naive_value(model, sig, w, rho, f) == 0 for f in sequent.succedent
+            if all(naive(w, rho, f) == 1 for f in sequent.antecedent) and all(
+                naive(w, rho, f) == 0 for f in sequent.succedent
             ):
                 return w, rho
     return None
