@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 from functools import cached_property
-from operator import itemgetter, or_
+from operator import gt, itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .semantics import CompiledFormulas, Evaluator, Frame, InvalidModelError, KripkeModel
@@ -64,14 +64,6 @@ class TreeModel(Frozen):
     @property
     def nodes(self) -> tuple[str, ...]:
         return self.model.worlds
-
-    def leaves(self) -> tuple[str, ...]:
-        withchild = set(self.parent.values())
-        return tuple(n for n in self.nodes if n not in withchild)
-
-    def upset(self, node: str) -> frozenset[str]:
-        mask = self.model.up[self.nodes.index(node)]
-        return frozenset(itertools.compress(self.nodes, bits(mask)))
 
 
 def tree_from_model(model: KripkeModel) -> TreeModel:
@@ -248,156 +240,55 @@ def unravel_stuttered(model: KripkeModel, start: str, length_bound: int) -> Tree
     return _assemble_tree(model, chains, truncated=True)
 
 
-# --- bars, upward-closed sets, partitions ------------------------------------
-
-
-def is_upward_closed(tree: TreeModel, nodes: frozenset[str]) -> bool:
-    return all(child in nodes for child, p in tree.parent.items() if p in nodes)
-
-
-def bars(tree: TreeModel, node: str, barrier: frozenset[str]) -> bool:
-    """Whether every maximal chain from the node meets the barrier set: in
-    a tree, whether every leaf above the node lies above some barrier node
-    above the node."""
-    if node not in tree.model.domains:
-        raise ValueError(f"unknown node {node!r}")
-    up = tree.model.up
-    above = up[tree.nodes.index(node)]
-    met = leaves = 0
-    for i, (n, mask) in enumerate(zip(tree.nodes, up)):
-        if above >> i & 1 and n in barrier:
-            met |= mask
-        if mask == 1 << i:
-            leaves |= mask
-    return not above & leaves & ~met
-
-
-def partition_upward_closed(
-    tree: TreeModel, nodes: frozenset[str]
-) -> list[tuple[str, frozenset[str]]]:
-    """Split an upward-closed set into its parent-child connected blocks.
-
-    Each block is the up-set of a member whose parent lies outside the set;
-    returned as (minimum, block) pairs in node order. The upset of a single
-    node comes back as one block.
-    """
-    if not nodes <= set(tree.nodes):
-        raise ValueError("input set mentions unknown nodes")
-    if not is_upward_closed(tree, nodes):
-        raise ValueError("input set is not upward-closed")
-    return [
-        (n, frozenset(itertools.compress(tree.nodes, bits(mask))))
-        for n, mask in zip(tree.nodes, tree.model.up)
-        if n in nodes and tree.parent.get(n) not in nodes
-    ]
-
-
 # --- choice functions ---------------------------------------------------------
 #
 # A choice function is a partial map node -> element: a dict whose keys come
 # in sorted node order.
 
 
-def check_choice_function(tree: TreeModel, function: dict[str, str]) -> list[str]:
-    """Violations of the four choice-function conditions; empty means valid."""
-    violations = []
-    dom = frozenset(function)
-    if not dom <= set(tree.nodes):
-        violations.append("domain mentions unknown nodes")
-        return violations
-    if not is_upward_closed(tree, dom):
-        violations.append("domain is not upward-closed")
-    if not bars(tree, tree.root, dom):
-        violations.append("domain does not bar the root")
-    for node in sorted(dom):
-        if function[node] not in tree.model.domains[node]:
-            violations.append(f"value {function[node]} at {node} is outside its domain")
-    for node in sorted(dom):
-        above = tree.upset(node)
-        for other in sorted(dom):
-            if other in above and function[node] != function[other]:
-                violations.append(
-                    f"values differ along a branch: {node}->{function[node]},"
-                    f" {other}->{function[other]}"
-                )
-    return violations
-
-
-def extend_choice(
-    tree: TreeModel,
-    barrier: frozenset[str],
-    node: str,
-    pins: dict[str, str],
-) -> dict[str, str]:
-    """A choice function defined on (upset(node) ∩ barrier) plus the region
-    incomparable with its block minima, taking pinned values at the block
-    minima and the first declared element elsewhere.
-
-    `barrier` must be upward-closed and bar the root; `pins` must pin exactly
-    the block minima of upset(node) ∩ barrier, each within that node's domain.
-    """
-    if not is_upward_closed(tree, barrier):
-        raise ValueError("barrier set is not upward-closed")
-    if not bars(tree, tree.root, barrier):
-        raise ValueError("barrier set does not bar the root")
-    if node not in tree.model.domains:
-        raise ValueError(f"unknown node {node!r}")
-    pinned_region = tree.upset(node) & barrier
-    blocks = partition_upward_closed(tree, pinned_region)
-    minima = [m for m, _ in blocks]
-    if set(pins) != set(minima):
-        raise ValueError(
-            f"pins must be keyed by the block minima {sorted(minima)},"
-            f" got {sorted(pins)}"
-        )
-    for m in minima:
-        if pins[m] not in tree.model.domains[m]:
-            raise ValueError(f"pin {pins[m]!r} at {m} is outside its domain")
-    # neither below a block minimum nor in a block, which holds its up-set
-    lowest = sum(1 << tree.nodes.index(m) for m in minima)
-    above = frozenset().union(*(block for _, block in blocks))
-    incomparable = frozenset(
-        u for u, mask in zip(tree.nodes, tree.model.up) if not mask & lowest and u not in above
-    )
-    mapping: dict[str, str] = {}
-    for minimum, block in blocks:
-        mapping.update(dict.fromkeys(block, pins[minimum]))
-    for minimum, block in partition_upward_closed(tree, incomparable):
-        mapping.update(dict.fromkeys(block, tree.model.domains[minimum][0]))
-    result = dict(sorted(mapping.items()))
-    problems = check_choice_function(tree, result)
-    if problems:
-        raise AssertionError("extend_choice produced an invalid function: " + "; ".join(problems))
-    return result
-
-
 def enumerate_choice_functions(tree: TreeModel) -> Iterator[dict[str, str]]:
     """All choice functions on the tree, in a fixed construction order.
 
     A domain is upward-closed and bars the root exactly when it contains
-    every leaf: it is the leaves and an upward-closed set of internal nodes,
-    in increasing mask order over them. Values are constant per parent-child
-    block and drawn from the block minimum's (nonempty) domain, so each
-    domain gives a function and more than MAX_COUNT domains raise
-    ValueError before any function is built.
+    every leaf, a node whose up-set is itself: it is the leaves and an
+    upward-closed set of internal nodes, in increasing mask order over them.
+    Its blocks are the up-sets of its minima, the members whose parent lies
+    outside it, in node order. Values are constant per block and drawn from
+    the block minimum's (nonempty) domain, so each domain gives a function,
+    and more than MAX_COUNT domains raise ValueError before any function is
+    built.
     """
-    nodes = tree.nodes
-    leaves = frozenset(tree.leaves())
-    internal = tuple(i for i, n in enumerate(nodes) if n not in leaves)
+    nodes, up = tree.nodes, tree.model.up
+    n = len(nodes)
+    position = {node: i for i, node in enumerate(nodes)}
+    # a domain is read as bytes: byte i is 1 for a member i, byte n is 0 and
+    # stands for the root's parent, and byte n + 1 is 1 and only pads. These
+    # read each node's parent's byte and the bytes in key order; the extra
+    # index keeps a lone node's result a tuple
+    parent_of = itemgetter(*[position.get(tree.parent.get(node), n) for node in nodes], n)
+    by_name = sorted(range(n), key=nodes.__getitem__)
+    in_key_order = itemgetter(*by_name, n)
+    leaves = sum(mask for i, mask in enumerate(up) if mask == 1 << i)
+    internal = tuple(i for i, mask in enumerate(up) if mask != 1 << i)
     too_many = f"more than {MAX_COUNT} choice functions"
     try:
-        uppers = upward_closed_subsets(internal, tree.model.up, MAX_COUNT)
+        uppers = upward_closed_subsets(internal, up, MAX_COUNT)
     except ValueError:
         raise ValueError(too_many) from None
+    block = [0] * n  # each member's block, rewritten per domain
     produced = 0
     for upper in uppers:
-        blocks = partition_upward_closed(tree, leaves.union(itertools.compress(nodes, bits(upper))))
-        value_menus = [tree.model.domains[minimum] for minimum, _ in blocks]
-        which = {node: b for b, (_, block) in enumerate(blocks) for node in block}
-        keys = sorted(which)
+        member = bits(leaves | upper | 2 << n)
+        # the members whose parent is not one, in node order
+        minima = list(itertools.compress(range(n), map(gt, member, parent_of(member))))
+        for b, minimum in enumerate(minima):
+            for i in itertools.compress(range(n), bits(up[minimum])):
+                block[i] = b
+        members = list(itertools.compress(by_name, in_key_order(member)))
+        keys = [nodes[i] for i in members]
         # each key's block value; the extra 0 keeps a lone key's result a tuple
-        pick = itemgetter(*[which[node] for node in keys], 0)
-        for values in itertools.product(*value_menus):
+        pick = itemgetter(*[block[i] for i in members], 0)
+        for values in itertools.product(*[tree.model.domains[nodes[m]] for m in minima]):
             produced += 1
             if produced > MAX_COUNT:
                 raise ValueError(too_many)

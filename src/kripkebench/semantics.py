@@ -207,12 +207,6 @@ def require_valid_model(model: KripkeModel) -> None:
         raise InvalidModelError("invalid model:\n" + "\n".join(violations))
 
 
-def is_constant_domain(model: KripkeModel) -> bool:
-    """Whether all worlds share one domain (assumes a valid model)."""
-    sets = {frozenset(model.domains[w]) for w in model.worlds}
-    return len(sets) <= 1
-
-
 def upward_closed_subsets(
     candidates: tuple[int, ...], up: Sequence[int], max_count: Optional[int] = None
 ) -> list[int]:
@@ -700,6 +694,9 @@ def parse_model_text(text: str) -> tuple[KripkeModel, Signature]:
                     fail(lineno, "unbalanced parentheses in fact")
                 argtext = argtext[:-1]
                 args = tuple(a.strip() for a in argtext.split(",")) if argtext.strip() else ()
+                for a in args:  # domain elements are nonempty words
+                    if len(a.split()) != 1:
+                        fail(lineno, f"fact argument {a!r} is empty or contains whitespace")
             else:
                 args = ()
             if not name:

@@ -97,14 +97,8 @@ def _require_equal_length(a: TruthVector, b: TruthVector) -> None:
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
-def tv_leq(a: TruthVector, b: TruthVector) -> bool:
-    """Componentwise order: every entry of a is <= the matching entry of b."""
-    _require_equal_length(a, b)
-    return all(x <= y for x, y in zip(a.bits, b.bits))
-
-
 def tv_meet(a: TruthVector, b: TruthVector) -> TruthVector:
-    """Componentwise minimum (the infimum for tv_leq)."""
+    """Componentwise minimum (the infimum in the componentwise order)."""
     _require_equal_length(a, b)
     return TruthVector(tuple(min(x, y) for x, y in zip(a.bits, b.bits)))
 

@@ -10,14 +10,7 @@ import random
 
 import pytest
 
-from kripkebench.construct import (
-    check_choice_function,
-    complete_to_constant_domain,
-    extend_choice,
-    is_upward_closed,
-    partition_upward_closed,
-    unravel_strict,
-)
+from kripkebench.construct import complete_to_constant_domain, unravel_strict
 from kripkebench.search import (
     Refuted,
     SearchBounds,
@@ -36,7 +29,19 @@ from kripkebench.truthfun import (
 )
 from kripkebench.synthesize import synthesize
 
-from util import all_tree_shapes, make_tree, nary_meet_closure, random_model, successors
+from util import (
+    all_tree_shapes,
+    check_choice_function,
+    extend_choice,
+    is_upward_closed,
+    leaves_of,
+    make_tree,
+    nary_meet_closure,
+    partition_upward_closed,
+    random_model,
+    successors,
+    upset_of,
+)
 
 
 def passed(number, message):
@@ -221,11 +226,11 @@ def test_08_partitions_and_choice_extension_exhaustive_on_small_trees():
                 assert not others  # unique minimum per block
             assert union == set(subset)
             partition_checks += 1
-        leaves = set(tree.leaves())
+        leaves = set(leaves_of(tree))
         barriers = [s for s in upward_closed if leaves <= s]
         for barrier in barriers:
             for node in nodes:
-                region = tree.upset(node) & barrier
+                region = upset_of(tree, node) & barrier
                 blocks = partition_upward_closed(tree, region)
                 menus = [tree.model.domains[minimum] for minimum, _ in blocks]
                 for values in itertools.product(*menus):

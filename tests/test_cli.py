@@ -619,6 +619,16 @@ class TestCompleteCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 3: unknown directive ''"]
 
+    def test_empty_fact_argument_is_exit_three_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "empty-argument.model"
+        path.write_text("worlds: w0\ndomain w0: a\nfact w0: p(a,)\n")
+        assert main(["complete", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: line 3: fact argument '' is empty or contains whitespace"
+        ]
+
     def test_forty_node_chain_completes(self, tmp_path, capsys):
         # a mask scan over the internal nodes would visit 2^39 domains
         worlds = [f"n{i}" for i in range(40)]

@@ -14,19 +14,14 @@ from kripkebench.construct import (
     SLICED,
     TreeModel,
     bar_precondition_violation,
-    bars,
-    check_choice_function,
     check_main_lemma,
     complete_to_constant_domain,
     completion_to_text,
     constant_domain_pipeline,
     enumerate_choice_functions,
-    extend_choice,
     format_main_lemma,
     instance_status,
-    is_upward_closed,
     lift_assignment,
-    partition_upward_closed,
     tree_from_model,
     unravel_strict,
     unravel_stuttered,
@@ -37,7 +32,6 @@ from kripkebench.semantics import (
     Frame,
     InvalidModelError,
     KripkeModel,
-    is_constant_domain,
     parse_model_text,
     reflexive_transitive_closure,
     validate_model,
@@ -50,10 +44,17 @@ from kripkebench.truthfun import builtin
 from util import (
     DEFAULT_PREDICATES,
     all_tree_shapes,
+    bars,
+    check_choice_function,
     choice_functions_by_masks,
+    extend_choice,
+    is_constant_domain,
+    is_upward_closed,
+    leaves_of,
     make_tree,
     naive_bar_violation,
     naive_value,
+    partition_upward_closed,
     random_model,
     label_blocks,
     label_zero_ary,
@@ -65,6 +66,7 @@ from util import (
     reference_pointwise_condition,
     reference_report_json,
     up_masks,
+    upset_of,
 )
 
 
@@ -278,7 +280,7 @@ class TestBars:
 
     def test_leaves_bar_everything(self):
         tree = make_tree((0, 0, 1))
-        leaves = frozenset(tree.leaves())
+        leaves = frozenset(leaves_of(tree))
         for node in tree.nodes:
             assert bars(tree, node, leaves)
 
@@ -290,7 +292,7 @@ class TestBars:
 class TestPartition:
     def test_upset_is_single_block(self):
         tree = make_tree((0, 1, 1))
-        upset = tree.upset("n1")
+        upset = upset_of(tree, "n1")
         assert partition_upward_closed(tree, upset) == [("n1", upset)]
 
     def test_two_incomparable_leaf_upsets(self):
@@ -338,7 +340,7 @@ class TestExtendChoice:
 
     def test_leaf_barrier_pins_one_leaf_defaults_the_rest(self):
         tree = make_tree((0, 0, 0))
-        leaves = frozenset(tree.leaves())
+        leaves = frozenset(leaves_of(tree))
         got = extend_choice(tree, leaves, "n1", {"n1": "b"})
         assert got == {"n1": "b", "n2": "a", "n3": "a"}
         assert check_choice_function(tree, got) == []
@@ -391,11 +393,29 @@ class TestChoiceFunctionEnumeration:
     def test_equals_the_mask_scan_on_every_tree_shape_up_to_six_nodes(self):
         # same functions, same order, keys in sorted node order
         rng = random.Random(6)
+        trees = []
         for parents in all_tree_shapes(6):
             domains = {"n0": rng.choice([("a",), ("a", "b")])}
             for child, parent in enumerate(parents, start=1):
                 domains[f"n{child}"] = rng.choice([domains[f"n{parent}"], ("a", "b", "c")])
-            tree = make_tree(parents, domains)
+            trees.append(make_tree(parents, domains))
+        # past ten nodes, n10 sorts before n2, so node order is not key order
+        for n in (11, 12, 13):
+            for _ in range(4):
+                parents = tuple(rng.randrange(i) for i in range(1, n))
+                domains = {"n0": ("a",)}
+                for child, parent in enumerate(parents, start=1):
+                    grown = domains[f"n{parent}"] + ("b",) * (rng.random() < 0.15)
+                    domains[f"n{child}"] = tuple(dict.fromkeys(grown))
+                trees.append(make_tree(parents, domains))
+        # breadth-first names: w1/w3 comes before w1/w2/w4 in node order only
+        worlds = ("w1", "w2", "w3", "w4", "w5")
+        pairs = [("w1", "w2"), ("w1", "w3"), ("w2", "w4"), ("w3", "w4"), ("w4", "w5")]
+        domains = {"w1": ("a",), "w2": ("a", "b"), "w3": ("a",), "w4": ("a", "b"), "w5": ("a", "b")}
+        model = KripkeModel(worlds, reflexive_transitive_closure(worlds, pairs), domains, frozenset())
+        trees.append(unravel_strict(model, "w1"))
+        assert sum(list(tree.nodes) != sorted(tree.nodes) for tree in trees) == 13
+        for tree in trees:
             got = [list(f.items()) for f in enumerate_choice_functions(tree)]
             assert got == [list(f.items()) for f in choice_functions_by_masks(tree)]
 
@@ -656,7 +676,7 @@ class TestMainLemmaInstances:
                             j = names.index(lifted[variables[-1]]) if variables else 0
                             where = pointwise_condition(completion, tree_eval, formula, head)
                             condition = all(
-                                where >> tree.nodes.index(v) * k + j & 1 for v in tree.upset(node)
+                                where >> tree.nodes.index(v) * k + j & 1 for v in upset_of(tree, node)
                             )
                             assert (value == 1) == condition
                             instances += 1
@@ -686,7 +706,7 @@ class TestMainLemmaChecker:
                 tree.model, self.SIG, v, {x: f[v] for x, f in functions.items()}, formula
             )
             == 1
-            for v in tree.upset(node)
+            for v in upset_of(tree, node)
             if all(v in f for f in functions.values())
         )
         return value, condition
@@ -813,7 +833,7 @@ class TestSlicedPointwiseCondition:
             mask = construct.pointwise_condition(completion, evaluator, formula, head)
             assert 0 <= mask < 1 << len(tree.nodes) * k
             for node in tree.nodes:
-                ups = [tree.nodes.index(v) * k for v in tree.upset(node)]
+                ups = [tree.nodes.index(v) * k for v in upset_of(tree, node)]
                 for j, last in enumerate(lasts):
                     lifted = dict(zip(variables, head + (last,)))
                     got = all(mask >> u + j & 1 for u in ups)

@@ -14,7 +14,6 @@ from kripkebench.semantics import (
     compile_sequent,
     eval_formula,
     find_refutation,
-    is_constant_domain,
     model_to_text,
     parse_model_text,
     reflexive_transitive_closure,
@@ -29,6 +28,7 @@ from kripkebench.truthfun import BUILTINS, builtin
 from util import (
     all_tree_shapes,
     closure_by_fixpoint,
+    is_constant_domain,
     make_tree,
     naive_refutation,
     naive_value,
@@ -555,6 +555,18 @@ class TestModelFiles:
         message = r"^order pair \(w0, u\) mentions an undeclared world$"
         with pytest.raises(InvalidModelError, match=message):
             parse_model_text("worlds: w0\norder: w0 u\ndomain w0: a\n")
+
+    @pytest.mark.parametrize(
+        "fact, argument",
+        [("p(a,)", "''"), ("p(, a)", "''"), ("p(a b)", "'a b'"), ("p(a,\tb c)", "'b c'")],
+    )
+    def test_fact_argument_that_is_no_word_rejected_with_its_line(self, fact, argument):
+        # no domain element is empty or holds whitespace, so such a fact
+        # could only fail validation later, without a line number
+        text = f"pred p {fact.count(',') + 1}\nworlds: w0\ndomain w0: a b\nfact w0: {fact}\n"
+        message = f"^line 4: fact argument {argument} is empty or contains whitespace$"
+        with pytest.raises(InvalidModelError, match=message):
+            parse_model_text(text)
 
     def test_declared_arity_enforced(self):
         with pytest.raises(InvalidModelError):

@@ -11,11 +11,10 @@ from kripkebench.truthfun import (
     enumerate_truth_functions,
     is_monotonic,
     is_supermultiplicative,
-    tv_leq,
     tv_meet,
 )
 
-from util import nary_meet_closure, truth_function_from_bits, truth_function_to_json
+from util import nary_meet_closure, truth_function_from_bits, truth_function_to_json, tv_leq
 
 
 def vec(*bits):

@@ -13,11 +13,8 @@ from kripkebench.construct import (
     MainLemmaReport,
     TreeModel,
     bar_precondition_violation,
-    bars,
     enumerate_choice_functions,
     instance_status,
-    is_upward_closed,
-    partition_upward_closed,
 )
 from kripkebench.search import (
     Refuted,
@@ -217,6 +214,142 @@ def random_tree_facts(
     return frozenset(facts)
 
 
+# --- name-based references of the paper's tree steps ---------------------------
+#
+# The program reads leaves, block minima and blocks from the tree's up-set
+# masks. These references read the parent map and the order pairs instead,
+# so they share no code with it.
+
+
+def leaves_of(tree):
+    """The tree's nodes without a child, in node order."""
+    with_child = set(tree.parent.values())
+    return tuple(n for n in tree.nodes if n not in with_child)
+
+
+def upset_of(tree, node):
+    """The nodes at or above `node` in the tree's order pairs."""
+    return frozenset(v for v in tree.nodes if (node, v) in tree.model.order)
+
+
+def is_upward_closed(tree, nodes):
+    """Whether every child of a member is a member."""
+    return all(child in nodes for child, p in tree.parent.items() if p in nodes)
+
+
+def bars(tree, node, barrier):
+    """Whether every maximal chain from the node meets the barrier set: in
+    a tree, whether every leaf above the node lies above some barrier node
+    above the node."""
+    if node not in tree.model.domains:
+        raise ValueError(f"unknown node {node!r}")
+    above = upset_of(tree, node)
+    met = set()
+    for b in above & barrier:
+        met |= upset_of(tree, b)
+    return all(leaf in met for leaf in leaves_of(tree) if leaf in above)
+
+
+def partition_upward_closed(tree, nodes):
+    """Split an upward-closed set into its parent-child connected blocks.
+
+    Each block is the up-set of a member whose parent lies outside the set;
+    returned as (minimum, block) pairs in node order. The upset of a single
+    node comes back as one block.
+    """
+    if not nodes <= set(tree.nodes):
+        raise ValueError("input set mentions unknown nodes")
+    if not is_upward_closed(tree, nodes):
+        raise ValueError("input set is not upward-closed")
+    return [
+        (n, upset_of(tree, n))
+        for n in tree.nodes
+        if n in nodes and tree.parent.get(n) not in nodes
+    ]
+
+
+def check_choice_function(tree, function):
+    """Violations of the four choice-function conditions; empty means valid."""
+    violations = []
+    dom = frozenset(function)
+    if not dom <= set(tree.nodes):
+        violations.append("domain mentions unknown nodes")
+        return violations
+    if not is_upward_closed(tree, dom):
+        violations.append("domain is not upward-closed")
+    if not bars(tree, tree.root, dom):
+        violations.append("domain does not bar the root")
+    for node in sorted(dom):
+        if function[node] not in tree.model.domains[node]:
+            violations.append(f"value {function[node]} at {node} is outside its domain")
+    for node in sorted(dom):
+        above = upset_of(tree, node)
+        for other in sorted(dom):
+            if other in above and function[node] != function[other]:
+                violations.append(
+                    f"values differ along a branch: {node}->{function[node]},"
+                    f" {other}->{function[other]}"
+                )
+    return violations
+
+
+def extend_choice(tree, barrier, node, pins):
+    """A choice function defined on (upset(node) ∩ barrier) plus the region
+    incomparable with its block minima, taking pinned values at the block
+    minima and the first declared element elsewhere.
+
+    `barrier` must be upward-closed and bar the root; `pins` must pin exactly
+    the block minima of upset(node) ∩ barrier, each within that node's domain.
+    """
+    if not is_upward_closed(tree, barrier):
+        raise ValueError("barrier set is not upward-closed")
+    if not bars(tree, tree.root, barrier):
+        raise ValueError("barrier set does not bar the root")
+    if node not in tree.model.domains:
+        raise ValueError(f"unknown node {node!r}")
+    pinned_region = upset_of(tree, node) & barrier
+    blocks = partition_upward_closed(tree, pinned_region)
+    minima = [m for m, _ in blocks]
+    if set(pins) != set(minima):
+        raise ValueError(
+            f"pins must be keyed by the block minima {sorted(minima)},"
+            f" got {sorted(pins)}"
+        )
+    for m in minima:
+        if pins[m] not in tree.model.domains[m]:
+            raise ValueError(f"pin {pins[m]!r} at {m} is outside its domain")
+    # neither at or below a block minimum nor in a block
+    above = frozenset().union(*(block for _, block in blocks))
+    incomparable = frozenset(
+        u
+        for u in tree.nodes
+        if u not in above and not any((u, m) in tree.model.order for m in minima)
+    )
+    mapping = {}
+    for minimum, block in blocks:
+        mapping.update(dict.fromkeys(block, pins[minimum]))
+    for minimum, block in partition_upward_closed(tree, incomparable):
+        mapping.update(dict.fromkeys(block, tree.model.domains[minimum][0]))
+    result = dict(sorted(mapping.items()))
+    problems = check_choice_function(tree, result)
+    if problems:
+        raise AssertionError("extend_choice produced an invalid function: " + "; ".join(problems))
+    return result
+
+
+def is_constant_domain(model):
+    """Whether all worlds share one domain (assumes a valid model)."""
+    return len({frozenset(model.domains[w]) for w in model.worlds}) <= 1
+
+
+def tv_leq(a, b):
+    """The componentwise order on truth vectors of one length: every entry
+    of a is <= the matching entry of b."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return all(x <= y for x, y in zip(a.bits, b.bits))
+
+
 # --- reference oracle --------------------------------------------------------
 
 
@@ -225,7 +358,7 @@ def reference_completion(tree, signature):
     `complete_to_constant_domain` must return an equal result."""
     functions = {f"F{i}": f for i, f in enumerate(enumerate_choice_functions(tree))}
     names = tuple(functions)
-    upsets = {n: tree.upset(n) for n in tree.nodes}
+    upsets = {n: upset_of(tree, n) for n in tree.nodes}
     facts = set()
     for pred, arity in signature.predicates.items():
         has_any = any(p == pred for _, p, _ in tree.model.facts)
@@ -317,7 +450,7 @@ def reference_pointwise_condition(completion, evaluator, formula, node, lifted):
     with `evaluator`, an evaluator on the tree's model."""
     tree = completion.tree
     functions = {var: completion.functions[lifted[var]] for var in free_vars(formula)}
-    for v in tree.upset(node):
+    for v in upset_of(tree, node):
         if all(v in f for f in functions.values()):
             pointwise = {var: f[v] for var, f in functions.items()}
             if evaluator.value(v, pointwise, formula) != 1:
@@ -389,7 +522,7 @@ def choice_functions_by_masks(tree):
     """Every choice function on the tree, by a scan of all masks over the
     internal nodes in increasing order, keeping the upward-closed domains
     that hold every leaf."""
-    leaves = set(tree.leaves())
+    leaves = set(leaves_of(tree))
     internal = [n for n in tree.nodes if n not in leaves]
     for mask in range(1 << len(internal)):
         dom = frozenset(leaves | {internal[k] for k in range(len(internal)) if mask >> k & 1})
@@ -657,7 +790,7 @@ def naive_bar_violation(tree, sig, formula):
             for combo in itertools.product(model.domains[node], repeat=len(variables)):
                 rho = dict(zip(variables, combo))
                 value = naive(node, rho, sub)
-                one_set = frozenset(v for v in tree.upset(node) if naive(v, rho, sub) == 1)
+                one_set = frozenset(v for v in upset_of(tree, node) if naive(v, rho, sub) == 1)
                 if (value == 1) != bars(tree, node, one_set):
                     return BarViolation(sub, node, tuple(sorted(rho.items())), value)
     return None
