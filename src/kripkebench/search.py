@@ -175,13 +175,6 @@ _ORDER_GENERATORS = {
 }
 
 
-def _nonempty_subsets(universe: tuple[str, ...]) -> list[tuple[str, ...]]:
-    out = []
-    for mask in range(1, 1 << len(universe)):
-        out.append(tuple(e for k, e in enumerate(universe) if (mask >> k) & 1))
-    return out
-
-
 class SlottedFrame(NamedTuple):
     """One frame of the search stream, the fact slots over it, and the atom
     labels that label its models in chunks.
@@ -290,27 +283,31 @@ def enumerate_frames(
     all its orders.
 
     The stream is a function of the signature's predicates, the bounds,
-    `constant_domain` and CHUNK_BITS alone: no sequent is read here, and
-    connectives act only through their truth tables when a formula is
-    labelled. So `decide` builds each stream at most once per process,
-    lazily, as far as some call has read it, and shares it between calls,
-    keyed by those four (`_FrameStreams`). Nothing writes to a frame once it
-    is built, and `decode_model` gives each model its own domains dict. The
-    kept streams hold at most STREAM_MODELS models in all, each frame
-    counting FRAME_MODELS more for its own cost; the least recently read
-    are dropped to make room, and a stream that alone passes the budget is
-    read through and not kept. A stream whose build raised is dropped.
+    `constant_domain`, MAX_FRAMES, MAX_MODELS and CHUNK_BITS alone: no
+    sequent is read here, and connectives act only through their truth
+    tables when a formula is labelled. So `decide` builds each stream at
+    most once per process, lazily, as far as some call has read it, and
+    shares it between calls, keyed by all six (`_FrameStreams`). Nothing
+    writes to a frame once it is built, and `decode_model` gives each model
+    its own domains dict. The kept streams hold at most STREAM_MODELS models
+    in all, each frame counting FRAME_MODELS more for its own cost; the
+    least recently read are dropped to make room, and a stream that alone
+    passes the budget is read through and not kept. A stream whose build
+    raised is dropped.
 
     Raises ValueError before the stream passes MAX_FRAMES frames or
     MAX_MODELS models. Models are counted slot by slot, so a frame past the
-    cap is never built to the end. `decide` counts the caps again per call,
-    on cached and new frames alike, so a cached stream is refused at the
-    same frame, with the same message.
+    cap is never built to the end. This is the one place the caps are
+    enforced: a kept stream was built under the caps of its key, so it is
+    refused where a new build would be.
     """
     chunk_bits = CHUNK_BITS
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
-    prefixes = [universe[:k] for k in range(1, len(universe) + 1)]
-    subsets = [] if constant_domain else _nonempty_subsets(universe)
+    # a domain is a mask over the universe, bit k for a{k}, named names[mask]
+    names = [tuple(itertools.compress(universe, bits(mask))) for mask in range(1 << len(universe))]
+    prefixes = [(2 << k) - 1 for k in range(len(universe))]
+    subsets = range(1, 1 << len(universe))
+    bit = {e: 1 << k for k, e in enumerate(universe)}
     frames = models = 0
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
@@ -318,15 +315,12 @@ def enumerate_frames(
             if constant_domain:
                 domain_choices: Iterator = ((d,) * n for d in prefixes)
             else:
-                # per world, the worlds strictly above it
-                above = [
-                    tuple(itertools.compress(range(n), bits(mask & ~(1 << a))))
-                    for a, mask in enumerate(up)
-                ]
+                # a domain holds the domains below it: over the strict pairs
+                strict = [(a, b) for a in range(n) for b in range(n) if a != b and up[a] >> b & 1]
                 domain_choices = (
                     combo
                     for combo in itertools.product(prefixes, *[subsets] * (n - 1))
-                    if all(set(combo[a]) <= set(combo[b]) for a in range(n) for b in above[a])
+                    if not any(combo[a] & ~combo[b] for a, b in strict)
                 )
             # upward-closed subsets of the worlds where a slot is defined
             closed: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
@@ -334,14 +328,16 @@ def enumerate_frames(
                 frames += 1
                 if frames > MAX_FRAMES:
                     raise _past_cap(MAX_FRAMES, "frames")
-                held = [set(domain) for domain in combo]
                 # a slot's arguments lie in some domain, so in their union
-                elements = tuple(e for e in universe if any(e in h for h in held))
+                union = 0
+                for domain in combo:
+                    union |= domain
                 slots = []
                 size = 1
                 for pred, arity in signature.predicates.items():
-                    for args in itertools.product(elements, repeat=arity):
-                        valid = tuple(i for i in range(n) if held[i].issuperset(args))
+                    for args in itertools.product(names[union], repeat=arity):
+                        need = sum({bit[e] for e in args})  # distinct bits: their union
+                        valid = tuple(i for i, domain in enumerate(combo) if domain & need == need)
                         if not valid:
                             continue
                         options = closed.get(valid)
@@ -354,7 +350,7 @@ def enumerate_frames(
                         if models + size > MAX_MODELS:
                             raise _past_cap(MAX_MODELS, "models")
                 models += size
-                domains = {worlds[i]: combo[i] for i in range(n)}
+                domains = {worlds[i]: names[combo[i]] for i in range(n)}
                 yield _slotted_frame(worlds, up, domains, tuple(slots), size, chunk_bits)
 
 
@@ -386,39 +382,32 @@ class _FrameStreams:
     def read(
         self, signature: Signature, bounds: SearchBounds, constant_domain: bool
     ) -> Iterator[SlottedFrame]:
-        """The frames of `enumerate_frames`, built once while held. Raises
-        ValueError, and drops the stream, where the builder would: past
-        MAX_FRAMES frames or MAX_MODELS models of this read."""
-        key = (tuple(signature.predicates.items()), bounds, constant_domain, CHUNK_BITS)
+        """The frames of `enumerate_frames`, built once while held. The key
+        holds every value the builder reads, so a kept stream is the one a
+        new build would give; the builder alone refuses past the caps, and a
+        stream whose builder raised is dropped."""
+        predicates = tuple(signature.predicates.items())
+        key = (predicates, bounds, constant_domain, MAX_FRAMES, MAX_MODELS, CHUNK_BITS)
         stream = self.streams.pop(key, None)
         if stream is None:
             stream = _Stream(enumerate_frames(signature, bounds, constant_domain))
         self.streams[key] = stream
-        frames = models = 0
-        while True:
-            if frames < len(stream.frames):
-                frame = stream.frames[frames]
-            elif stream.builder is None:
+        for index in itertools.count():
+            if index < len(stream.frames):
+                yield stream.frames[index]
+                continue
+            if stream.builder is None:
                 return
-            else:
-                try:
-                    frame = next(stream.builder, None)
-                except BaseException:
-                    # a builder that raised has ended: never serve it truncated
-                    self._drop(key, stream)
-                    raise
-                if frame is None:
-                    stream.builder = None
-                    return
-                self._hold(key, stream, frame)
-            frames += 1
-            models += frame.size
-            if frames > MAX_FRAMES:
+            try:
+                frame = next(stream.builder, None)
+            except BaseException:
+                # a builder that raised has ended: never serve it truncated
                 self._drop(key, stream)
-                raise _past_cap(MAX_FRAMES, "frames")
-            if models > MAX_MODELS:
-                self._drop(key, stream)
-                raise _past_cap(MAX_MODELS, "models")
+                raise
+            if frame is None:
+                stream.builder = None
+                return
+            self._hold(key, stream, frame)
             yield frame
 
     def _hold(self, key: tuple, stream: _Stream, frame: SlottedFrame) -> None:

@@ -12,7 +12,14 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .search import DEFAULT_CD_BOUNDS, Refuted, SearchBounds, Verdict, decide
-from .semantics import Evaluator, KripkeModel, model_to_text, reflexive_transitive_closure
+from .semantics import (
+    Evaluator,
+    KripkeModel,
+    model_to_text,
+    reflexive_transitive_closure,
+    refuting_points,
+    validate_model,
+)
 from .syntax import (
     Atom,
     Conn,
@@ -266,7 +273,8 @@ def synthesize(
     succedent_values = tuple(
         (render_formula(f), evaluator.value("w1", {}, f)) for f in sequent.succedent
     )
-    if evaluator.sequent_value("w1", {}, sequent) != 0:
+    point = next(refuting_points(model, signature, sequent), None)
+    if validate_model(model) or point != ("w1", {}):
         raise AssertionError(
             f"synthesized sequent is not refuted at the expected point:"
             f" {render_sequent(sequent)}"

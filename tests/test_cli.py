@@ -326,8 +326,9 @@ class TestDecide:
     def test_a_search_past_its_caps_is_refused_again(
         self, tmp_path, capsys, monkeypatch, cap, unit
     ):
-        # the frame stream kept by the first, passing call is refused at the
-        # same frame as a new one, and a refused stream is not kept
+        # the caps are part of a frame stream's key, so after the first,
+        # passing call the lowered cap builds a new stream, which is refused
+        # and not kept, and the second refusal reads the same
         path = tmp_path / "valid.seq"
         path.write_text("pred p 1\nsequent: forall x. p(x) => exists x. p(x)\n")
         argv = [

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -149,6 +150,32 @@ class TestEnumeration:
             assert got == want
             count += 1
         assert count > 1
+
+    def test_frame_stream_digest(self):
+        # every field of every frame but `labelled`, whose repr holds an
+        # address, and the refusal of each stream past a cap, over a grid
+        # that builds in under a second; recorded before the builder
+        # held domains as masks
+        digest = hashlib.sha256()
+        for predicates in ({"p": 1, "q": 1, "r": 0}, {"e": 2}, {"p": 1}, {"r": 0}):
+            sig = Signature(predicates, {})
+            for shape in SHAPES:
+                for worlds, elements in ((1, 3), (2, 2), (3, 2), (4, 1), (3, 3)):
+                    if shape == "any-preorder" and worlds > 3:
+                        continue
+                    for constant_domain in (False, True):
+                        bounds = SearchBounds(worlds, elements, shape)
+                        try:
+                            for f in enumerate_frames(sig, bounds, constant_domain):
+                                # hex, since a label passes int's decimal digit limit
+                                chunks = tuple({a: hex(v) for a, v in c.items()} for c in f.chunks)
+                                fields = (f.worlds, f.up, f.domains, f.slots, f.size, f.inner)
+                                digest.update(repr(fields + (chunks,)).encode())
+                        except ValueError as refusal:
+                            digest.update(str(refusal).encode())
+        assert digest.hexdigest() == (
+            "35221d52b411eb7fb7f3182e8dae334628cccfddbc2305efb25d9fc2a88d32df"
+        )
 
     def test_posets_by_extension_equal_the_mask_scan(self):
         counts = []
@@ -740,8 +767,10 @@ class TestBitSlicedSearch:
 
 
 class TestFrameStreamCache:
-    """`decide` builds each frame stream once per process, keyed by the
-    search signature's predicates, the bounds, the mode and CHUNK_BITS."""
+    """`decide` builds each frame stream once per process, keyed by every
+    value `enumerate_frames` reads: the search signature's predicates, the
+    bounds, the mode, MAX_FRAMES, MAX_MODELS and CHUNK_BITS. The builder
+    alone enforces the caps; the reader serves, extends and drops streams."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -845,17 +874,19 @@ class TestFrameStreamCache:
     @pytest.mark.parametrize("cap", ["MAX_FRAMES", "MAX_MODELS"])
     @pytest.mark.parametrize("warm", [False, True])
     def test_a_refused_search_holds_nothing(self, monkeypatch, cap, warm):
-        # cold, the builder refuses; warm, the reader refuses at the same
-        # frame with the same message
+        # the caps are part of the key, so the builder refuses, warm or cold,
+        # and the stream kept under the default caps stays as it was
         sig = Signature({"p": 1}, {})
         s = parse_sequent("forall x. p(x) => exists x. p(x)", sig)
         bounds = SearchBounds(3, 1, "poset")
         if warm:
             assert isinstance(decide(sig, s, "kripke", bounds), ValidUpToBounds)
             assert search._streams.streams
+        kept = list(search._streams.streams.items()), search._streams.held
         monkeypatch.setattr(search, cap, 3)
         unit = "frames" if cap == "MAX_FRAMES" else "models"
         for _ in range(2):
             with pytest.raises(ValueError, match=f"^the search has more than 3 {unit}; "):
                 decide(sig, s, "kripke", bounds)
-            assert search._streams.streams == {} and search._streams.held == 0
+            # the same keys and the very same stream objects
+            assert (list(search._streams.streams.items()), search._streams.held) == kept

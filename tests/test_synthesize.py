@@ -18,6 +18,7 @@ from kripkebench.truthfun import (
     tv_join,
     tv_meet,
 )
+from kripkebench import synthesize as synthesize_module
 from kripkebench.synthesize import (
     biconditional,
     build_sequent,
@@ -268,6 +269,18 @@ class TestSynthesize:
                 )
                 == 0
             )
+
+    @pytest.mark.parametrize("plant", ["no-facts", "R-at-w1"])
+    def test_a_planted_wrong_countermodel_raises(self, monkeypatch, plant):
+        # without facts the model refutes nothing; with R at w1 alone it still
+        # refutes the sequent, which has no R, but breaks heredity, which
+        # only `validate_model` sees
+        model = separating_countermodel()
+        facts = frozenset() if plant == "no-facts" else model.facts | {("w1", "R", ())}
+        planted = KripkeModel(model.worlds, model.up, model.domains, facts)
+        monkeypatch.setattr(synthesize_module, "separating_countermodel", lambda names: planted)
+        with pytest.raises(AssertionError, match="not refuted at the expected point"):
+            synthesize("or", builtin("or"), cd_bounds=None)
 
     def test_cd_verdict_at_default_bounds(self):
         certificate = synthesize("xor", builtin("xor"))

@@ -21,7 +21,6 @@ from kripkebench.search import (
     SearchBounds,
     ValidUpToBounds,
     _chain_orders,
-    _nonempty_subsets,
     _tree_orders,
 )
 from kripkebench.semantics import (
@@ -661,6 +660,15 @@ REFERENCE_ORDERS = {
     "poset": poset_orders_by_masks,
     "any-preorder": preorder_orders_by_masks,
 }
+
+
+def _nonempty_subsets(universe):
+    """The nonempty subsets of the universe as tuples, in increasing mask
+    order over its positions."""
+    out = []
+    for mask in range(1, 1 << len(universe)):
+        out.append(tuple(e for k, e in enumerate(universe) if (mask >> k) & 1))
+    return out
 
 
 def reference_enumerate_models(signature, bounds, constant_domain=False):
