@@ -7,9 +7,10 @@ ValidUpToBounds says no countermodel exists within the stated bounds.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, KeysView, NamedTuple, Optional, Sequence, Union
 
 from .semantics import (
     ATOM,
@@ -56,8 +57,8 @@ MAX_MODELS = 1_000_000
 BUDGET = 16
 # the most models the frame streams kept between `decide` calls hold in all.
 # A frame counts as its models plus FRAME_MODELS for its own fixed cost: a
-# frame takes 2-10 KB, and its labels a few bytes a model, so the streams
-# take a few MB at most
+# frame takes 2-10 KB, and its labels and its batch's a few bytes a model,
+# so the streams take a few MB at most
 STREAM_MODELS = 1 << 20
 FRAME_MODELS = 1 << 10
 
@@ -195,6 +196,11 @@ class SlottedFrame(NamedTuple):
     slots after it, option o fills bits [o * stride, (o + 1) * stride) of
     each period, and one multiplication repeats that period across the
     block. The chunks share the labels of the varying slots.
+
+    `decide` labels a frame as part of a `Batch` (see `_FrameStreams.read`).
+    A frame that stands alone is a batch of itself, labelled in its chunks;
+    a frame that joins others has one chunk, whose labels the batch lays
+    side by side with theirs.
     """
 
     worlds: tuple[str, ...]
@@ -287,7 +293,8 @@ def enumerate_frames(
     sequent is read here, and connectives act only through their truth
     tables when a formula is labelled. So `decide` builds each stream at
     most once per process, lazily, as far as some call has read it, and
-    shares it between calls, keyed by all six (`_FrameStreams`). Nothing
+    shares it between calls, keyed by all six, with the batches it is
+    labelled in (`_FrameStreams`). Nothing
     writes to a frame once it is built, and `decode_model` gives each model
     its own domains dict. The kept streams hold at most STREAM_MODELS models
     in all, each frame counting FRAME_MODELS more for its own cost; the
@@ -299,7 +306,8 @@ def enumerate_frames(
     MAX_MODELS models. Models are counted slot by slot, so a frame past the
     cap is never built to the end. This is the one place the caps are
     enforced: a kept stream was built under the caps of its key, so it is
-    refused where a new build would be.
+    refused where a new build would be. The reader labels the frames built
+    before a refusal first, so a countermodel among them is still found.
     """
     chunk_bits = CHUNK_BITS
     universe = tuple(f"a{k}" for k in range(bounds.max_domain))
@@ -354,17 +362,111 @@ def enumerate_frames(
                 yield _slotted_frame(worlds, up, domains, tuple(slots), size, chunk_bits)
 
 
-class _Stream:
-    """A frame stream as far as it is built: its frames, the models they
-    count as (see STREAM_MODELS), and the builder that extends it, None
-    once the stream has ended."""
+class Batch(NamedTuple):
+    """Consecutive frames of one world count of a stream, labelled as one
+    unit of the stream (see `_FrameStreams.read`).
 
-    __slots__ = ("frames", "held", "builder")
+    A batch of one frame is that frame's own `labelled`, `inner` and
+    `chunks`. A batch of several has one chunk of `size` models: its frames'
+    models sit side by side in each world's block, in stream order, frame k
+    from bit `starts[k]`, laid out by `Frame.side_by_side`, and each atom's
+    label is every frame's own label placed at the frame's run of bits. A
+    bit-sliced step acts per model, so bit m of a batch label is the label
+    of the model it stands for in that model's own frame, and the batch's
+    lowest refuted bit is the first countermodel of its frames.
+    """
+
+    frames: tuple[SlottedFrame, ...]
+    starts: tuple[int, ...]
+    worlds: tuple[str, ...]
+    size: int
+    labelled: Frame
+    inner: int
+    chunks: tuple[dict[tuple[str, tuple[str, ...]], int], ...]
+
+    def locate(self, index: int) -> tuple[SlottedFrame, int]:
+        """The frame of model `index` of the batch, and its index there."""
+        k = bisect.bisect_right(self.starts, index) - 1
+        return self.frames[k], index - self.starts[k]
+
+
+def _batch(frames: Sequence[SlottedFrame]) -> Batch:
+    """The batch of consecutive frames of one world count, in stream order."""
+    if len(frames) == 1:
+        (frame,) = frames
+        return Batch(
+            (frame,), (0,), frame.worlds, frame.size, frame.labelled, frame.inner, frame.chunks
+        )
+    worlds = frames[0].worlds
+    labelled = Frame.side_by_side(worlds, [(f.up, f.domains, f.size) for f in frames])
+    width = labelled.width
+    atoms: dict[tuple[str, tuple[str, ...]], int] = {}
+    starts = []
+    start = 0
+    for frame in frames:
+        # one chunk of `size` models: block i of a label is at i * size
+        (own,) = frame.chunks
+        ones = frame.labelled.ones
+        for atom, label in own.items():
+            placed = atoms.get(atom, 0)
+            for i in range(len(worlds)):
+                placed |= (label >> i * frame.size & ones) << (i * width + start)
+            atoms[atom] = placed
+        starts.append(start)
+        start += frame.size
+    return Batch(tuple(frames), tuple(starts), worlds, width, labelled, width, (atoms,))
+
+
+class _Stream:
+    """A frame stream as far as it is built: the batches closed so far, the
+    models their frames count as (see STREAM_MODELS), the builder that
+    extends it, None once the stream has ended, the frames after the last
+    batch, the widest element set among them, and the world count of the
+    last frame."""
+
+    __slots__ = ("batches", "held", "builder", "pending", "widest", "count")
 
     def __init__(self, builder: Iterator[SlottedFrame]):
-        self.frames: list[SlottedFrame] = []
+        self.batches: list[Batch] = []
         self.held = 0
         self.builder: Optional[Iterator[SlottedFrame]] = builder
+        self.pending: list[SlottedFrame] = []
+        self.widest: KeysView[str] = {}.keys()
+        self.count = 0
+
+    @property
+    def frames(self) -> list[SlottedFrame]:
+        """The frames built so far, in stream order."""
+        return [frame for batch in self.batches for frame in batch.frames] + self.pending
+
+    def place(self, frame: SlottedFrame, chunk_bits: int) -> list[Batch]:
+        """Puts the next frame in a batch, and gives the batches that this
+        closes, in stream order."""
+        closed = []
+        elements = frame.labelled.present.keys()
+        alone = len(frame.worlds) != self.count or frame.size > chunk_bits
+        self.count = len(frame.worlds)
+        if self.pending and (
+            alone
+            or sum(f.size for f in self.pending) + frame.size > chunk_bits
+            or not (elements <= self.widest or elements >= self.widest)
+        ):
+            closed.append(_batch(self.pending))
+            self.pending = []
+        if alone:
+            closed.append(_batch([frame]))
+            return closed
+        if not self.pending or elements >= self.widest:
+            self.widest = elements
+        self.pending.append(frame)
+        return closed
+
+    def end(self) -> list[Batch]:
+        """The builder has ended: the last batch, if any frame waits."""
+        self.builder = None
+        closed = [_batch(self.pending)] if self.pending else []
+        self.pending = []
+        return closed
 
 
 class _FrameStreams:
@@ -381,46 +483,73 @@ class _FrameStreams:
 
     def read(
         self, signature: Signature, bounds: SearchBounds, constant_domain: bool
-    ) -> Iterator[SlottedFrame]:
-        """The frames of `enumerate_frames`, built once while held. The key
-        holds every value the builder reads, so a kept stream is the one a
-        new build would give; the builder alone refuses past the caps, and a
-        stream whose builder raised is dropped."""
+    ) -> Iterator[Batch]:
+        """The frames of `enumerate_frames` in batches, built once while
+        held. The key holds every value the builder reads, so a kept stream
+        is the one a new build would give; the builder alone refuses past
+        the caps, and a stream whose builder raised is dropped.
+
+        The first frame of each world count stands alone: it has the
+        smallest domains, and most refuted searches end in a stream's first
+        frame. So does a frame of more than CHUNK_BITS models, labelled in
+        its chunks. The other frames of a world count join the batch before
+        them while it fits in CHUNK_BITS models and one of its frames holds
+        the elements of all, so that the batch's elements are those of its
+        widest frame; a batch closes when the next frame does not join it
+        or the stream ends. When the builder refuses at a cap, the frames
+        built before the refusal are served as one last batch first, as each
+        of them was read before the builder was asked for more; the refusal
+        propagates when the reader asks for what follows that batch.
+        """
         predicates = tuple(signature.predicates.items())
         key = (predicates, bounds, constant_domain, MAX_FRAMES, MAX_MODELS, CHUNK_BITS)
         stream = self.streams.pop(key, None)
         if stream is None:
             stream = _Stream(enumerate_frames(signature, bounds, constant_domain))
         self.streams[key] = stream
-        for index in itertools.count():
-            if index < len(stream.frames):
-                yield stream.frames[index]
+        index = 0
+        while True:
+            if index < len(stream.batches):
+                yield stream.batches[index]
+                index += 1
                 continue
             if stream.builder is None:
                 return
             try:
                 frame = next(stream.builder, None)
+            except ValueError:
+                # a refusal at a cap: never kept, and the frames before it
+                # are labelled first
+                self._drop(key, stream)
+                if stream.pending:
+                    yield _batch(stream.pending)
+                raise
             except BaseException:
                 # a builder that raised has ended: never serve it truncated
                 self._drop(key, stream)
                 raise
-            if frame is None:
-                stream.builder = None
-                return
-            self._hold(key, stream, frame)
-            yield frame
+            # batches are cut at the CHUNK_BITS of the key, the builder's own
+            closed = stream.end() if frame is None else stream.place(frame, key[-1])
+            if not self._hold(key, stream, frame, closed):
+                yield from closed  # dropped: read through, keeping nothing
 
-    def _hold(self, key: tuple, stream: _Stream, frame: SlottedFrame) -> None:
+    def _hold(
+        self, key: tuple, stream: _Stream, frame: Optional[SlottedFrame], closed: list[Batch]
+    ) -> bool:
+        """Counts a built frame and keeps the batches it closed, in a stream
+        still held; whether it is."""
         if self.streams.get(key) is not stream:
-            return  # dropped: read through, keeping nothing
-        stream.frames.append(frame)
-        stream.held += frame.size + FRAME_MODELS
-        self.held += frame.size + FRAME_MODELS
+            return False
+        stream.batches.extend(closed)
+        if frame is not None:
+            stream.held += frame.size + FRAME_MODELS
+            self.held += frame.size + FRAME_MODELS
         # the least recently read streams go first, and this one last
         for other in list(self.streams):
             if self.held <= STREAM_MODELS:
                 break
             self._drop(other, self.streams[other])
+        return True
 
     def _drop(self, key: tuple, stream: _Stream) -> None:
         if self.streams.get(key) is stream:
@@ -452,25 +581,26 @@ def decode_model(frame: SlottedFrame, index: int) -> KripkeModel:
     return KripkeModel(frame.worlds, frame.up, dict(frame.domains), labels=labels)
 
 
-def first_refuted(frame: SlottedFrame, compiled: CompiledSequent) -> Optional[int]:
-    """The index in the frame's slot product of the first model that refutes
-    the sequent, or None.
+def first_refuted(batch: Batch, compiled: CompiledSequent) -> Optional[int]:
+    """The index among the batch's models of the first one that refutes the
+    sequent, or None.
 
-    Bit m of a chunk's blocks is model m of the chunk's part of the product,
-    so the lowest set bit of the refuted models is the first countermodel.
+    Bit m of a chunk's blocks is model m of the chunk, and the chunks come
+    in order, so the lowest set bit of the refuted models is the first
+    countermodel. A frame of `enumerate_frames` reads as a batch of itself.
     """
-    for start, evaluator in _chunks(frame, compiled.formulas):
+    for start, evaluator in _chunks(batch, compiled.formulas):
         hits = evaluator.refuted_models(compiled)
         if hits:
             return start + (hits & -hits).bit_length() - 1
     return None
 
 
-def _chunks(frame: SlottedFrame, compiled: CompiledFormulas) -> Iterator[tuple[int, Evaluator]]:
-    """The frame's chunks in product order, each as the index of its first
-    model and an evaluator of the chunk."""
-    for chunk, atoms in enumerate(frame.chunks):
-        yield chunk * frame.inner, Evaluator.of_frame(compiled, frame.labelled, atoms)
+def _chunks(batch: Batch, compiled: CompiledFormulas) -> Iterator[tuple[int, Evaluator]]:
+    """The batch's chunks in order, each as the index of its first model
+    and an evaluator of the chunk."""
+    for chunk, atoms in enumerate(batch.chunks):
+        yield chunk * batch.inner, Evaluator.of_frame(compiled, batch.labelled, atoms)
 
 
 def _restrict_to_sequent(signature: Signature, compiled: CompiledSequent) -> Signature:
@@ -490,13 +620,22 @@ def decide(
 
     kripke: all models within bounds; cd: constant-domain models; classical:
     one-world models. Returns the first countermodel in construction order,
-    else ValidUpToBounds. Each frame's models are labelled at once by
-    `first_refuted`; only the first countermodel is decoded, and it is
-    re-checked by `validate_model` and the independent `refuting_points`,
-    which also gives its world and assignment. A search that would pass
-    MAX_FRAMES frames or MAX_MODELS models raises ValueError before it does,
-    and so does one that would label more than MAX_MODELS pairs of a chunk
-    and an assignment of the sequent's free variables to a frame's elements.
+    else ValidUpToBounds. The models of each batch of the stream
+    (`_FrameStreams.read`) are labelled at once by `first_refuted`; only the
+    first countermodel is decoded, from the frame of the batch that holds
+    it, and it is re-checked by `validate_model` and the independent
+    `refuting_points`, which also gives its world and assignment.
+
+    A search that would pass MAX_FRAMES frames or MAX_MODELS models raises
+    ValueError before it does, and so does one that would label more than
+    MAX_MODELS pairs of a chunk and an assignment of the sequent's free
+    variables to a frame's elements. That count is kept frame by frame, as
+    if each frame were labelled alone, and batches keep the verdicts at
+    every cap: a batch labels the frames the builder gave before it
+    refused, and a countermodel there is returned; past the labelling cap
+    only the frames before the one that passes it are labelled. A batch
+    labels the assignments to the elements of the widest of its frames,
+    whose own count it is at most, so this count bounds the work.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
@@ -504,16 +643,24 @@ def decide(
     compiled = compile_sequent(signature, sequent)
     search_signature = _restrict_to_sequent(signature, compiled)
     labellings = 0
-    for frame in _streams.read(search_signature, effective, mode == "cd"):
-        elements = len(frame.labelled.present)
-        labellings += len(frame.chunks) * elements ** len(compiled.slots)
-        if labellings > MAX_MODELS:
+    for batch in _streams.read(search_signature, effective, mode == "cd"):
+        # the labelling cap, counted frame by frame (see above)
+        passed = None
+        for k, frame in enumerate(batch.frames):
+            elements = len(frame.labelled.present)
+            labellings += len(frame.chunks) * elements ** len(compiled.slots)
+            if labellings > MAX_MODELS:
+                passed = k
+                break
+        if passed is not None:
+            batch = _batch(batch.frames[:passed]) if passed else None
+        index = None if batch is None else first_refuted(batch, compiled)
+        if index is not None:
+            return _rechecked(decode_model(*batch.locate(index)), signature, sequent)
+        if passed is not None:
             raise ValueError(
                 f"the search labels more than {MAX_MODELS} assignments; lower the bounds"
             )
-        index = first_refuted(frame, compiled)
-        if index is not None:
-            return _rechecked(decode_model(frame, index), signature, sequent)
     return ValidUpToBounds(effective)
 
 

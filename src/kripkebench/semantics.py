@@ -246,15 +246,16 @@ def upward_closed_subsets(
 # the labelling algorithm of CTL model checking (Clarke, Emerson & Sistla,
 # TOPLAS 1986): the label of a subformula under an assignment of its free
 # variables is where it takes value 1, computed from its children's labels.
-# One label covers `width` models of one frame at once, by bit-slicing (Biham,
-# "A fast new DES implementation in software", FSE 1997): it is one int in
-# world-major blocks of `width` bits, and bit `i * width + m` is the value at
-# world i in model m. With width 1 it is the bitmask of the worlds of one
-# model. Labels are computed on demand and memoized per evaluator by (node id,
-# elements at the node's free-variable slots). A label may have any bits at
-# worlds whose domain misses an assigned element; no value at a world where
-# the assignment is defined ever reads them, because domains grow along the
-# order.
+# One label covers `width` models at once, by bit-slicing (Biham, "A fast new
+# DES implementation in software", FSE 1997): it is one int in world-major
+# blocks of `width` bits, and bit `i * width + m` is the value at world i in
+# model m. The models may be of one frame or of several frames on the same
+# worlds, since every step acts on each model's bits alone. With width 1 it
+# is the bitmask of the worlds of one model. Labels are computed on demand
+# and memoized per evaluator by (node id, elements at the node's
+# free-variable slots). A label may have any bits at worlds whose domain
+# misses an assigned element; no value at a world where the assignment is
+# defined ever reads them, because domains grow along the order.
 
 ATOM, CONN, FORALL, EXISTS = range(4)
 
@@ -327,10 +328,15 @@ class Frame:
     """A frame's worlds, up-set masks and domains, with what labelling
     `width` models of it at once derives from them alone.
 
-    A frame holds, per world, the offset of its block and the offsets of the
-    worlds below it, and, per element, the blocks of the worlds whose domain
-    holds it. It reads no facts, so the evaluators of every chunk of a
-    frame's interpretations share it.
+    A frame holds, per world with a world strictly below it, the offset of
+    its block and, for each world strictly below it, the shift to that
+    world's block with the mask of the models whose order has the pair,
+    `ones` when every model has it; per element, the bits of the blocks
+    where the world's domain holds it. It reads no facts, so the evaluators
+    of every chunk of a frame's interpretations share it.
+    `Frame.side_by_side` lays several frames on the same worlds out in one
+    block width, each frame's models a run of bits in every block, so that
+    the models of a batch of frames label at once.
     """
 
     def __init__(
@@ -340,30 +346,64 @@ class Frame:
         domains: dict[str, tuple[str, ...]],
         width: int = 1,
     ):
+        self._lay_out(worlds, ((up, domains, width),))
+
+    @classmethod
+    def side_by_side(
+        cls,
+        worlds: tuple[str, ...],
+        frames: Sequence[tuple[Sequence[int], dict[str, tuple[str, ...]], int]],
+    ) -> Frame:
+        """The frames `(up, domains, size)` in one layout: the models of
+        each fill the next `size` bits of every block, in the given order."""
+        frame = cls.__new__(cls)
+        frame._lay_out(worlds, frames)
+        return frame
+
+    def _lay_out(self, worlds, frames) -> None:
+        width = sum(size for _, _, size in frames)
         self.width = width
         self.ones = (1 << width) - 1
         self.full = (1 << len(worlds) * width) - 1
         offsets = [i * width for i in range(len(worlds))]
         self.offset = dict(zip(worlds, offsets))
-        # per world, its offset and the offsets of the worlds below it, which
-        # the up-set step shifts the world's block to
-        below: list[list[int]] = [[] for _ in worlds]
-        for offset, mask in zip(offsets, up):
-            for lower in itertools.compress(below, bits(mask)):
-                lower.append(offset)
-        self.below = tuple(zip(offsets, map(tuple, below)))
         self.named = tuple(zip(offsets, worlds))
-        # element -> the blocks of the worlds whose domain holds it: with one
-        # domain at every world, as in a completion, every block
-        first = domains[worlds[0]] if worlds else ()
-        if domains == dict.fromkeys(worlds, first):
-            self.present = dict.fromkeys(first, self.full)
-        else:
-            self.present = {}
-            for offset, w in self.named:
-                for e in domains[w]:
-                    self.present[e] = self.present.get(e, 0) | self.ones << offset
+        spread = self.full // self.ones  # bit 0 of every block
+        # per world, the offsets of the worlds strictly below it, which the
+        # up-set step shifts the world's block to, each with the models it
+        # holds in; every model is reflexive, so the step keeps each block
+        # where it is without a shift
+        below: list[list[tuple[int, int]]] = [[] for _ in worlds]
+        # element -> the bits of the blocks whose world's domain holds it:
+        # with one domain at every world, as in a completion, whole runs
+        self.present: dict[str, int] = {}
+        start = 0
+        for up, domains, size in frames:
+            models = ((1 << size) - 1) << start
+            start += size
+            for i, (offset, mask) in enumerate(zip(offsets, up)):
+                pair = (offset, models)
+                for lower in itertools.compress(below, bits(mask & ~(1 << i))):
+                    lower.append(pair)
+            first = domains[worlds[0]] if worlds else ()
+            if domains == dict.fromkeys(worlds, first):
+                for e in first:
+                    self.present[e] = self.present.get(e, 0) | models * spread
+            else:
+                for offset, w in self.named:
+                    for e in domains[w]:
+                        self.present[e] = self.present.get(e, 0) | models << offset
+        if len(frames) > 1:  # one shift of a pair serves every frame that has it
+            below = [_merged(lower) for lower in below]
+        self.below = tuple((offset, tuple(lower)) for offset, lower in zip(offsets, below) if lower)
         self.elements = tuple(self.present.items())
+
+
+def _merged(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    models: dict[int, int] = {}
+    for offset, held in pairs:
+        models[offset] = models.get(offset, 0) | held
+    return list(models.items())
 
 
 class CompiledSequent(NamedTuple):
@@ -488,15 +528,17 @@ class Evaluator:
         return mask
 
     def _above_none_of(self, bad: int) -> int:
-        """Where no successor lies in `bad`: each world's block of `bad` is
-        shifted to the offset of every world below it."""
+        """Where no successor lies in `bad`, which lies within `frame.full`:
+        each world's block of `bad` stays and is shifted to the offset of
+        every world strictly below it, in the models whose order has that
+        pair."""
         ones = self.frame.ones
-        hit = 0
+        hit = bad
         for offset, below in self.frame.below:
             block = bad >> offset & ones
             if block:
-                for shift in below:
-                    hit |= block << shift
+                for shift, models in below:
+                    hit |= (block & models) << shift
         return self.frame.full ^ hit
 
     def _label(self, node: int, env: list) -> int:

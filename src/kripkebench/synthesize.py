@@ -13,7 +13,6 @@ from typing import NamedTuple, Optional
 
 from .search import DEFAULT_CD_BOUNDS, Refuted, SearchBounds, Verdict, decide
 from .semantics import (
-    Evaluator,
     KripkeModel,
     model_to_text,
     reflexive_transitive_closure,
@@ -266,19 +265,16 @@ def synthesize(
     left, right = _selected_vectors(case, a, b, stars)
     sequent = build_sequent(conn_name, tf, case, left, right, names)
     model = separating_countermodel(names)
-    evaluator = Evaluator(model, signature)
-    antecedent_values = tuple(
-        (render_formula(f), evaluator.value("w1", {}, f)) for f in sequent.antecedent
-    )
-    succedent_values = tuple(
-        (render_formula(f), evaluator.value("w1", {}, f)) for f in sequent.succedent
-    )
     point = next(refuting_points(model, signature, sequent), None)
     if validate_model(model) or point != ("w1", {}):
         raise AssertionError(
             f"synthesized sequent is not refuted at the expected point:"
             f" {render_sequent(sequent)}"
         )
+    # refuted at w1 under the empty assignment: there every antecedent
+    # formula is 1 and every succedent formula 0, by definition
+    antecedent_values = tuple((render_formula(f), 1) for f in sequent.antecedent)
+    succedent_values = tuple((render_formula(f), 0) for f in sequent.succedent)
     verdict = (
         decide(signature, sequent, "cd", cd_bounds) if cd_bounds is not None else None
     )

@@ -3,8 +3,9 @@ workload.
 
 `util.naive_decide` scans the unreduced model stream model by model, sharing
 no code with `enumerate_frames` or `Evaluator`. This compares the two on the
-40 corpus sequents of seed 2024 at (3, 2, poset), in kripke and cd mode: the
-same verdict, and for a refutation the same model, world and assignment. It
+40 corpus sequents of seed 2024 at (3, 2, poset), in kripke, cd and
+classical mode: the same verdict, and for a refutation the same model, world
+and assignment. It
 takes minutes, not seconds, so pytest does not collect it. Run it as
 
     PYTHONPATH=src python tests/oracle_grid.py
@@ -23,7 +24,7 @@ from test_search import _corpus_signature
 from util import naive_decide
 
 BOUNDS = SearchBounds(3, 2, "poset")
-MODES = ("kripke", "cd")
+MODES = ("kripke", "cd", "classical")
 COUNT = 40
 
 

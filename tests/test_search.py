@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kripkebench import search, semantics
+from kripkebench.cli import main
 from kripkebench.search import (
     SHAPES,
     InconsistentVerdictError,
@@ -30,7 +31,7 @@ from kripkebench.semantics import (
     upward_closed_subsets,
     validate_model,
 )
-from kripkebench.syntax import Signature, parse_sequent
+from kripkebench.syntax import Signature, parse_sequent, render_sequent
 from kripkebench.truthfun import builtin
 from kripkebench.synthesize import synthesize
 
@@ -40,6 +41,7 @@ from util import (
     naive_decide,
     naive_refutation,
     order_pairs,
+    per_frame_decide,
     poset_orders_by_masks,
     preorder_orders_by_masks,
     reference_enumerate_models,
@@ -764,6 +766,178 @@ class TestBitSlicedSearch:
         monkeypatch.setattr(search, "MAX_MODELS", sum(sizes) - 1)
         with pytest.raises(ValueError, match=f"more than {sum(sizes) - 1} models"):
             decide(sig, s, "kripke", bounds)
+
+
+class TestBatches:
+    """`decide` labels the frames of one world count in batches
+    (`search.Batch`): its verdicts must be those of labelling each frame
+    alone (`util.per_frame_decide`), the same model, world and assignment,
+    and so must its refusals at the caps."""
+
+    # the predicates, shapes and bounds of `test_frame_stream_digest`; with
+    # one world every shape gives the same stream, so it is read once
+    PREDICATES = ({"p": 1, "q": 1, "r": 0}, {"e": 2}, {"p": 1}, {"r": 0})
+    GRID = [
+        SearchBounds(worlds, elements, shape)
+        for shape in SHAPES
+        for worlds, elements in ((1, 3), (2, 2), (3, 2), (4, 1), (3, 3))
+        if (shape != "any-preorder" or worlds <= 3) and (shape == "chain" or worlds > 1)
+    ]
+    # per predicate set, corpus sequents (seed 2029) whose first countermodel
+    # lies past the first frame of a batch at some bounds of the grid
+    PAST_FIRST = ((32, 218), (45, 99), (69, 125), (4, 36))
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        search._streams.clear()
+        yield
+        search._streams.clear()
+
+    @pytest.mark.parametrize("chunk_bits", [search.CHUNK_BITS, 3])
+    def test_batches_equal_the_per_frame_loop(self, monkeypatch, chunk_bits):
+        # at CHUNK_BITS = 3 most frames are chunked batches of one, and
+        # labelling in chunks of 3 takes so long that the grid keeps its
+        # (2, 2) bounds, in every shape
+        monkeypatch.setattr(search, "CHUNK_BITS", chunk_bits)
+        past_first = []
+
+        def recording(batch, compiled):
+            index = first_refuted(batch, compiled)
+            if index is not None and len(batch.frames) > 1 and index >= batch.starts[1]:
+                past_first.append(index)
+            return index
+
+        monkeypatch.setattr(search, "first_refuted", recording)
+        connectives = {c: builtin(c) for c in ("not", "and", "or", "imp")}
+        grid = [b for b in self.GRID if chunk_bits > 3 or (b.max_worlds, b.max_domain) == (2, 2)]
+        verdicts = refusals = 0
+        for predicates, indices in zip(self.PREDICATES, self.PAST_FIRST):
+            sig = Signature(predicates, connectives)
+            corpus = sequent_corpus(sig, 2029, 300)
+            sequents = [corpus[i] for i in indices] + random.Random(2029).sample(corpus, 4)
+            for bounds in grid:
+                for mode in ("kripke", "cd", "classical"):
+                    for s in sequents:
+                        try:
+                            want = per_frame_decide(sig, s, mode, bounds)
+                        except ValueError as refusal:
+                            with pytest.raises(ValueError) as raised:
+                                decide(sig, s, mode, bounds)
+                            assert str(raised.value) == str(refusal)
+                            refusals += 1
+                            continue
+                        assert decide(sig, s, mode, bounds) == want
+                        verdicts += isinstance(want, Refuted)
+        assert verdicts > 0
+        if chunk_bits > 3:
+            assert past_first and refusals > 0
+
+    @pytest.mark.parametrize("chunk_bits", [search.CHUNK_BITS, 16])
+    def test_batches_keep_their_rules(self, monkeypatch, chunk_bits):
+        # over the grid, each stream's batches hold its frames in order; the
+        # first frame of a world count and a chunked frame stand alone; and
+        # a batch of several frames, of one world count, fits in CHUNK_BITS
+        # models, and one of its frames holds the elements of all, so that
+        # it labels no more assignments than that frame counts alone. At
+        # CHUNK_BITS = 16 batches close before a frame of every element
+        # comes along; the streams of several predicates or a binary one
+        # build too many chunks there
+        monkeypatch.setattr(search, "CHUNK_BITS", chunk_bits)
+        merged = uneven = 0
+        for predicates in self.PREDICATES if chunk_bits > 16 else ({"p": 1}, {"r": 0}):
+            sig = Signature(predicates, {})
+            for bounds in self.GRID:
+                for cd in (False, True):
+                    try:
+                        frames = list(enumerate_frames(sig, bounds, cd))
+                    except ValueError:
+                        continue
+                    batches = list(search._streams.read(sig, bounds, cd))
+                    served = [f for b in batches for f in b.frames]
+                    # a `labelled` frame has no equality of its own
+                    same = [f._replace(labelled=None) for f in served]
+                    assert same == [f._replace(labelled=None) for f in frames]
+                    frames = served
+                    firsts = {
+                        id(f) for i, f in enumerate(frames)
+                        if i == 0 or len(frames[i - 1].worlds) != len(f.worlds)
+                    }
+                    for batch in batches:
+                        if len(batch.frames) == 1:
+                            continue
+                        merged += 1
+                        assert not firsts & {id(f) for f in batch.frames}
+                        assert len({len(f.worlds) for f in batch.frames}) == 1
+                        assert batch.size == sum(f.size for f in batch.frames) <= search.CHUNK_BITS
+                        own = [set(f.labelled.present) for f in batch.frames]
+                        assert set(batch.labelled.present) in own
+                        uneven += len({frozenset(e) for e in own}) > 1
+                    for f in frames:
+                        if id(f) in firsts or f.size > search.CHUNK_BITS:
+                            assert any(b.frames == (f,) for b in batches)
+        assert merged and uneven
+
+    # the bounded-depth axiom BD2 at x is refuted first on the three-world
+    # chain with one element, the sixth frame of the eight the batch of
+    # that world count holds; the valid sequent reads the same frame stream.
+    # PAD holds intuitionistic laws whose free variables only add to the
+    # assignments the labelling counts: 2^8 of them at a frame of two
+    # elements
+    BOUNDS = SearchBounds(3, 2, "poset")
+    PAD = ", ".join(f"imp(p(z{i}), p(z{i}))" for i in range(8))
+    REFUTED = "or(q(x), imp(q(x), or(p(x), not(p(x)))))"
+    VALID = "imp(q(x), or(q(x), p(x)))"
+
+    def sequents(self, padded):
+        sig = Signature({"p": 1, "q": 1}, {c: builtin(c) for c in ("not", "or", "imp")})
+        pad = self.PAD if padded else ""
+        return sig, [parse_sequent(f"{pad} => {text}", sig) for text in (self.REFUTED, self.VALID)]
+
+    @pytest.mark.parametrize("cap", ["frames", "models", "assignments"])
+    def test_a_cap_inside_a_world_count_after_the_countermodel(
+        self, monkeypatch, tmp_path, capsys, cap
+    ):
+        sig, (refuted, valid) = self.sequents(padded=cap == "assignments")
+        compiled = compile_sequent(sig, refuted)
+        frames = list(enumerate_frames(sig, self.BOUNDS))
+        k = next(i for i, frame in enumerate(frames) if first_refuted(frame, compiled) is not None)
+        counts = [len(frame.worlds) for frame in frames]
+        # the frame before it and the one after it are of its world count,
+        # and so is the one before that: a batch holds it past its first frame
+        assert counts[k - 2] == counts[k - 1] == counts[k] == counts[k + 1] == 3
+        first = decide(sig, refuted, "kripke", self.BOUNDS)
+        assert isinstance(first, Refuted)
+        # the cap falls at frame k + 1
+        if cap == "frames":
+            monkeypatch.setattr(search, "MAX_FRAMES", k + 1)
+        elif cap == "models":
+            monkeypatch.setattr(search, "MAX_MODELS", sum(f.size for f in frames[: k + 1]))
+        else:
+            labellings = [
+                len(f.chunks) * len(f.labelled.present) ** len(compiled.slots) for f in frames
+            ]
+            # the builder's own count of models never passes this cap
+            assert sum(f.size for f in frames) <= sum(labellings[: k + 1])
+            monkeypatch.setattr(search, "MAX_MODELS", sum(labellings[: k + 1]))
+        assert decide(sig, refuted, "kripke", self.BOUNDS) == first
+        assert per_frame_decide(sig, refuted, "kripke", self.BOUNDS) == first
+        with pytest.raises(ValueError) as raised:
+            per_frame_decide(sig, valid, "kripke", self.BOUNDS)
+        message = str(raised.value)
+        assert f" {cap};" in message
+        with pytest.raises(ValueError) as raised:
+            decide(sig, valid, "kripke", self.BOUNDS)
+        assert str(raised.value) == message
+        path = tmp_path / "valid.seq"
+        header = "pred p 1\npred q 1\nconn imp builtin\nconn or builtin\n"
+        path.write_text(f"{header}sequent: {render_sequent(valid)}\n")
+        argv = [
+            "decide", "--mode", "kripke", "--seq", str(path),
+            "--max-worlds", "3", "--max-domain", "2", "--shape", "poset",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestFrameStreamCache:

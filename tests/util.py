@@ -16,18 +16,24 @@ from kripkebench.construct import (
     enumerate_choice_functions,
     instance_status,
 )
+from kripkebench import search
 from kripkebench.search import (
     Refuted,
     SearchBounds,
     ValidUpToBounds,
     _chain_orders,
+    _restrict_to_sequent,
     _tree_orders,
+    decode_model,
+    enumerate_frames,
 )
 from kripkebench.semantics import (
     Evaluator,
     Frame,
     KripkeModel,
+    compile_sequent,
     reflexive_transitive_closure,
+    refuting_points,
     validate_model,
 )
 from kripkebench.syntax import (
@@ -775,14 +781,15 @@ def naive_value(model, sig, world, assignment, formula):
 
 def shifted_above_none_of(evaluator, bad):
     """A planted labelling fault for `Evaluator._above_none_of`: each
-    world's block is shifted one world too far."""
+    world's block is shifted one world too far, the one it keeps in place
+    too."""
     frame = evaluator.frame
-    hit = 0
+    hit = bad << frame.width
     for offset, below in frame.below:
         block = bad >> offset & frame.ones
         if block:
-            for shift in below:
-                hit |= block << (shift + frame.width)
+            for shift, models in below:
+                hit |= (block & models) << (shift + frame.width)
     return frame.full ^ hit & frame.full
 
 
@@ -813,13 +820,16 @@ def sharing_evaluator(formulas, model) -> Evaluator:
 def reference_frame_fields(worlds, order, domains, width=1) -> dict:
     """`Frame`'s `offset`, `below`, `named`, `present` and `elements` by the
     general loop over every order pair, every world and every element of its
-    domain; the offsets below a world come in world order."""
+    domain; the offsets strictly below a world come in world order, each
+    with the mask of all `width` models, and a world with none below it is
+    left out."""
     ones = (1 << width) - 1
     offsets = [i * width for i in range(len(worlds))]
     offset = dict(zip(worlds, offsets))
-    below = {w: {o} for w, o in offset.items()}
+    below = {w: set() for w in worlds}
     for a, b in order:
-        below[b].add(offset[a])
+        if a != b:
+            below[b].add(offset[a])
     named = tuple(zip(offsets, worlds))
     present = {}
     for o, w in named:
@@ -827,7 +837,9 @@ def reference_frame_fields(worlds, order, domains, width=1) -> dict:
             present[e] = present.get(e, 0) | ones << o
     return {
         "offset": offset,
-        "below": tuple((offset[w], tuple(sorted(below[w]))) for w in worlds),
+        "below": tuple(
+            (offset[w], tuple((o, ones) for o in sorted(below[w]))) for w in worlds if below[w]
+        ),
         "named": named,
         "present": present,
         "elements": tuple(present.items()),
@@ -866,4 +878,31 @@ def naive_decide(sig, sequent, mode, bounds):
         witness = naive_refutation(model, sig, sequent)
         if witness is not None:
             return Refuted(model, *witness)
+    return ValidUpToBounds(bounds)
+
+
+def per_frame_decide(sig, sequent, mode, bounds):
+    """`decide` labelling each frame of `enumerate_frames` alone, chunk by
+    chunk over its own `labelled` frame, in stream order: the labelling cap
+    is counted and checked per frame before the frame is labelled, and the
+    first countermodel is decoded and given the first point of
+    `refuting_points`. It reads no frame stream kept between calls and
+    builds no batch."""
+    if mode == "classical":
+        bounds = SearchBounds(1, bounds.max_domain, bounds.shape)
+    compiled = compile_sequent(sig, sequent)
+    labellings = 0
+    for frame in enumerate_frames(_restrict_to_sequent(sig, compiled), bounds, mode == "cd"):
+        labellings += len(frame.chunks) * len(frame.labelled.present) ** len(compiled.slots)
+        if labellings > search.MAX_MODELS:
+            raise ValueError(
+                f"the search labels more than {search.MAX_MODELS} assignments; lower the bounds"
+            )
+        for chunk, atoms in enumerate(frame.chunks):
+            evaluator = Evaluator.of_frame(compiled.formulas, frame.labelled, atoms)
+            hits = evaluator.refuted_models(compiled)
+            if hits:
+                model = decode_model(frame, chunk * frame.inner + (hits & -hits).bit_length() - 1)
+                assert not validate_model(model)
+                return Refuted(model, *next(refuting_points(model, sig, sequent)))
     return ValidUpToBounds(bounds)
